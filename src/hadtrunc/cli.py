@@ -182,6 +182,13 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    value = int(text)
+    if not 0 <= value < specs.SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def _add_common(sub, formats=("json",)):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
@@ -243,7 +250,7 @@ def build_parser():
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--seed", type=int)
+    src.add_argument("--seed", type=_seed)
     src.add_argument("--qfile")
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
@@ -255,7 +262,7 @@ def build_parser():
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--seed", type=int)
+    src.add_argument("--seed", type=_seed)
     src.add_argument("--qfile")
     p.add_argument("--p", type=_positive_int, required=True)
     p.add_argument("--r", type=_positive_int, required=True)

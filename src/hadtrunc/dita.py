@@ -86,6 +86,17 @@ def structured_gram_entry(q, i_indices, a_indices, j_indices, b_indices):
     return complex(out)
 
 
+def _delta_mask(n, r):
+    """(N^r, N^r) mask of N-part multi-index pairs (A, B) whose differences
+    a_s - b_s agree mod N for every s, the support of the Gram matrix."""
+    adig = multi_indices(n, r)
+    mask = np.ones((n**r, n**r), dtype=bool)
+    for s in range(1, r):
+        mask &= ((adig[:, s][:, None] - adig[:, s][None, :]) % n
+                 == (adig[:, 0][:, None] - adig[:, 0][None, :]) % n)
+    return mask
+
+
 def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     """Full depth-r Gram matrix assembled from the kernels (dense layout,
     same index flattening as the generic pipeline)."""
@@ -97,10 +108,8 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     digits = multi_indices(size, r)
     idig = digits // n
     adig = digits % n
-    mask = np.ones((size**r, size**r), dtype=bool)
-    for s in range(1, r):
-        mask &= ((adig[:, s][:, None] - adig[:, s][None, :]) % n
-                 == (adig[:, 0][:, None] - adig[:, 0][None, :]) % n)
+    aflat = adig @ n ** np.arange(r - 1, -1, -1)
+    mask = _delta_mask(n, r)[aflat[:, None], aflat[None, :]]
     out = np.ones((size**r, size**r), dtype=complex)
     for s in range(r):
         sp = (s + 1) % r
@@ -128,10 +137,7 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     kernels = r_kernels(q)
     adig = multi_indices(n, r)
     an = n**r
-    mask = np.ones((an, an), dtype=bool)
-    for s in range(1, r):
-        mask &= ((adig[:, s][:, None] - adig[:, s][None, :]) % n
-                 == (adig[:, 0][:, None] - adig[:, 0][None, :]) % n)
+    mask = _delta_mask(n, r)
     f = np.zeros((m,) * r + (an, an), dtype=complex)
     for u in product(range(m), repeat=r):
         block = np.ones((an, an), dtype=complex)
@@ -161,12 +167,7 @@ def delta_nonzero_count(m, n, r):
 
 def count_delta_nonzeros(m, n, r):
     """Brute-force count of index pairs passing the delta constraint."""
-    adig = multi_indices(n, r)
-    mask = np.ones((n**r, n**r), dtype=bool)
-    for s in range(1, r):
-        mask &= ((adig[:, s][:, None] - adig[:, s][None, :]) % n
-                 == (adig[:, 0][:, None] - adig[:, 0][None, :]) % n)
-    return int(mask.sum()) * (m**r) ** 2
+    return int(_delta_mask(n, r).sum()) * (m**r) ** 2
 
 
 @dataclass(frozen=True)

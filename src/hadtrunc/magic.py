@@ -84,41 +84,42 @@ def _grid_array(h):
     return np.einsum("ik,jl,il,jk->ijkl", arr, arr, arr.conj(), arr.conj()) / n
 
 
+def _magic_deviations(p, tol):
+    """MagicReport of the projection array p, plus the idempotency and
+    self-adjointness deviations of each P_ij as (N, N) arrays."""
+    n = p.shape[0]
+    eye = np.eye(n)
+    prod = np.einsum("ijkm,ijml->ijkl", p, p)
+    idem = np.abs(prod - p).max(axis=(2, 3))
+    sadj = np.abs(p - p.conj().transpose(0, 1, 3, 2)).max(axis=(2, 3))
+    row = float(np.abs(p.sum(axis=1) - eye[None, :, :]).max())
+    col = float(np.abs(p.sum(axis=0) - eye[None, :, :]).max())
+    report = MagicReport(float(idem.max()), float(sadj.max()), row, col, tol)
+    return report, idem, sadj
+
+
 def magic_grid(h, tol=MAGIC_TOL):
     """Build the projection grid of H and abort if any invariant fails.
 
     Uses the closed entry formula throughout; the diagnostics name the first
     grid position whose idempotency or self-adjointness breaks.
     """
-    n = h.n
     p = _grid_array(h)
-    grid = MagicGrid(n, p, h.provenance)
-    prod = np.einsum("ijkm,ijml->ijkl", p, p)
-    idem = np.abs(prod - p).max(axis=(2, 3))
-    sadj = np.abs(p - p.conj().transpose(0, 1, 3, 2)).max(axis=(2, 3))
+    report, idem, sadj = _magic_deviations(p, tol)
     for devs, what in ((idem, "idempotency"), (sadj, "self-adjointness")):
         if devs.max() > tol:
             i, j = np.unravel_index(int(devs.argmax()), devs.shape)
             raise MagicGridError(
                 f"{what} fails at P_({i},{j}): deviation {devs.max():.3e} > {tol:.1e}"
             )
-    report = verify_magic(grid, tol=tol)
     if not report.passed:
         raise MagicGridError(f"row/column sums fail: {report.to_dict()}")
-    return grid
+    return MagicGrid(h.n, p, h.provenance)
 
 
 def verify_magic(grid, tol=MAGIC_TOL):
     """Max deviations from idempotency, self-adjointness and unit row/col sums."""
-    p = grid.projections
-    n = grid.n
-    eye = np.eye(n)
-    prod = np.einsum("ijkm,ijml->ijkl", p, p)
-    idem = float(np.abs(prod - p).max())
-    sadj = float(np.abs(p - p.conj().transpose(0, 1, 3, 2)).max())
-    row = float(np.abs(p.sum(axis=1) - eye[None, :, :]).max())
-    col = float(np.abs(p.sum(axis=0) - eye[None, :, :]).max())
-    return MagicReport(idem, sadj, row, col, tol)
+    return _magic_deviations(grid.projections, tol)[0]
 
 
 def truncation_tensor(grid, p, cap=DEFAULT_CAP):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from . import matrices
 from .errors import SpecSyntaxError
 
+SEED_LIMIT = 1 << 64  # phase seeds are 64-bit: 0 <= seed < SEED_LIMIT
+
 _CONSTRUCTORS = ("fourier", "fouriergroup", "tensor", "dita", "conj", "transpose",
                  "adjoint", "file")
 
@@ -96,7 +98,7 @@ def _parse_qsrc(cur):
     if cur.text.startswith("seed=", cur.pos):
         cur.expect("seed=")
         seed, off = cur.integer()
-        if seed >= 1 << 64:
+        if seed >= SEED_LIMIT:
             raise SpecSyntaxError("seed does not fit in 64 bits", off)
         return ("seed", seed)
     if cur.text.startswith("file=", cur.pos):

@@ -13,6 +13,10 @@ is Hermitian PSD with unit diagonal; its spectral law with respect to the
 normalized trace is the depth-r truncated measure, an atomic probability
 measure on [0, N].  The same moments are available through the truncation
 tensors of the magic grid, which gives a fully independent cross-check.
+
+Entrywise T_p(H) = X_p(H^*) / N, so the Cesaro averages and Haar moments are
+reductions of a Gram spectrum as well; the grid-product T_p stays the oracle
+for them (`moments_via_T`).
 """
 
 from __future__ import annotations
@@ -22,11 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import magic as magic_mod
+from . import matrices
 from .errors import EigensolverError, MomentImagError
 from .magic import DEFAULT_CAP, check_cap, multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N
 CLUSTER_TOL_FACTOR = 1e-6  # default clustering tolerance is this times N
+
+_HERMITIAN_BLOCK = 64  # rows of X compared with X^* per step of the guard
 
 
 def profile(h):
@@ -88,6 +95,36 @@ def gram_matrix(h, r, route="profile", cap=DEFAULT_CAP):
         vecs = gram_vectors(h, r, cap=cap)
         return vecs @ vecs.conj().T
     raise ValueError(f"unknown route {route!r}")
+
+
+def _gram_spectrum(h, r, cap=DEFAULT_CAP):
+    """Ascending eigenvalues of the depth-r Gram matrix X, once X = X^* is
+    checked to within 1e-9 * N.
+
+    The check compares row blocks of X with column blocks, so it never holds
+    a temporary as large as X.  A non-Hermitian X means an index-convention
+    bug, which would otherwise be hidden by a solver that reads one triangle.
+    """
+    x = gram_matrix(h, r, cap=cap)
+    tol = EIGEN_RESIDUAL_TOL * h.n
+    for start in range(0, x.shape[0], _HERMITIAN_BLOCK):
+        stop = start + _HERMITIAN_BLOCK
+        dev = float(np.abs(x[start:stop] - x[:, start:stop].conj().T).max())
+        if dev > tol:
+            raise MomentImagError(
+                f"depth-{r} Gram matrix is not Hermitian: deviation {dev:.3e} "
+                f"> {tol:.1e} in rows {start}..{min(stop, x.shape[0]) - 1}"
+            )
+    return np.linalg.eigvalsh(x)
+
+
+def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
+    """Eigenvalues of the truncation tensor T_p(H), which lie in [0, 1].
+
+    T_p(H) = X_p(H^*) / N entrywise, so T_p is never built: its spectrum is
+    the depth-p Gram spectrum of the adjoint, scaled by 1/N.
+    """
+    return _gram_spectrum(matrices.adjoint(h), p, cap=cap) / h.n
 
 
 @dataclass(frozen=True)
@@ -229,11 +266,10 @@ def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     n = h.n
     c = np.empty((p_max, r_max + 1))
     c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
+    powers = np.arange(1, p_max + 1)[:, None]
     for r in range(1, r_max + 1):
-        x = gram_matrix(h, r, cap=cap)
-        vals = np.linalg.eigvalsh(x)
-        for p in range(1, p_max + 1):
-            c[p - 1, r] = float((vals**p).sum() / n**r)
+        vals = _gram_spectrum(h, r, cap=cap)
+        c[:, r] = (vals[None, :] ** powers).sum(axis=1) / n**r
     gamma = c / np.array([float(n**p) for p in range(1, p_max + 1)])[:, None]
     return MomentTable(n, p_max, r_max, c, gamma)
 
@@ -252,26 +288,33 @@ class CesaroSequence:
         }
 
 
+def _cesaro_sequence(lam, p, k_max):
+    """Cesaro averages s_k = (1/k) sum_{r<=k} sum_lambda lambda^r, k = 1..k_max.
+
+    One running power of the spectrum is kept, so memory is O(N^p + k_max)
+    for any k_max.
+    """
+    power_sums = np.empty(k_max)
+    power = lam.copy()
+    for r in range(k_max):
+        power_sums[r] = power.sum()
+        power *= lam
+    averages = np.cumsum(power_sums) / np.arange(1, k_max + 1)
+    increment = float(abs(averages[-1] - averages[-2])) if k_max > 1 else float("nan")
+    return CesaroSequence(p, averages, increment)
+
+
 def cesaro_moments(h, p, k_max, cap=DEFAULT_CAP):
     """Cesaro averages of the depth-r moments c_p^r for r = 1..k_max.
 
-    Works through powers of T_p (fixed size N^p), so deep truncations are
-    cheap.  No convergence claim is made here; the last increment is reported
-    as a diagnostic only.
+    c_p^r = Tr(T_p^r) = sum_lambda lambda^r over the spectrum of T_p, which is
+    that of X_p(H^*) / N; one Hermitian eigensolve of size N^p serves every
+    depth, so deep truncations cost O(N^p) each.  No convergence claim is made
+    here; the last increment is reported as a diagnostic only.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = h.n
-    t = magic_mod.truncation_tensor(magic_mod.magic_grid(h), p, cap=cap)
-    moments = np.empty(k_max)
-    acc = t
-    for r in range(1, k_max + 1):
-        moments[r - 1] = _real_trace(np.trace(acc), n**p, f"Tr(T_{p}^{r})")
-        if r < k_max:
-            acc = acc @ t
-    averages = np.cumsum(moments) / np.arange(1, k_max + 1)
-    increment = float(abs(averages[-1] - averages[-2])) if k_max > 1 else float("nan")
-    return CesaroSequence(p, averages, increment)
+    return _cesaro_sequence(_truncation_spectrum(h, p, cap=cap), p, k_max)
 
 
 @dataclass(frozen=True)
@@ -279,21 +322,28 @@ class HaarMomentEstimate:
     estimate: float
     rounded: int
     converged: bool
+    gap: float
 
     def to_dict(self):
         return {"estimate": self.estimate, "rounded": self.rounded,
-                "converged": self.converged}
+                "converged": self.converged, "gap": self.gap}
 
 
 def haar_moment_estimate(h, p, k_max=32, tol=1e-8, cap=DEFAULT_CAP):
-    """Cesaro estimate of the p-th Haar moment, with an integrality check.
+    """Exact p-th Haar moment plus its Cesaro estimate.
 
-    The limit moments are dimensions of fixed point spaces, hence nonnegative
-    integers; `converged` is a heuristic flag set when the last two averages
-    agree within tol and the value sits within tol of an integer.
+    T_p is PSD with spectrum in [0, 1], so the Cesaro limit of Tr(T_p^r) is
+    the multiplicity of the eigenvalue 1: `rounded` counts the eigenvalues
+    within tol of 1.  `estimate` is the Cesaro average s_{k_max}, and
+    `converged` is set when the last two averages agree within tol and the
+    estimate sits within tol of `rounded`.  `gap` is 1 minus the largest
+    eigenvalue below 1 - tol (1.0 when there is none); it bounds the distance
+    of s_k from the limit by N^p (1 - gap) / (k gap).
     """
-    seq = cesaro_moments(h, p, max(k_max, 2), cap=cap)
+    lam = _truncation_spectrum(h, p, cap=cap)
+    seq = _cesaro_sequence(lam, p, max(k_max, 2))
     estimate = float(seq.partial_averages[-1])
-    rounded = int(round(estimate))
+    rounded = int((np.abs(lam - 1.0) <= tol).sum())
     converged = seq.last_increment < tol and abs(estimate - rounded) < tol
-    return HaarMomentEstimate(estimate, rounded, converged)
+    gap = 1.0 - float(np.max(lam[lam < 1.0 - tol], initial=0.0))
+    return HaarMomentEstimate(estimate, rounded, converged, gap)

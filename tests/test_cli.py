@@ -176,3 +176,21 @@ def test_output_floats_are_short(capsys):
                         "--r-max", "3")
     for token in out.replace(",", " ").split():
         assert len(token.strip("[]")) < 24
+
+
+@pytest.mark.parametrize("command", [
+    ["dita-check", "--m", "2", "--n", "2", "--p-max", "2", "--r-max", "2"],
+    ["bench", "--m", "2", "--n", "2", "--p", "2", "--r", "2", "--reps", "1"],
+])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_out_of_range_exit_two(capsys, command, seed):
+    # the [0, 2^64) bound of seed= in a spec; -1 would wrap to 2^64 - 1
+    code, out, err = run_cli(capsys, *command, "--seed", str(seed))
+    assert code == 2
+    assert out == "" and "--seed" in err
+
+
+def test_seed_largest_accepted(capsys):
+    code, out, _ = run_cli(capsys, "dita-check", "--m", "2", "--n", "2",
+                           "--seed", str(2**64 - 1), "--p-max", "2", "--r-max", "2")
+    assert code == 0 and json.loads(out)["pass"] is True

@@ -2,9 +2,30 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
-from hadtrunc.errors import CapExceededError
+from hadtrunc import spectra
+from hadtrunc.errors import CapExceededError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
+
+# Tao's 6x6 complex Hadamard matrix is w^E with w = e^{2 pi i/3}; unlike the
+# corpus, its depth-3 Gram matrices are genuinely complex.
+TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
+                  [0, 0, 1, 1, 2, 2],
+                  [0, 1, 0, 2, 2, 1],
+                  [0, 1, 2, 0, 1, 2],
+                  [0, 2, 2, 1, 0, 1],
+                  [0, 2, 1, 2, 1, 0]]
+
+
+@pytest.fixture(scope="module")
+def tao6():
+    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+
+
+def grid_multiplicity_and_gap(h, p, tol=1e-8):
+    """Eigenvalue-1 multiplicity and gap of the grid-product T_p."""
+    lam = np.linalg.eigvalsh(ht.truncation_tensor(ht.magic_grid(h), p))
+    return int((np.abs(lam - 1.0) <= tol).sum()), 1.0 - lam[lam < 1.0 - tol].max()
 
 
 def fourier_group_profile(orders):
@@ -265,6 +286,7 @@ def test_haar_estimate_fourier():
             assert est.converged
             assert est.rounded == n ** (p - 1)
             assert est.estimate == pytest.approx(n ** (p - 1), rel=1e-10)
+            assert est.gap == pytest.approx(1.0, abs=1e-10)  # T_p is a projection
 
 
 def test_haar_estimate_first_moment(corpus_matrix):
@@ -276,6 +298,70 @@ def test_haar_estimate_tensor_multiplicative():
     est = ht.haar_moment_estimate(ht.tensor(ht.fourier(2), ht.fourier(2)), 2,
                                   k_max=6)
     assert est.converged and est.rounded == 4
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_truncation_tensor_is_adjoint_gram(small_matrix, p):
+    t = ht.truncation_tensor(ht.magic_grid(small_matrix), p)
+    x = ht.gram_matrix(ht.adjoint(small_matrix), p)
+    assert np.abs(t - x / small_matrix.n).max() < 1e-14
+
+
+def test_truncation_tensor_is_adjoint_gram_tao6(tao6):
+    for p in (1, 2, 3):
+        t = ht.truncation_tensor(ht.magic_grid(tao6), p)
+        x = ht.gram_matrix(ht.adjoint(tao6), p)
+        assert np.abs(t - x / 6).max() < 1e-14
+    assert np.abs(x.imag).max() > 1e-2
+
+
+def _grid_cesaro(h, p, k_max):
+    moments = [ht.moments_via_T(h, p, r) for r in range(1, k_max + 1)]
+    return np.cumsum(moments) / np.arange(1, k_max + 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cesaro_matches_grid_route(small_matrix, p):
+    seq = ht.cesaro_moments(small_matrix, p, 5)
+    np.testing.assert_allclose(seq.partial_averages,
+                               _grid_cesaro(small_matrix, p, 5), rtol=1e-12)
+
+
+def test_cesaro_matches_grid_route_tao6(tao6):
+    seq = ht.cesaro_moments(tao6, 3, 5)
+    np.testing.assert_allclose(seq.partial_averages, _grid_cesaro(tao6, 3, 5),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("dita(2,2;seed=7)", [1, 3, 10, 35]),
+    ("tao6", [1, 2, 5, 14]),
+])
+def test_haar_rounded_is_unit_multiplicity(spec, expected, tao6):
+    h = tao6 if spec == "tao6" else ht.build_matrix(spec)
+    for p, want in enumerate(expected, start=1):
+        est = ht.haar_moment_estimate(h, p)
+        multiplicity, gap = grid_multiplicity_and_gap(h, p)
+        assert est.rounded == multiplicity == want
+        assert est.gap == pytest.approx(gap, abs=1e-10)
+        assert est.to_dict()["gap"] == est.gap
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda h: ht.moment_table(h, 2, 4),
+    lambda h: ht.cesaro_moments(h, 4, 3),
+], ids=["moment_table", "cesaro_moments"])
+def test_non_hermitian_gram_rejected(monkeypatch, consumer):
+    exact = spectra.gram_matrix
+
+    def skewed(h, r, **kwargs):
+        x = exact(h, r, **kwargs)
+        x[-1, -2] += 1e-6  # in the last row block only
+        return x
+
+    monkeypatch.setattr(spectra, "gram_matrix", skewed)
+    with pytest.raises(MomentImagError, match="not Hermitian"):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
 def test_measure_json_schema():
