@@ -15,8 +15,8 @@ import sys
 from . import duality as duality_mod
 from . import matrices, specs, spectra
 from .dita import bench_structured_vs_dense
-from .errors import (CapExceededError, HadamardValidationError, MagicGridError,
-                     SpecSyntaxError)
+from .errors import (CapExceededError, EigensolverError, HadamardValidationError,
+                     MagicGridError, MomentImagError, SpecSyntaxError)
 from .magic import DEFAULT_CAP
 
 EXIT_OK = 0
@@ -287,7 +287,8 @@ def main(argv=None):
     except SpecSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HadamardValidationError, MagicGridError, AssertionError) as exc:
+    except (HadamardValidationError, MagicGridError, MomentImagError,
+            EigensolverError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, OSError, json.JSONDecodeError) as exc:

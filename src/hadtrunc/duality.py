@@ -51,9 +51,8 @@ class DualityReport:
 def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
     """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1."""
     start = time.perf_counter()
-    side = max(p_max, r_max)
-    table_h = spectra.moment_table(h, side, side, cap=cap)
-    table_t = spectra.moment_table(matrices.transpose(h), side, side, cap=cap)
+    table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
+    table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
     grid = np.empty((p_max, r_max))
     for p in range(1, p_max + 1):
         for r in range(1, r_max + 1):

@@ -27,7 +27,7 @@ class CapExceededError(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """The Hermitian eigensolver did not meet its residual contract."""
+    """Eigenvalues of X missed sum(l) = Tr X or sum(l^2) = ||X||_F^2."""
 
 
 class MomentImagError(RuntimeError):

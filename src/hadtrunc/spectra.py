@@ -14,9 +14,9 @@ normalized trace is the depth-r truncated measure, an atomic probability
 measure on [0, N].  The same moments are available through the truncation
 tensors of the magic grid, which gives a fully independent cross-check.
 
-Entrywise T_p(H) = X_p(H^*) / N, so the Cesaro averages and Haar moments are
-reductions of a Gram spectrum as well; the grid-product T_p stays the oracle
-for them (`moments_via_T`).
+Entrywise T_p(H) = X_p(H^*) / N, so the law, the moment table, the Cesaro
+averages and the Haar moments all reduce one checked Gram spectrum
+(`_gram_spectrum`); the grid-product T_p stays their oracle (`moments_via_T`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import matrices
 from .errors import EigensolverError, MomentImagError
 from .magic import DEFAULT_CAP, check_cap, multi_indices
 
-EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N
+EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
 CLUSTER_TOL_FACTOR = 1e-6  # default clustering tolerance is this times N
 
 _HERMITIAN_BLOCK = 64  # rows of X compared with X^* per step of the guard
@@ -77,45 +77,47 @@ def gram_vectors(h, r, cap=DEFAULT_CAP):
     return vecs
 
 
-def gram_matrix(h, r, route="profile", cap=DEFAULT_CAP):
-    """Depth-r Gram matrix X, by profile products or by explicit vectors.
+def gram_matrix(h, r, cap=DEFAULT_CAP):
+    """Depth-r Gram matrix X, as products of profile entries around the cycle.
 
-    Both routes agree entrywise up to roundoff; the vector route exists as an
-    independent oracle for the profile route.
+    `gram_vectors` gives the same matrix as explicit inner products and is the
+    independent oracle for this route.
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")
     n = h.n
     check_cap(n**r, cap)
-    if route == "profile":
-        q = profile(h)
-        digits = multi_indices(n, r)
-        return _product_over_cycle(q, digits, digits, r)
-    if route == "vectors":
-        vecs = gram_vectors(h, r, cap=cap)
-        return vecs @ vecs.conj().T
-    raise ValueError(f"unknown route {route!r}")
+    digits = multi_indices(n, r)
+    return _product_over_cycle(profile(h), digits, digits, r)
 
 
 def _gram_spectrum(h, r, cap=DEFAULT_CAP):
-    """Ascending eigenvalues of the depth-r Gram matrix X, once X = X^* is
-    checked to within 1e-9 * N.
-
-    The check compares row blocks of X with column blocks, so it never holds
-    a temporary as large as X.  A non-Hermitian X means an index-convention
-    bug, which would otherwise be hidden by a solver that reads one triangle.
+    """Ascending eigenvalues of the depth-r Gram matrix X, under the one
+    spectral contract.  ||X - X^*||_F <= 1e-9 * N, summed over row blocks so no
+    temporary is as large as X (else `MomentImagError`); as the solver reads
+    one triangle, this bounds the eigenpair residual against the full X.  Then
+    sum(l) = Tr X and sum(l^2) = ||X||_F^2 to 1e-9 relative (else
+    `EigensolverError`), which catches a bad, lost or duplicated eigenvalue.
     """
     x = gram_matrix(h, r, cap=cap)
     tol = EIGEN_RESIDUAL_TOL * h.n
+    skew_sq = frob_sq = 0.0
+    # No block temporary may outlive the loop: a live one split the heap, and
+    # the solver's own copy of X then raised peak RSS by the size of X.
     for start in range(0, x.shape[0], _HERMITIAN_BLOCK):
-        stop = start + _HERMITIAN_BLOCK
-        dev = float(np.abs(x[start:stop] - x[:, start:stop].conj().T).max())
-        if dev > tol:
-            raise MomentImagError(
-                f"depth-{r} Gram matrix is not Hermitian: deviation {dev:.3e} "
-                f"> {tol:.1e} in rows {start}..{min(stop, x.shape[0]) - 1}"
-            )
-    return np.linalg.eigvalsh(x)
+        rows = x[start:start + _HERMITIAN_BLOCK]
+        skew_sq += np.linalg.norm(rows - x[:, start:start + _HERMITIAN_BLOCK].conj().T) ** 2
+        frob_sq += np.linalg.norm(rows) ** 2
+    if not skew_sq <= tol**2:  # also rejects NaN
+        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
+                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
+    vals = np.linalg.eigvalsh(x)
+    for what, got, want in (("sum l", vals.sum(), np.trace(x).real),
+                            ("sum l^2", vals @ vals, frob_sq)):
+        if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
+            raise EigensolverError(f"depth-{r} spectrum fails the trace identity "
+                                   f"{what} = {want:.12g}: got {got:.12g}")
+    return vals
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
@@ -181,8 +183,8 @@ def truncated_law(h, r, cap=DEFAULT_CAP, cluster_tol=None):
 
     Depth 0 is the point mass at N.  Each eigenvalue carries weight 1/N^r;
     eigenvalues within the clustering tolerance are merged into one atom at
-    their mean.  Every eigenpair is checked against the residual contract
-    ||Xv - lv|| <= 1e-9 * N before the spectrum is trusted.
+    their mean.  The eigenvalues come from `_gram_spectrum`, so the law is
+    trusted only once X passes its Hermiticity and trace-identity contract.
     """
     n = h.n
     if cluster_tol is None:
@@ -191,13 +193,7 @@ def truncated_law(h, r, cap=DEFAULT_CAP, cluster_tol=None):
         raise ValueError("depth r must be >= 0")
     if r == 0:
         return SpectralMeasure(n, 0, ((float(n), 1.0),), cluster_tol)
-    x = gram_matrix(h, r, cap=cap)
-    vals, vecs = np.linalg.eigh(x)
-    residual = np.linalg.norm(x @ vecs - vecs * vals[None, :], axis=0).max()
-    if residual > EIGEN_RESIDUAL_TOL * n:
-        raise EigensolverError(
-            f"eigenpair residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL * n:.1e}"
-        )
+    vals = _gram_spectrum(h, r, cap=cap)
     weights = np.full(len(vals), 1.0 / n**r)
     return SpectralMeasure(n, r, cluster_atoms(vals, weights, cluster_tol), cluster_tol)
 

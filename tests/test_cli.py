@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
+from hadtrunc import spectra
 from hadtrunc.cli import main
 
 
@@ -57,6 +58,32 @@ def test_cap_exceeded_exit_three(capsys):
     code, _, err = run_cli(capsys, "measure", "fourier:6", "--r", "5")
     assert code == 3
     assert "cap" in err.lower()
+
+
+@pytest.mark.parametrize("command", [
+    ["measure", "dita(2,2;seed=7)", "--r", "2"],
+    ["moments", "dita(2,2;seed=7)", "--p-max", "2", "--r-max", "2"],
+])
+def test_non_hermitian_gram_exit_one(capsys, monkeypatch, command):
+    exact = spectra.gram_matrix
+
+    def skewed(h, r, **kwargs):
+        x = exact(h, r, **kwargs)
+        x[-1, -2] += 1e-6
+        return x
+
+    monkeypatch.setattr(spectra, "gram_matrix", skewed)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "not Hermitian" in err
+
+
+def test_eigensolver_failure_exit_one(capsys, monkeypatch):
+    exact = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: exact(x) * 0.5)
+    code, out, err = run_cli(capsys, "measure", "fourier:3", "--r", "2")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "trace identity" in err
 
 
 def test_measure_json(capsys):

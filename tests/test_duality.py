@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
+from hadtrunc import spectra
 from hadtrunc.duality import atoms_agree
 from hadtrunc.spectra import SpectralMeasure
 
@@ -27,6 +28,28 @@ def test_duality_rectangular_grid():
     report = ht.duality_residual(ht.fourier(3), 2, 4)
     assert report.grid.shape == (2, 4)
     assert report.passed
+
+
+@pytest.mark.parametrize("p_max, r_max, depths_h, depths_t", [
+    (3, 1, [1], [1, 2, 3]),
+    (1, 3, [1, 2, 3], [1]),
+])
+def test_duality_solves_only_read_spectra(monkeypatch, p_max, r_max, depths_h,
+                                          depths_t):
+    # gamma_p^r(H) needs H at depths 1..r_max, gamma_r^p(H^t) H^t at 1..p_max
+    exact = spectra._gram_spectrum
+    calls = []
+
+    def spy(h, r, **kwargs):
+        calls.append((h.provenance, r))
+        return exact(h, r, **kwargs)
+
+    monkeypatch.setattr(spectra, "_gram_spectrum", spy)
+    h = ht.build_matrix("dita(2,2;seed=7)")
+    assert ht.duality_residual(h, p_max, r_max).passed
+    name = h.provenance
+    assert calls == ([(name, r) for r in depths_h]
+                     + [(f"transpose({name})", r) for r in depths_t])
 
 
 def test_duality_report_dict():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hadtrunc as ht
 from hadtrunc import spectra
-from hadtrunc.errors import CapExceededError, MomentImagError
+from hadtrunc.duality import atoms_agree
+from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
@@ -17,9 +20,13 @@ TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
                   [0, 2, 1, 2, 1, 0]]
 
 
+def tao6_matrix():
+    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+
+
 @pytest.fixture(scope="module")
 def tao6():
-    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+    return tao6_matrix()
 
 
 def grid_multiplicity_and_gap(h, p, tol=1e-8):
@@ -73,16 +80,16 @@ def test_profile_tensor_factorizes():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_gram_routes_agree(corpus_matrix, r):
-    xp = ht.gram_matrix(corpus_matrix, r, route="profile")
-    xv = ht.gram_matrix(corpus_matrix, r, route="vectors")
-    assert np.abs(xp - xv).max() < 1e-10
+    xp = ht.gram_matrix(corpus_matrix, r)
+    vecs = ht.gram_vectors(corpus_matrix, r)
+    assert np.abs(xp - vecs @ vecs.conj().T).max() < 1e-10
 
 
 def test_gram_routes_agree_depth_four():
     h = ht.build_matrix("dita(2,2;seed=13)")
-    xp = ht.gram_matrix(h, 4, route="profile")
-    xv = ht.gram_matrix(h, 4, route="vectors")
-    assert np.abs(xp - xv).max() < 1e-10
+    xp = ht.gram_matrix(h, 4)
+    vecs = ht.gram_vectors(h, 4)
+    assert np.abs(xp - vecs @ vecs.conj().T).max() < 1e-10
 
 
 def test_gram_vectors_unit_norm(small_matrix):
@@ -347,21 +354,81 @@ def test_haar_rounded_is_unit_multiplicity(spec, expected, tao6):
         assert est.to_dict()["gap"] == est.gap
 
 
-@pytest.mark.parametrize("consumer", [
-    lambda h: ht.moment_table(h, 2, 4),
-    lambda h: ht.cesaro_moments(h, 4, 3),
-], ids=["moment_table", "cesaro_moments"])
-def test_non_hermitian_gram_rejected(monkeypatch, consumer):
+SPECTRUM_CONSUMERS = {
+    "moment_table": lambda h: ht.moment_table(h, 2, 4),
+    "cesaro_moments": lambda h: ht.cesaro_moments(h, 4, 3),
+    "truncated_law": lambda h: ht.truncated_law(h, 4),
+}
+
+
+def _skew_one_entry(x):
+    x[-1, -2] += 1e-6  # in the last row block only
+
+
+def _skew_spread(x):
+    # Every upper entry off by tol/2 (N = 4): each passes a max-entry check.
+    x[np.triu_indices(len(x), 1)] += spectra.EIGEN_RESIDUAL_TOL * 4 / 2
+
+
+@pytest.mark.parametrize("consumer, fault", [
+    pytest.param(consumer, fault, id=name + suffix)
+    for suffix, fault in (("", _skew_one_entry), ("-spread", _skew_spread))
+    for name, consumer in SPECTRUM_CONSUMERS.items()
+])
+def test_non_hermitian_gram_rejected(monkeypatch, consumer, fault):
     exact = spectra.gram_matrix
 
     def skewed(h, r, **kwargs):
         x = exact(h, r, **kwargs)
-        x[-1, -2] += 1e-6  # in the last row block only
+        fault(x)
         return x
 
     monkeypatch.setattr(spectra, "gram_matrix", skewed)
     with pytest.raises(MomentImagError, match="not Hermitian"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+@pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
+                         ids=SPECTRUM_CONSUMERS.keys())
+def test_duplicated_eigenvalue_rejected(monkeypatch, consumer):
+    exact = np.linalg.eigvalsh
+
+    def duplicating(x):
+        vals = exact(x)
+        i = np.argmax(np.diff(vals))
+        vals[i + 1] = vals[i]  # lost across the widest gap, its neighbour doubled
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", duplicating)
+    with pytest.raises(EigensolverError, match="trace identity"):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+# Tao's matrix adds complex Gram matrices (depth 3) to the real ones of the
+# deformed Fourier matrices.
+PROPERTY_MATRICES = [tao6_matrix(), ht.build_matrix("dita(3,2;seed=1)"),
+                     ht.build_matrix("dita(2,3;seed=7)")]
+
+
+@st.composite
+def equivalent_pairs(draw):
+    """(H, r, K) with K = D1 P H Q D2 or K = conj(H), r in 1..3."""
+    h = draw(st.sampled_from(PROPERTY_MATRICES))
+    r = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return h, r, ht.conjugate(h)
+    n = h.n
+    rows, cols = (np.array(draw(st.permutations(range(n)))) for _ in range(2))
+    angles = st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)
+    d1, d2 = (np.exp(1j * np.array(draw(angles))) for _ in range(2))
+    return h, r, ht.hadamard(d1[:, None] * h.array[rows][:, cols] * d2[None, :])
+
+
+@settings(max_examples=12, deadline=None)
+@given(equivalent_pairs())
+def test_law_invariant_under_equivalence_and_conjugation(pair):
+    h, r, k = pair
+    assert atoms_agree(ht.truncated_law(h, r), ht.truncated_law(k, r))
 
 
 def test_measure_json_schema():
