@@ -38,54 +38,6 @@ def r_kernels(q):
     return np.einsum("xm,ma,mb,mc,md->xabcd", phases, q, q.conj(), q.conj(), q) / m
 
 
-def r_kernel(q, x):
-    """Single kernel slice R^x (x taken mod M)."""
-    m = np.asarray(q).shape[0]
-    return r_kernels(q)[x % m]
-
-
-def structured_profile_entry(q, i, a, j, b, k, c, l, d):
-    """Profile entry of the deformed Fourier matrix at column indices
-    (i,a), (j,b), (k,c), (l,d), via the kernel formula.
-
-    Vanishes unless a - b = c - d (mod N); otherwise equals
-    R^{i+l-k-j}_{ab,cd}.
-    """
-    q = np.asarray(q, dtype=complex)
-    m, n = q.shape
-    if (a - b) % n != (c - d) % n:
-        return 0j
-    x = (i + l - k - j) % m
-    w = np.exp(2j * np.pi / m)
-    phases = w ** (np.arange(m) * x)
-    return complex((phases * q[:, a] * q[:, d] * (q[:, c] * q[:, b]).conj()).sum() / m)
-
-
-def structured_gram_entry(q, i_indices, a_indices, j_indices, b_indices):
-    """Single Gram matrix entry at depth r from the kernel product formula.
-
-    Returns 0 without touching any kernel when the common-difference
-    constraint on the N-part indices fails.
-    """
-    q = np.asarray(q, dtype=complex)
-    m, n = q.shape
-    i_idx, a_idx = list(i_indices), list(a_indices)
-    j_idx, b_idx = list(j_indices), list(b_indices)
-    r = len(i_idx)
-    if not (len(a_idx) == len(j_idx) == len(b_idx) == r and r >= 1):
-        raise ValueError("index vectors must be nonempty and of equal length")
-    diff = (a_idx[0] - b_idx[0]) % n
-    if any((a_idx[s] - b_idx[s]) % n != diff for s in range(1, r)):
-        return 0j
-    kernels = r_kernels(q)
-    out = 1.0 + 0j
-    for s in range(r):
-        sp = (s + 1) % r
-        x = (i_idx[s] + j_idx[sp] - j_idx[s] - i_idx[sp]) % m
-        out *= kernels[x, a_idx[s], b_idx[s], a_idx[sp], b_idx[sp]]
-    return complex(out)
-
-
 def _delta_mask(n, r):
     """(N^r, N^r) mask of N-part multi-index pairs (A, B) whose differences
     a_s - b_s agree mod N for every s, the support of the Gram matrix."""
@@ -163,11 +115,6 @@ def delta_nonzero_count(m, n, r):
     constraint: M^{2r} * N^{r+1}.  Verified against brute-force counting in
     the tests before being relied on."""
     return m ** (2 * r) * n ** (r + 1)
-
-
-def count_delta_nonzeros(m, n, r):
-    """Brute-force count of index pairs passing the delta constraint."""
-    return int(_delta_mask(n, r).sum()) * (m**r) ** 2
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ class CapExceededError(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """Eigenvalues of X missed sum(l) = Tr X or sum(l^2) = ||X||_F^2."""
+    """X is not invariant under the cyclic shift, or its eigenvalues missed
+    sum(l) = Tr X or sum(l^2) = ||X||_F^2."""
 
 
 class MomentImagError(RuntimeError):

@@ -17,6 +17,11 @@ tensors of the magic grid, which gives a fully independent cross-check.
 Entrywise T_p(H) = X_p(H^*) / N, so the law, the moment table, the Cesaro
 averages and the Haar moments all reduce one checked Gram spectrum
 (`_gram_spectrum`); the grid-product T_p stays their oracle (`moments_via_T`).
+Rotating a multi-index does not change its cyclic word, so X commutes with
+the cyclic shift P; the spectrum is solved as r Hermitian blocks of size
+about N^r / r, one per eigenvalue of P, after X is checked to be Hermitian
+and P-invariant, and the blocks' eigenvalues are certified against the
+trace and Frobenius norm of the full X.
 """
 
 from __future__ import annotations
@@ -91,27 +96,72 @@ def gram_matrix(h, r, cap=DEFAULT_CAP):
     return _product_over_cycle(profile(h), digits, digits, r)
 
 
+def _cyclic_orbits(n, r):
+    """Orbits of the cyclic shift P: (a_1, ..., a_r) -> (a_2, ..., a_r, a_1)
+    on the flat depth-r multi-indices.
+
+    Returns (rots, reps, sizes): rots[m] is every flat index rotated m places,
+    reps are the orbit minima (ascending) and sizes the orbit sizes d.
+    """
+    dim = n**r
+    rots = np.empty((r, dim), dtype=np.intp)
+    rots[0] = np.arange(dim)
+    for m in range(1, r):
+        rots[m] = rots[m - 1] % n ** (r - 1) * n + rots[m - 1] // n ** (r - 1)
+    reps = np.flatnonzero(rots.min(axis=0) == rots[0])
+    sizes = r // (rots[:, reps] == reps).sum(axis=0)
+    return rots, reps, sizes
+
+
 def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     """Ascending eigenvalues of the depth-r Gram matrix X, under the one
-    spectral contract.  ||X - X^*||_F <= 1e-9 * N, summed over row blocks so no
-    temporary is as large as X (else `MomentImagError`); as the solver reads
-    one triangle, this bounds the eigenpair residual against the full X.  Then
-    sum(l) = Tr X and sum(l^2) = ||X||_F^2 to 1e-9 relative (else
-    `EigensolverError`), which catches a bad, lost or duplicated eigenvalue.
+    spectral contract.
+
+    X is checked in row blocks, so no temporary is as large as X:
+    ||X - X^*||_F <= 1e-9 * N (else `MomentImagError`), then
+    ||X - P X P^*||_F <= 1e-9 * N for the cyclic shift P (else
+    `EigensolverError`).  Every entry of X is a cyclic word, so X commutes
+    with P and splits into r Hermitian blocks, one per eigenvalue w^k of P
+    (w = e^{2 pi i/r}).  Sector k keeps the orbits alpha with k d_alpha = 0
+    (mod r); with A_alpha the orbit minimum,
+
+        X_k[alpha, beta] = sqrt(d_alpha d_beta)/r sum_{m<r} w^{km} X[P^m A_alpha, A_beta],
+
+    which is sqrt(d_beta/d_alpha) sum_{m<d_alpha} w^{km} X[P^m A_alpha, A_beta]
+    since P^{d_alpha} A_alpha = A_alpha.  The sector sizes sum to N^r and
+    sector 0 has one row per necklace.  The union of the blocks' eigenvalues
+    must reproduce sum(l) = Tr X and sum(l^2) = ||X||_F^2 of the full X to
+    1e-9 relative (else `EigensolverError`), which certifies the reduction
+    and catches a bad, lost or duplicated eigenvalue.  As the solver reads one
+    triangle of each block, the Hermiticity and invariance bounds together
+    bound the eigenpair residual against the full X.
     """
     x = gram_matrix(h, r, cap=cap)
     tol = EIGEN_RESIDUAL_TOL * h.n
-    skew_sq = frob_sq = 0.0
-    # No block temporary may outlive the loop: a live one split the heap, and
-    # the solver's own copy of X then raised peak RSS by the size of X.
+    rots, reps, sizes = _cyclic_orbits(h.n, r)
+    shift = rots[1 % r]  # P itself; the identity when r = 1
+    skew_sq = drift_sq = frob_sq = 0.0
+    # No block temporary may outlive the loop: a live one once split the heap
+    # and raised peak RSS by the size of X.
     for start in range(0, x.shape[0], _HERMITIAN_BLOCK):
-        rows = x[start:start + _HERMITIAN_BLOCK]
-        skew_sq += np.linalg.norm(rows - x[:, start:start + _HERMITIAN_BLOCK].conj().T) ** 2
+        stop = start + _HERMITIAN_BLOCK
+        rows = x[start:stop]
+        skew_sq += np.linalg.norm(rows - x[:, start:stop].conj().T) ** 2
+        drift_sq += np.linalg.norm(rows - x[shift[start:stop, None], shift]) ** 2
         frob_sq += np.linalg.norm(rows) ** 2
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    vals = np.linalg.eigvalsh(x)
+    if not drift_sq <= tol**2:
+        raise EigensolverError(f"depth-{r} Gram matrix is not invariant under the cyclic "
+                               f"shift: ||X - PXP^*||_F = {np.sqrt(drift_sq):.3e} > {tol:.1e}")
+    blocks = np.fft.ifft(x[rots[:, reps, None], reps], axis=0)  # (1/r) sum_m w^{km}
+    blocks *= np.sqrt(np.outer(sizes, sizes))
+    parts = []
+    for k, block in enumerate(blocks):
+        keep = np.flatnonzero(k * sizes % r == 0)
+        parts.append(np.linalg.eigvalsh(block[np.ix_(keep, keep)]))
+    vals = np.sort(np.concatenate(parts))
     for what, got, want in (("sum l", vals.sum(), np.trace(x).real),
                             ("sum l^2", vals @ vals, frob_sq)):
         if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
@@ -178,24 +228,27 @@ def measure_top_mass(measure):
     return 0.0
 
 
+def _law_from_spectrum(vals, n, r, cluster_tol=None):
+    """Depth-r truncated measure from the N^r eigenvalues of X: each carries
+    weight 1/N^r, and eigenvalues within the clustering tolerance (default
+    1e-6 * N) are merged into one atom at their mean."""
+    if cluster_tol is None:
+        cluster_tol = CLUSTER_TOL_FACTOR * n
+    weights = np.full(len(vals), 1.0 / n**r)
+    return SpectralMeasure(n, r, cluster_atoms(vals, weights, cluster_tol), cluster_tol)
+
+
 def truncated_law(h, r, cap=DEFAULT_CAP, cluster_tol=None):
     """Truncated measure at depth r, from the Hermitian eigenvalues of X.
 
-    Depth 0 is the point mass at N.  Each eigenvalue carries weight 1/N^r;
-    eigenvalues within the clustering tolerance are merged into one atom at
-    their mean.  The eigenvalues come from `_gram_spectrum`, so the law is
-    trusted only once X passes its Hermiticity and trace-identity contract.
+    Depth 0 is the point mass at N.  The eigenvalues come from
+    `_gram_spectrum`, so the law is trusted only once X passes its
+    Hermiticity, cyclic-invariance and trace-identity contract.
     """
-    n = h.n
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL_FACTOR * n
     if r < 0:
         raise ValueError("depth r must be >= 0")
-    if r == 0:
-        return SpectralMeasure(n, 0, ((float(n), 1.0),), cluster_tol)
-    vals = _gram_spectrum(h, r, cap=cap)
-    weights = np.full(len(vals), 1.0 / n**r)
-    return SpectralMeasure(n, r, cluster_atoms(vals, weights, cluster_tol), cluster_tol)
+    vals = _gram_spectrum(h, r, cap=cap) if r else np.array([float(h.n)])
+    return _law_from_spectrum(vals, h.n, r, cluster_tol)
 
 
 def _real_trace(value, scale, what):
@@ -251,6 +304,11 @@ class MomentTable:
         }
 
 
+def _moments_from_spectrum(vals, n, r, p_max):
+    """c_p^r = (1/N^r) sum_l l^p for p = 1..p_max, from the depth-r spectrum."""
+    return (vals[None, :] ** np.arange(1, p_max + 1)[:, None]).sum(axis=1) / n**r
+
+
 def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     """Fill the (p, r) moment grid through the Gram-matrix route.
 
@@ -262,10 +320,8 @@ def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     n = h.n
     c = np.empty((p_max, r_max + 1))
     c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
-    powers = np.arange(1, p_max + 1)[:, None]
     for r in range(1, r_max + 1):
-        vals = _gram_spectrum(h, r, cap=cap)
-        c[:, r] = (vals[None, :] ** powers).sum(axis=1) / n**r
+        c[:, r] = _moments_from_spectrum(_gram_spectrum(h, r, cap=cap), n, r, p_max)
     gamma = c / np.array([float(n**p) for p in range(1, p_max + 1)])[:, None]
     return MomentTable(n, p_max, r_max, c, gamma)
 

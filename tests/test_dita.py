@@ -4,11 +4,65 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
-from hadtrunc.dita import (bench_structured_vs_dense, count_delta_nonzeros,
-                           delta_nonzero_count, r_kernel, r_kernels,
-                           structured_gram_entry, structured_gram_matrix,
-                           structured_moments, structured_profile_entry)
+from hadtrunc.dita import (_delta_mask, bench_structured_vs_dense, delta_nonzero_count,
+                           r_kernels, structured_gram_matrix, structured_moments)
 from hadtrunc.errors import CapExceededError
+
+
+# References used only here: entrywise kernel formulas and a brute-force
+# support count, which the dense layouts and the closed form are checked against.
+
+def r_kernel(q, x):
+    """Single kernel slice R^x (x taken mod M)."""
+    m = np.asarray(q).shape[0]
+    return r_kernels(q)[x % m]
+
+
+def structured_profile_entry(q, i, a, j, b, k, c, l, d):
+    """Profile entry of the deformed Fourier matrix at column indices
+    (i,a), (j,b), (k,c), (l,d), via the kernel formula.
+
+    Vanishes unless a - b = c - d (mod N); otherwise equals
+    R^{i+l-k-j}_{ab,cd}.
+    """
+    q = np.asarray(q, dtype=complex)
+    m, n = q.shape
+    if (a - b) % n != (c - d) % n:
+        return 0j
+    x = (i + l - k - j) % m
+    w = np.exp(2j * np.pi / m)
+    phases = w ** (np.arange(m) * x)
+    return complex((phases * q[:, a] * q[:, d] * (q[:, c] * q[:, b]).conj()).sum() / m)
+
+
+def structured_gram_entry(q, i_indices, a_indices, j_indices, b_indices):
+    """Single Gram matrix entry at depth r from the kernel product formula.
+
+    Returns 0 without touching any kernel when the common-difference
+    constraint on the N-part indices fails.
+    """
+    q = np.asarray(q, dtype=complex)
+    m, n = q.shape
+    i_idx, a_idx = list(i_indices), list(a_indices)
+    j_idx, b_idx = list(j_indices), list(b_indices)
+    r = len(i_idx)
+    if not (len(a_idx) == len(j_idx) == len(b_idx) == r and r >= 1):
+        raise ValueError("index vectors must be nonempty and of equal length")
+    diff = (a_idx[0] - b_idx[0]) % n
+    if any((a_idx[s] - b_idx[s]) % n != diff for s in range(1, r)):
+        return 0j
+    kernels = r_kernels(q)
+    out = 1.0 + 0j
+    for s in range(r):
+        sp = (s + 1) % r
+        x = (i_idx[s] + j_idx[sp] - j_idx[s] - i_idx[sp]) % m
+        out *= kernels[x, a_idx[s], b_idx[s], a_idx[sp], b_idx[sp]]
+    return complex(out)
+
+
+def count_delta_nonzeros(m, n, r):
+    """Brute-force count of index pairs passing the delta constraint."""
+    return int(_delta_mask(n, r).sum()) * (m**r) ** 2
 
 
 def test_kernels_flat_q_are_delta():

@@ -30,13 +30,9 @@ def test_duality_rectangular_grid():
     assert report.passed
 
 
-@pytest.mark.parametrize("p_max, r_max, depths_h, depths_t", [
-    (3, 1, [1], [1, 2, 3]),
-    (1, 3, [1, 2, 3], [1]),
-])
-def test_duality_solves_only_read_spectra(monkeypatch, p_max, r_max, depths_h,
-                                          depths_t):
-    # gamma_p^r(H) needs H at depths 1..r_max, gamma_r^p(H^t) H^t at 1..p_max
+@pytest.fixture
+def solves(monkeypatch):
+    """(matrix provenance, depth) of every Gram spectrum solved, in order."""
     exact = spectra._gram_spectrum
     calls = []
 
@@ -45,11 +41,29 @@ def test_duality_solves_only_read_spectra(monkeypatch, p_max, r_max, depths_h,
         return exact(h, r, **kwargs)
 
     monkeypatch.setattr(spectra, "_gram_spectrum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p_max, r_max, depths_h, depths_t", [
+    (3, 1, [1], [1, 2, 3]),
+    (1, 3, [1, 2, 3], [1]),
+])
+def test_duality_solves_only_read_spectra(solves, p_max, r_max, depths_h, depths_t):
+    # gamma_p^r(H) needs H at depths 1..r_max, gamma_r^p(H^t) H^t at 1..p_max
     h = ht.build_matrix("dita(2,2;seed=7)")
     assert ht.duality_residual(h, p_max, r_max).passed
     name = h.provenance
-    assert calls == ([(name, r) for r in depths_h]
-                     + [(f"transpose({name})", r) for r in depths_t])
+    assert solves == ([(name, r) for r in depths_h]
+                      + [(f"transpose({name})", r) for r in depths_t])
+
+
+@pytest.mark.parametrize("r_max, atom_r_max", [(3, None), (2, 3), (3, 1)])
+def test_selfduality_solves_each_spectrum_once(solves, r_max, atom_r_max):
+    # moments need depths 1..r_max, atoms 1..atom_r_max; each pair is solved once
+    q = ht.seeded_phase_matrix(2, 2, 7)
+    report = ht.dita_selfduality_residual(2, 2, q, 3, r_max, atom_r_max=atom_r_max)
+    assert report.passed and report.grid.shape == (3, r_max)
+    assert len(solves) == len(set(solves)) == 6  # H and H^t at depths 1..3
 
 
 def test_duality_report_dict():

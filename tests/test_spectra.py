@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,6 +388,69 @@ def test_non_hermitian_gram_rejected(monkeypatch, consumer, fault):
     monkeypatch.setattr(spectra, "gram_matrix", skewed)
     with pytest.raises(MomentImagError, match="not Hermitian"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+def _break_cyclic_symmetry(x):
+    # Hermitian, but the rotated pair (P1, P2) = (N, 2N) keeps its value.
+    x[1, 2] += 1e-6
+    x[2, 1] += 1e-6
+
+
+@pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
+                         ids=SPECTRUM_CONSUMERS.keys())
+def test_non_cyclic_gram_rejected(monkeypatch, consumer):
+    exact = spectra.gram_matrix
+
+    def faulty(h, r, **kwargs):
+        x = exact(h, r, **kwargs)
+        _break_cyclic_symmetry(x)  # harmless at depth 1, where P is the identity
+        return x
+
+    monkeypatch.setattr(spectra, "gram_matrix", faulty)
+    with pytest.raises(EigensolverError, match="cyclic"):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+@pytest.fixture
+def sectors(monkeypatch):
+    """Sizes of the blocks handed to eigvalsh, in call order."""
+    exact = np.linalg.eigvalsh
+    sizes = []
+
+    def recording(x):
+        sizes.append(len(x))
+        return exact(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+def _necklaces(n, r):
+    """(1/r) sum_{d | r} phi(d) n^{r/d}: the number of orbits of the shift."""
+    phi = [sum(gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(r + 1)]
+    return sum(phi[d] * n ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+
+
+@pytest.mark.parametrize("h, r", [
+    pytest.param(ht.fourier(2), r, id=f"fourier2-r{r}") for r in range(1, 7)
+] + [
+    pytest.param(tao6_matrix(), r, id=f"tao6-r{r}") for r in (2, 3)
+] + [
+    pytest.param(ht.build_matrix("transpose(dita(2,3;seed=7))"), 3, id="transpose-dita23-r3"),
+])
+def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
+    vals = spectra._gram_spectrum(h, r)
+    oracle = np.sort(np.linalg.svd(ht.gram_vectors(h, r), compute_uv=False) ** 2)
+    assert np.abs(vals - oracle).max() <= 1e-12 * h.n
+    assert len(sectors) == r and sum(sectors) == h.n**r
+    assert sectors[0] == _necklaces(h.n, r)
+
+
+def test_cyclic_sector_sizes_depth_four(sectors, tao6):
+    spectra._gram_spectrum(tao6, 4)
+    # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4}, d = 4
+    assert sectors == [336, 315, 330, 315]
+    assert _necklaces(6, 4) == 336
 
 
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
