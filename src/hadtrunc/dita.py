@@ -9,10 +9,11 @@ and the depth-r Gram matrix becomes, entrywise,
 
     X_{IA,JB} = delta(a_1-b_1 = ... = a_r-b_r) * prod_s R^{x_s}_{a_s b_s, a_{s+1} b_{s+1}},
 
-with x_s = i_s + j_{s+1} - j_s - i_{s+1} (mod M).  Since x depends on the
-M-part indices only through the difference I - J, X is a convolution operator
-over Z_M^r; a discrete Fourier transform in those indices block-diagonalizes
-it into M^r blocks of size N^r, which is what the fast moment path exploits.
+with x_s = u_s - u_{s+1} (mod M) for U = I - J.  So X is a convolution operator
+over Z_M^r, and the delta keeps A - B in the diagonal subgroup Z_N (1, ..., 1),
+whose N^{r-1} cosets split every N-part block.  A discrete Fourier transform
+over U thus leaves M^r N^{r-1} Hermitian N x N blocks, one per frequency and
+coset, which is what the fast spectrum and moments exploit.
 The dense pipeline remains the oracle: every structured result is validated
 against it in the tests and before any benchmark timing is reported.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -38,76 +38,73 @@ def r_kernels(q):
     return np.einsum("xm,ma,mb,mc,md->xabcd", phases, q, q.conj(), q.conj(), q) / m
 
 
-def _delta_mask(n, r):
-    """(N^r, N^r) mask of N-part multi-index pairs (A, B) whose differences
-    a_s - b_s agree mod N for every s, the support of the Gram matrix."""
-    adig = multi_indices(n, r)
-    mask = np.ones((n**r, n**r), dtype=bool)
-    for s in range(1, r):
-        mask &= ((adig[:, s][:, None] - adig[:, s][None, :]) % n
-                 == (adig[:, 0][:, None] - adig[:, 0][None, :]) % n)
-    return mask
+def _structured_kernel(q, r):
+    """The nonzero entries of the depth-r Gram matrix, k[U, C, t, t'].
 
-
-def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
-    """Full depth-r Gram matrix assembled from the kernels (dense layout,
-    same index flattening as the generic pipeline)."""
-    q = np.asarray(q, dtype=complex)
+    U is the flat M-part difference I - J in Z_M^r, C the flat coset of the
+    diagonal subgroup Z_N (1, ..., 1) in Z_N^r, with representative A_C whose
+    first digit is 0, and X_{IA,JB} = k[U, C, t, t'] for A = A_C + t (1, ..., 1),
+    B = A_C + t' (1, ..., 1); every other entry of X vanishes.  Shape
+    (M^r, N^{r-1}, N, N).
+    """
+    q = matrices._check_phase_matrix(q)
     m, n = q.shape
-    size = m * n
-    check_cap(size**r, cap)
     kernels = r_kernels(q)
-    digits = multi_indices(size, r)
-    idig = digits // n
-    adig = digits % n
-    aflat = adig @ n ** np.arange(r - 1, -1, -1)
-    mask = _delta_mask(n, r)[aflat[:, None], aflat[None, :]]
-    out = np.ones((size**r, size**r), dtype=complex)
+    u = multi_indices(m, r)
+    reps = multi_indices(n, r)[: n ** (r - 1)]  # the A_C: first digit 0
+    a = (reps[:, None, :] + np.arange(n)[:, None]) % n  # a[C, t, s]
+    out = np.ones((m**r, n ** (r - 1), n, n), dtype=complex)
     for s in range(r):
         sp = (s + 1) % r
-        x = (idig[:, s][:, None] + idig[:, sp][None, :]
-             - idig[:, s][None, :] - idig[:, sp][:, None]) % m
-        out *= kernels[x, adig[:, s][:, None], adig[:, s][None, :],
-                       adig[:, sp][:, None], adig[:, sp][None, :]]
-    out[~mask] = 0.0
+        x = (u[:, s] - u[:, sp]) % m
+        out *= kernels[x[:, None, None, None],
+                       a[None, :, :, None, s], a[None, :, None, :, s],
+                       a[None, :, :, None, sp], a[None, :, None, :, sp]]
     return out
 
 
-def structured_moments(q, p, r, cap=DEFAULT_CAP):
-    """c_p^r of the deformed Fourier matrix via the block-diagonalized form.
+def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
+    """Full depth-r Gram matrix scattered from `_structured_kernel` (dense
+    layout, same index flattening as the generic pipeline); the pairs whose
+    N-parts lie in different cosets are zero."""
+    m, n = np.shape(q)
+    check_cap((m * n) ** r, cap)
+    kernel = _structured_kernel(q, r)
+    place = np.arange(r - 1, -1, -1)
+    digits = multi_indices(m * n, r)
+    ipart = digits // n @ m**place
+    adig = digits % n
+    coset = (adig - adig[:, :1]) % n @ n**place
+    udig = multi_indices(m, r)
+    diff = (udig[:, None, :] - udig[None, :, :]) % m @ m**place
+    out = kernel[diff[ipart[:, None], ipart[None, :]], coset[:, None],
+                 adig[:, 0, None], adig[None, :, 0]]
+    out[coset[:, None] != coset[None, :]] = 0.0
+    return out
 
-    Builds the M^r convolution blocks of size N^r (only the delta-allowed
-    entries are populated), Fourier-transforms over the M-part indices and
-    sums traces of block powers.  Never materializes the (MN)^r dense X.
+
+def _structured_spectrum(q, r):
+    """Ascending eigenvalues of the depth-r Gram matrix of dita(M, N, Q).
+
+    A Fourier transform over the r U-axes of `_structured_kernel` leaves one
+    Hermitian N x N block per frequency in Z_M^r and coset; all M^r N^{r-1}
+    blocks are solved in one batched eigensolve.
     """
-    q = np.asarray(q, dtype=complex)
-    m, n = q.shape
+    m, n = np.shape(q)
+    kernel = _structured_kernel(q, r).reshape((m,) * r + (-1, n, n))
+    blocks = np.fft.fftn(kernel, axes=tuple(range(r))).reshape(-1, n, n)
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+
+
+def structured_moments(q, p, r, cap=DEFAULT_CAP):
+    """c_p^r of the deformed Fourier matrix, as a power sum of
+    `_structured_spectrum`; never materializes the (MN)^r dense X."""
     if p < 1 or r < 1:
         raise ValueError("p and r must be >= 1")
-    size = m * n
-    check_cap((m**r) * (n**r), cap)
-    kernels = r_kernels(q)
-    adig = multi_indices(n, r)
-    an = n**r
-    mask = _delta_mask(n, r)
-    f = np.zeros((m,) * r + (an, an), dtype=complex)
-    for u in product(range(m), repeat=r):
-        block = np.ones((an, an), dtype=complex)
-        for s in range(r):
-            sp = (s + 1) % r
-            x = (u[s] - u[sp]) % m
-            block *= kernels[x, adig[:, s][:, None], adig[:, s][None, :],
-                             adig[:, sp][:, None], adig[:, sp][None, :]]
-        block[~mask] = 0.0
-        f[u] = block
-    blocks = np.fft.fftn(f, axes=tuple(range(r))).reshape(m**r, an, an)
-    total = 0.0
-    for blk in blocks:
-        acc = blk
-        for _ in range(p - 1):
-            acc = acc @ blk
-        total += np.trace(acc).real
-    return float(total / size**r)
+    m, n = np.shape(q)
+    check_cap((m * n) ** r, cap)
+    vals = _structured_spectrum(q, r)
+    return float(spectra._moments_from_spectrum(vals, m * n, r, p)[p - 1])
 
 
 def delta_nonzero_count(m, n, r):

@@ -52,6 +52,8 @@ def phase_matrix_from_angles(angles):
     theta = np.asarray(angles, dtype=float)
     if theta.ndim != 2:
         raise ValueError("angle array must be two-dimensional")
+    if not np.isfinite(theta).all():
+        raise ValueError("angle array has non-finite entries")
     return np.exp(1j * theta)
 
 
@@ -60,7 +62,7 @@ def _check_phase_matrix(q):
     if q.ndim != 2:
         raise ValueError("phase parameter matrix must be two-dimensional")
     dev = np.abs(np.abs(q) - 1.0).max()
-    if dev > 1e-12:
+    if not dev <= 1e-12:  # also rejects NaN
         raise ValueError(f"phase parameter matrix is not unimodular (deviation {dev:.3e})")
     return q
 

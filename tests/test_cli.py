@@ -182,6 +182,19 @@ def test_dita_check_qfile(capsys, tmp_path):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_angles_exit_two(capsys, tmp_path, angle):
+    path = tmp_path / "q.json"
+    path.write_text(f'{{"m": 2, "n": 2, "angles": [[{angle}, 0], [0, 0]]}}')
+    for argv in (["gen", f"dita(2,2;file={path})"],
+                 ["measure", f"dita(2,2;file={path})", "--r", "2"],
+                 ["dita-check", "--m", "2", "--n", "2", "--qfile", str(path),
+                  "--p-max", "2", "--r-max", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "non-finite" in err
+
+
 def test_bench_command(capsys):
     code, out, _ = run_cli(capsys, "bench", "--m", "2", "--n", "2",
                            "--seed", "7", "--p", "2", "--r", "2", "--reps", "1")

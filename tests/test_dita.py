@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
-from hadtrunc.dita import (_delta_mask, bench_structured_vs_dense, delta_nonzero_count,
-                           r_kernels, structured_gram_matrix, structured_moments)
+from hadtrunc.dita import (_structured_kernel, _structured_spectrum, bench_structured_vs_dense,
+                           delta_nonzero_count, r_kernels, structured_gram_matrix,
+                           structured_moments)
 from hadtrunc.errors import CapExceededError
+from hadtrunc.magic import multi_indices
 
 
 # References used only here: entrywise kernel formulas and a brute-force
@@ -62,7 +64,9 @@ def structured_gram_entry(q, i_indices, a_indices, j_indices, b_indices):
 
 def count_delta_nonzeros(m, n, r):
     """Brute-force count of index pairs passing the delta constraint."""
-    return int(_delta_mask(n, r).sum()) * (m**r) ** 2
+    a = multi_indices(n, r)
+    diff = (a[:, None, :] - a[None, :, :]) % n
+    return int((diff == diff[:, :, :1]).all(axis=2).sum()) * (m**r) ** 2
 
 
 def test_kernels_flat_q_are_delta():
@@ -130,12 +134,36 @@ def test_structured_gram_entry_rejects_ragged():
 
 
 @pytest.mark.parametrize("m,n,seed,r", [(2, 2, 7, 1), (2, 2, 7, 2),
-                                        (2, 2, 13, 3), (2, 3, 5, 2)])
+                                        (2, 2, 13, 3), (2, 3, 5, 2), (3, 3, 7, 3),
+                                        (1, 3, 5, 2), (3, 1, 5, 2), (2, 3, 5, 1),
+                                        (3, 3, 7, 1)])
 def test_structured_gram_matrix_matches_dense(m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
     dense = ht.gram_matrix(ht.dita(m, n, q), r)
     fast = structured_gram_matrix(q, r)
     assert np.abs(dense - fast).max() < 1e-10
+    if (m, n, seed, r) == (3, 3, 7, 3):
+        # a genuinely complex X, so a transposed or conjugated layout shows
+        assert np.abs(dense.imag).max() > 1e-2
+
+
+@pytest.mark.parametrize("m,n,seed,r", [(3, 3, 1, 3), (2, 3, 7, 4), (2, 2, 13, 5)])
+def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
+    q = ht.seeded_phase_matrix(m, n, seed)
+    vecs = ht.gram_vectors(ht.dita(m, n, q), r)
+    oracle = np.sort(np.linalg.svd(vecs, compute_uv=False) ** 2)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    vals = _structured_spectrum(q, r)
+    assert shapes == [(m**r * n ** (r - 1), n, n)]
+    assert np.abs(vals - oracle).max() <= 1e-12 * m * n
+    assert m**r * _structured_kernel(q, r).size == delta_nonzero_count(m, n, r)
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 2, 1), (2, 2, 7), (2, 3, 5),

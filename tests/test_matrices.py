@@ -90,6 +90,16 @@ def test_dita_shape_mismatch():
         ht.dita(2, 3, np.ones((3, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dita_rejects_non_finite_phases(bad):
+    q = np.ones((2, 2), dtype=complex)
+    q[0, 1] = bad
+    with pytest.raises(ValueError, match="unimodular"):
+        ht.dita(2, 2, q)
+    with pytest.raises(ValueError, match="unimodular"):
+        ht.structured_moments(q, 1, 1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(m=st.integers(1, 4), n=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
 def test_dita_seeded_always_hadamard(m, n, seed):
