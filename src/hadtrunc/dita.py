@@ -88,12 +88,13 @@ def _structured_spectrum(q, r):
 
     A Fourier transform over the r U-axes of `_structured_kernel` leaves one
     Hermitian N x N block per frequency in Z_M^r and coset; all M^r N^{r-1}
-    blocks are solved in one batched eigensolve.
+    blocks are solved in one batched eigensolve, certified against the profile
+    of the dense dita(M, N, Q) by `spectra._certified_spectrum`.
     """
     m, n = np.shape(q)
     kernel = _structured_kernel(q, r).reshape((m,) * r + (-1, n, n))
     blocks = np.fft.fftn(kernel, axes=tuple(range(r))).reshape(-1, n, n)
-    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    return spectra._certified_spectrum([blocks], spectra.profile(matrices.dita(m, n, q)), r)
 
 
 def structured_moments(q, p, r, cap=DEFAULT_CAP):

@@ -27,8 +27,8 @@ class CapExceededError(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """X is not invariant under the cyclic shift, or its eigenvalues missed
-    sum(l) = Tr X or sum(l^2) = ||X||_F^2."""
+    """A spectrum missed sum(l) = Tr X = N^r or sum(l^2) = ||X||_F^2 = Tr(K^r):
+    an eigenvalue was lost, duplicated or wrong, or the blocks are not X's."""
 
 
 class MomentImagError(RuntimeError):

@@ -19,9 +19,9 @@ averages and the Haar moments all reduce one checked Gram spectrum
 (`_gram_spectrum`); the grid-product T_p stays their oracle (`moments_via_T`).
 Rotating a multi-index does not change its cyclic word, so X commutes with
 the cyclic shift P; the spectrum is solved as r Hermitian blocks of size
-about N^r / r, one per eigenvalue of P, after X is checked to be Hermitian
-and P-invariant, and the blocks' eigenvalues are certified against the
-trace and Frobenius norm of the full X.
+about N^r / r, one per eigenvalue of P, built from the profile without
+forming X and certified from the profile alone (`_certified_spectrum`).
+`gram_matrix` stays the dense oracle.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .magic import DEFAULT_CAP, check_cap, multi_indices
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
 CLUSTER_TOL_FACTOR = 1e-6  # default clustering tolerance is this times N
 
-_HERMITIAN_BLOCK = 64  # rows of X compared with X^* per step of the guard
-
 
 def profile(h):
     """Four-index profile tensor Q_{ab,cd}, indices in [0, N)."""
@@ -51,8 +49,7 @@ def profile(h):
 def _product_over_cycle(tensor, rows, cols, r):
     """prod_s tensor[rows_s, cols_s, rows_{s+1}, cols_{s+1}] over the cyclic
     word, for all (row, col) multi-index pairs at once."""
-    k = rows.shape[0]
-    out = np.ones((k, k), dtype=complex)
+    out = np.ones((rows.shape[0], cols.shape[0]), dtype=complex)
     for s in range(r):
         sp = (s + 1) % r
         out *= tensor[rows[:, s][:, None], cols[:, s][None, :],
@@ -85,14 +82,13 @@ def gram_vectors(h, r, cap=DEFAULT_CAP):
 def gram_matrix(h, r, cap=DEFAULT_CAP):
     """Depth-r Gram matrix X, as products of profile entries around the cycle.
 
-    `gram_vectors` gives the same matrix as explicit inner products and is the
-    independent oracle for this route.
+    The dense oracle, from which no spectrum is computed; `gram_vectors` gives
+    the same matrix as explicit inner products and is the oracle for this route.
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")
-    n = h.n
-    check_cap(n**r, cap)
-    digits = multi_indices(n, r)
+    check_cap(h.n**r, cap)
+    digits = multi_indices(h.n, r)
     return _product_over_cycle(profile(h), digits, digits, r)
 
 
@@ -113,61 +109,63 @@ def _cyclic_orbits(n, r):
     return rots, reps, sizes
 
 
-def _gram_spectrum(h, r, cap=DEFAULT_CAP):
-    """Ascending eigenvalues of the depth-r Gram matrix X, under the one
-    spectral contract.
+def _gram_norms(q, r):
+    """Tr X = N^r (unit diagonal) and ||X||_F^2 = Tr(K^r) of the depth-r Gram
+    matrix, K[(a,b),(c,d)] = |Q_{ab,cd}|^2, at a cost independent of r."""
+    n = q.shape[0]
+    k = np.abs(q.reshape(n * n, n * n)) ** 2
+    return float(n**r), float(np.trace(np.linalg.matrix_power(k, r)))
 
-    X is checked in row blocks, so no temporary is as large as X:
-    ||X - X^*||_F <= 1e-9 * N (else `MomentImagError`), then
-    ||X - P X P^*||_F <= 1e-9 * N for the cyclic shift P (else
-    `EigensolverError`).  Every entry of X is a cyclic word, so X commutes
-    with P and splits into r Hermitian blocks, one per eigenvalue w^k of P
+
+def _certified_spectrum(blocks, q, r):
+    """Ascending eigenvalues of the depth-r Gram matrix X of the profile q, from
+    blocks unitarily equivalent to X (each array holds one block or a batch).
+
+    sum ||B - B^*||_F^2 = ||X - X^*||_F^2 must be <= (1e-9 N)^2 (else
+    `MomentImagError`), then the eigenvalues must reproduce `_gram_norms` to
+    1e-9 relative (else `EigensolverError`): this certifies the reduction and
+    catches a bad, lost or duplicated eigenvalue.
+    """
+    tol = EIGEN_RESIDUAL_TOL * q.shape[0]
+    skew_sq = sum(np.linalg.norm(b - b.swapaxes(-1, -2).conj()) ** 2 for b in blocks)
+    if not skew_sq <= tol**2:  # also rejects NaN
+        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
+                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+    for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals),
+                               _gram_norms(q, r)):
+        if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
+            raise EigensolverError(f"depth-{r} spectrum fails the trace identity "
+                                   f"{what} = {want:.12g}: got {got:.12g}")
+    return vals
+
+
+def _gram_spectrum(h, r, cap=DEFAULT_CAP):
+    """Ascending eigenvalues of the depth-r Gram matrix X, under `_certified_spectrum`.
+
+    Every entry of X is a cyclic word, so X commutes with the cyclic shift P
+    and splits into r Hermitian blocks, one per eigenvalue w^k of P
     (w = e^{2 pi i/r}).  Sector k keeps the orbits alpha with k d_alpha = 0
     (mod r); with A_alpha the orbit minimum,
 
         X_k[alpha, beta] = sqrt(d_alpha d_beta)/r sum_{m<r} w^{km} X[P^m A_alpha, A_beta],
 
     which is sqrt(d_beta/d_alpha) sum_{m<d_alpha} w^{km} X[P^m A_alpha, A_beta]
-    since P^{d_alpha} A_alpha = A_alpha.  The sector sizes sum to N^r and
-    sector 0 has one row per necklace.  The union of the blocks' eigenvalues
-    must reproduce sum(l) = Tr X and sum(l^2) = ||X||_F^2 of the full X to
-    1e-9 relative (else `EigensolverError`), which certifies the reduction
-    and catches a bad, lost or duplicated eigenvalue.  As the solver reads one
-    triangle of each block, the Hermiticity and invariance bounds together
-    bound the eigenpair residual against the full X.
+    since P^{d_alpha} A_alpha = A_alpha.  Only these N^{2r}/r entries of X are
+    built, from the profile, and freed once transformed.  The sector sizes sum
+    to N^r and sector 0 has one row per necklace.
     """
-    x = gram_matrix(h, r, cap=cap)
-    tol = EIGEN_RESIDUAL_TOL * h.n
+    if r < 1:
+        raise ValueError("depth r must be >= 1")
+    check_cap(h.n**r, cap)
+    q = profile(h)
+    digits = multi_indices(h.n, r)
     rots, reps, sizes = _cyclic_orbits(h.n, r)
-    shift = rots[1 % r]  # P itself; the identity when r = 1
-    skew_sq = drift_sq = frob_sq = 0.0
-    # No block temporary may outlive the loop: a live one once split the heap
-    # and raised peak RSS by the size of X.
-    for start in range(0, x.shape[0], _HERMITIAN_BLOCK):
-        stop = start + _HERMITIAN_BLOCK
-        rows = x[start:stop]
-        skew_sq += np.linalg.norm(rows - x[:, start:stop].conj().T) ** 2
-        drift_sq += np.linalg.norm(rows - x[shift[start:stop, None], shift]) ** 2
-        frob_sq += np.linalg.norm(rows) ** 2
-    if not skew_sq <= tol**2:  # also rejects NaN
-        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
-                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    if not drift_sq <= tol**2:
-        raise EigensolverError(f"depth-{r} Gram matrix is not invariant under the cyclic "
-                               f"shift: ||X - PXP^*||_F = {np.sqrt(drift_sq):.3e} > {tol:.1e}")
-    blocks = np.fft.ifft(x[rots[:, reps, None], reps], axis=0)  # (1/r) sum_m w^{km}
+    blocks = _product_over_cycle(q, digits[rots[:, reps].ravel()], digits[reps], r)
+    blocks = np.fft.ifft(blocks.reshape(r, len(reps), -1), axis=0)  # (1/r) sum_m w^{km}
     blocks *= np.sqrt(np.outer(sizes, sizes))
-    parts = []
-    for k, block in enumerate(blocks):
-        keep = np.flatnonzero(k * sizes % r == 0)
-        parts.append(np.linalg.eigvalsh(block[np.ix_(keep, keep)]))
-    vals = np.sort(np.concatenate(parts))
-    for what, got, want in (("sum l", vals.sum(), np.trace(x).real),
-                            ("sum l^2", vals @ vals, frob_sq)):
-        if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
-            raise EigensolverError(f"depth-{r} spectrum fails the trace identity "
-                                   f"{what} = {want:.12g}: got {got:.12g}")
-    return vals
+    keeps = (np.flatnonzero(k * sizes % r == 0) for k in range(r))
+    return _certified_spectrum([b[np.ix_(keep, keep)] for b, keep in zip(blocks, keeps)], q, r)
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
@@ -176,6 +174,8 @@ def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
     T_p(H) = X_p(H^*) / N entrywise, so T_p is never built: its spectrum is
     the depth-p Gram spectrum of the adjoint, scaled by 1/N.
     """
+    if p < 1:
+        raise ValueError("word length p must be >= 1")
     return _gram_spectrum(matrices.adjoint(h), p, cap=cap) / h.n
 
 
@@ -242,8 +242,8 @@ def truncated_law(h, r, cap=DEFAULT_CAP, cluster_tol=None):
     """Truncated measure at depth r, from the Hermitian eigenvalues of X.
 
     Depth 0 is the point mass at N.  The eigenvalues come from
-    `_gram_spectrum`, so the law is trusted only once X passes its
-    Hermiticity, cyclic-invariance and trace-identity contract.
+    `_gram_spectrum`, so the law is trusted only once its blocks pass the
+    Hermiticity and trace-identity contract.
     """
     if r < 0:
         raise ValueError("depth r must be >= 0")
@@ -265,10 +265,7 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     if r == 0:
         return float(n**p)
     t = magic_mod.truncation_tensor(magic_mod.magic_grid(h), p, cap=cap)
-    acc = t
-    for _ in range(r - 1):
-        acc = acc @ t
-    return _real_trace(np.trace(acc), n**p, f"Tr(T_{p}^{r})")
+    return _real_trace(np.trace(np.linalg.matrix_power(t, r)), n**p, f"Tr(T_{p}^{r})")
 
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):
@@ -277,10 +274,11 @@ def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     if r == 0:
         return float(n**p)
     x = gram_matrix(h, r, cap=cap)
-    acc = x
-    for _ in range(p - 1):
-        acc = acc @ x
-    return _real_trace(np.trace(acc) / n**r, n**p, f"tr(X_{r}^{p})")
+    trace = np.trace(x)
+    if p > 1:  # Tr(X^p) = sum X^{ceil(p/2)} * (X^{floor(p/2)})^T; X need not be Hermitian
+        half = np.linalg.matrix_power(x, p // 2)
+        trace = np.sum((half @ x if p % 2 else half) * half.T)
+    return _real_trace(trace / n**r, n**p, f"tr(X_{r}^{p})")
 
 
 @dataclass(frozen=True)

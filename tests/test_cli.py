@@ -65,14 +65,14 @@ def test_cap_exceeded_exit_three(capsys):
     ["moments", "dita(2,2;seed=7)", "--p-max", "2", "--r-max", "2"],
 ])
 def test_non_hermitian_gram_exit_one(capsys, monkeypatch, command):
-    exact = spectra.gram_matrix
+    exact = spectra._product_over_cycle
 
-    def skewed(h, r, **kwargs):
-        x = exact(h, r, **kwargs)
-        x[-1, -2] += 1e-6
-        return x
+    def skewed(tensor, rows, cols, r):
+        out = exact(tensor, rows, cols, r)
+        out[-1, -2] += 1e-6
+        return out
 
-    monkeypatch.setattr(spectra, "gram_matrix", skewed)
+    monkeypatch.setattr(spectra, "_product_over_cycle", skewed)
     code, out, err = run_cli(capsys, *command)
     assert code == 1
     assert out == "" and err.startswith("error:") and "not Hermitian" in err

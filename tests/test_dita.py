@@ -1,3 +1,4 @@
+import importlib
 from itertools import product
 
 import numpy as np
@@ -7,8 +8,10 @@ import hadtrunc as ht
 from hadtrunc.dita import (_structured_kernel, _structured_spectrum, bench_structured_vs_dense,
                            delta_nonzero_count, r_kernels, structured_gram_matrix,
                            structured_moments)
-from hadtrunc.errors import CapExceededError
+from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
+
+dita_mod = importlib.import_module("hadtrunc.dita")  # the package attribute is a function
 
 
 # References used only here: entrywise kernel formulas and a brute-force
@@ -164,6 +167,32 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
     assert shapes == [(m**r * n ** (r - 1), n, n)]
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
     assert m**r * _structured_kernel(q, r).size == delta_nonzero_count(m, n, r)
+
+
+def test_structured_skewed_kernel_rejected(monkeypatch):
+    exact = dita_mod._structured_kernel
+
+    def skewed(q, r):
+        kernel = exact(q, r)
+        kernel[0, 0, 0, 1] += 1e-6
+        return kernel
+
+    monkeypatch.setattr(dita_mod, "_structured_kernel", skewed)
+    with pytest.raises(MomentImagError, match="not Hermitian"):
+        structured_moments(ht.seeded_phase_matrix(2, 3, 7), 2, 3)
+
+
+def test_structured_lost_eigenvalue_rejected(monkeypatch):
+    exact = np.linalg.eigvalsh
+
+    def losing(a):
+        vals = exact(a)
+        vals[np.unravel_index(np.argmax(vals), vals.shape)] = 0.0
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", losing)
+    with pytest.raises(EigensolverError, match="trace identity"):
+        structured_moments(ht.seeded_phase_matrix(2, 3, 7), 2, 3)
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 2, 1), (2, 2, 7), (2, 3, 5),

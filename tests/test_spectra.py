@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -138,6 +139,37 @@ def test_fourier_gram_is_difference_delta():
 def test_gram_cap():
     with pytest.raises(CapExceededError):
         ht.gram_matrix(ht.fourier(6), 5)
+
+
+def _assert_certificate_matches_dense(h, r):
+    x = ht.gram_matrix(h, r)
+    trace, frob_sq = spectra._gram_norms(ht.profile(h), r)
+    assert trace == h.n**r
+    assert np.trace(x).real == pytest.approx(trace, rel=1e-12)
+    assert np.linalg.norm(x) ** 2 == pytest.approx(frob_sq, rel=1e-12)
+    return x
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_certificate_matches_dense_gram(corpus_matrix, r):
+    _assert_certificate_matches_dense(corpus_matrix, r)
+
+
+@pytest.mark.parametrize("h", [tao6_matrix(), ht.build_matrix("dita(3,3;seed=1)")],
+                         ids=["tao6", "dita33-seed1"])
+def test_certificate_matches_dense_gram_complex(h):
+    x = _assert_certificate_matches_dense(h, 3)
+    assert np.abs(x.imag).max() > 1e-2
+
+
+def test_spectrum_argument_checks():
+    with pytest.raises(ValueError, match="depth r"):
+        spectra._gram_spectrum(ht.fourier(2), 0)
+    with pytest.raises(CapExceededError):
+        spectra._gram_spectrum(ht.fourier(6), 5)
+    for call in (lambda h: ht.cesaro_moments(h, 0, 3), lambda h: ht.haar_moment_estimate(h, 0)):
+        with pytest.raises(ValueError, match="word length p"):
+            call(ht.fourier(2))
 
 
 def test_cluster_atoms():
@@ -363,13 +395,16 @@ SPECTRUM_CONSUMERS = {
 }
 
 
-def _skew_one_entry(x):
-    x[-1, -2] += 1e-6  # in the last row block only
+def _skew_one_entry(out, rows, cols):
+    out[-1, -2] += 1e-6
 
 
-def _skew_spread(x):
-    # Every upper entry off by tol/2 (N = 4): each passes a max-entry check.
-    x[np.triu_indices(len(x), 1)] += spectra.EIGEN_RESIDUAL_TOL * 4 / 2
+def _skew_spread(out, rows, cols):
+    # Every entry above the diagonal of X off by tol/2 (N = 4): each passes a
+    # max-entry check.
+    place = 4 ** np.arange(rows.shape[1] - 1, -1, -1)
+    upper = (rows @ place)[:, None] < (cols @ place)[None, :]
+    out[upper] += spectra.EIGEN_RESIDUAL_TOL * 4 / 2
 
 
 @pytest.mark.parametrize("consumer, fault", [
@@ -378,37 +413,50 @@ def _skew_spread(x):
     for name, consumer in SPECTRUM_CONSUMERS.items()
 ])
 def test_non_hermitian_gram_rejected(monkeypatch, consumer, fault):
-    exact = spectra.gram_matrix
+    exact = spectra._product_over_cycle
 
-    def skewed(h, r, **kwargs):
-        x = exact(h, r, **kwargs)
-        fault(x)
-        return x
+    def skewed(tensor, rows, cols, r):
+        out = exact(tensor, rows, cols, r)
+        fault(out, rows, cols)
+        return out
 
-    monkeypatch.setattr(spectra, "gram_matrix", skewed)
+    monkeypatch.setattr(spectra, "_product_over_cycle", skewed)
     with pytest.raises(MomentImagError, match="not Hermitian"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
-
-
-def _break_cyclic_symmetry(x):
-    # Hermitian, but the rotated pair (P1, P2) = (N, 2N) keeps its value.
-    x[1, 2] += 1e-6
-    x[2, 1] += 1e-6
 
 
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
                          ids=SPECTRUM_CONSUMERS.keys())
 def test_non_cyclic_gram_rejected(monkeypatch, consumer):
-    exact = spectra.gram_matrix
+    exact = spectra._cyclic_orbits
 
-    def faulty(h, r, **kwargs):
-        x = exact(h, r, **kwargs)
-        _break_cyclic_symmetry(x)  # harmless at depth 1, where P is the identity
-        return x
+    def unrotated(n, r):
+        # Every "rotation" is the identity: the sector blocks stay Hermitian
+        # with trace N^r, but no longer represent X.
+        rots, reps, sizes = exact(n, r)
+        rots[:] = rots[0]
+        return rots, reps, sizes
 
-    monkeypatch.setattr(spectra, "gram_matrix", faulty)
-    with pytest.raises(EigensolverError, match="cyclic"):
+    monkeypatch.setattr(spectra, "_cyclic_orbits", unrotated)
+    with pytest.raises(EigensolverError, match="trace identity"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+def test_gram_spectrum_never_builds_x(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense Gram matrix was built")
+
+    monkeypatch.setattr(spectra, "gram_matrix", forbidden)
+    for consumer in SPECTRUM_CONSUMERS.values():
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+    h = ht.build_matrix("transpose(dita(2,3;seed=7))")
+    tracemalloc.start()
+    try:
+        spectra._gram_spectrum(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1296**2 * 16  # the 26.9 MB of X at dim 1296
 
 
 @pytest.fixture
