@@ -4,8 +4,7 @@ Fourier matrices."""
 
 from .duality import (DualityReport, dita_selfduality_residual, duality_residual,
                       fourier_finite_check, top_mass_duality)
-from .dita import (bench_structured_vs_dense, r_kernels, structured_gram_matrix,
-                   structured_moments)
+from .dita import bench_structured_vs_dense, structured_moments
 from .errors import (CapExceededError, EigensolverError, HadamardValidationError,
                      MagicGridError, MomentImagError, SpecSyntaxError)
 from .magic import (DEFAULT_CAP, MagicGrid, grid_relations_check, magic_grid,

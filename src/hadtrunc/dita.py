@@ -108,13 +108,6 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     return float(spectra._moments_from_spectrum(vals, m * n, r, p)[p - 1])
 
 
-def delta_nonzero_count(m, n, r):
-    """Number of depth-r Gram entries passing the common-difference
-    constraint: M^{2r} * N^{r+1}.  Verified against brute-force counting in
-    the tests before being relied on."""
-    return m ** (2 * r) * n ** (r + 1)
-
-
 @dataclass(frozen=True)
 class BenchReport:
     m: int

@@ -98,11 +98,10 @@ def atoms_agree(m1, m2, weight_tol=1e-8):
                for (x1, w1), (x2, w2) in zip(m1.atoms, m2.atoms))
 
 
-def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP,
-                              atom_r_max=None):
+def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
     """Self-duality residuals |c_p^r(H) - c_p^r(H^t)| / N^p for H deformed
     Fourier, plus an atom-by-atom comparison of the truncated measures at
-    depths 1..atom_r_max (default r_max).
+    depths 1..r_max.
 
     Each (matrix, depth) spectrum is solved once and gives both the moment
     column and the atoms.
@@ -113,21 +112,17 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     h = matrices.dita(m, n, q)
     ht = matrices.transpose(h)
     size = h.n
-    if atom_r_max is None:
-        atom_r_max = r_max
     norms = np.array([float(size**p) for p in range(1, p_max + 1)])
     grid = np.empty((p_max, r_max))
     atoms_ok = True
-    for r in range(1, max(r_max, atom_r_max) + 1):
+    for r in range(1, r_max + 1):
         vals_h = spectra._gram_spectrum(h, r, cap=cap)
         vals_t = spectra._gram_spectrum(ht, r, cap=cap)
-        if r <= r_max:
-            c_h, c_t = (spectra._moments_from_spectrum(vals, size, r, p_max)
-                        for vals in (vals_h, vals_t))
-            grid[:, r - 1] = np.abs(c_h - c_t) / norms
-        if r <= atom_r_max:
-            atoms_ok &= atoms_agree(spectra._law_from_spectrum(vals_h, size, r),
-                                    spectra._law_from_spectrum(vals_t, size, r))
+        c_h, c_t = (spectra._moments_from_spectrum(vals, size, r, p_max)
+                    for vals in (vals_h, vals_t))
+        grid[:, r - 1] = np.abs(c_h - c_t) / norms
+        atoms_ok &= atoms_agree(spectra._law_from_spectrum(vals_h, size, r),
+                                spectra._law_from_spectrum(vals_t, size, r))
     max_res = float(grid.max())
     elapsed = time.perf_counter() - start
     return DualityReport(h.provenance, p_max, r_max, grid, max_res, tol,

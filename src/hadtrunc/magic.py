@@ -9,7 +9,9 @@ Rows and columns of the grid each sum to the identity, which is exactly the
 magic condition.  The truncation tensor T_p collects normalized traces of
 p-fold products of grid entries and drives the truncated integration
 functional: the (a, b) entry of T_p^r integrates the word u_{a1 b1}...u_{ap bp}
-at truncation depth r.
+at truncation depth r.  T_p is built from the products of the two half-words
+and multiplies grid projections only, so it stays an oracle independent of
+the profile and Gram routes in `spectra`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .errors import CapExceededError, MagicGridError
 
 DEFAULT_CAP = 4096
 MAGIC_TOL = 1e-9
-
-_CHUNK = 64  # row multi-indices processed per batch in truncation_tensor
 
 
 def check_cap(dim, cap):
@@ -126,7 +126,12 @@ def truncation_tensor(grid, p, cap=DEFAULT_CAP):
     """Dense N^p x N^p tensor with entries tr(P_{i1 j1} ... P_{ip jp}).
 
     The trace is normalized (tr = Tr/N).  Multi-indices are flattened
-    row-major with the first letter most significant.
+    row-major with the first letter most significant.  A word splits into its
+    first a = ceil(p/2) and last b = floor(p/2) letters, tr(AB) =
+    (1/N) sum_kl A_kl B_lk, so only the half-word products
+    W_k[I, J] = P_{i1 j1} ... P_{ik jk} for k <= a are multiplied out, level
+    by level, and contracted straight into the output.  W_a holds N^{2a+2}
+    entries and the output N^{2p}, so from p = 4 on the output is the peak.
     """
     if p < 1:
         raise ValueError("word length p must be >= 1")
@@ -134,16 +139,13 @@ def truncation_tensor(grid, p, cap=DEFAULT_CAP):
     dim = n**p
     check_cap(dim, cap)
     proj = grid.projections
-    digits = multi_indices(n, p)
-    out = np.empty((dim, dim), dtype=complex)
-    for start in range(0, dim, _CHUNK):
-        rows = digits[start:start + _CHUNK]
-        # batch of matrix products over all column multi-indices
-        block = proj[rows[:, 0][:, None], digits[:, 0][None, :]]
-        for s in range(1, p):
-            block = block @ proj[rows[:, s][:, None], digits[:, s][None, :]]
-        out[start:start + _CHUNK] = np.einsum("abkk->ab", block) / n
-    return out
+    words = [np.eye(n, dtype=complex)[None, None]]  # words[k] is W_k
+    for k in range(1, (p + 1) // 2 + 1):
+        words.append((words[-1][:, None, :, None] @ proj[None, :, None, :])
+                     .reshape(n**k, n**k, n, n))
+    # optimize=True would contract through a transposed copy of the output
+    out = np.einsum("xykl,uvlk->xuyv", words[(p + 1) // 2], words[p // 2] / n)
+    return out.reshape(dim, dim)
 
 
 def truncated_integral_word(h, r, a, b, cap=DEFAULT_CAP):

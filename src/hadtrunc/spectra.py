@@ -36,7 +36,7 @@ from .errors import EigensolverError, MomentImagError
 from .magic import DEFAULT_CAP, check_cap, multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
-CLUSTER_TOL_FACTOR = 1e-6  # default clustering tolerance is this times N
+CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 
 
 def profile(h):
@@ -228,17 +228,16 @@ def measure_top_mass(measure):
     return 0.0
 
 
-def _law_from_spectrum(vals, n, r, cluster_tol=None):
+def _law_from_spectrum(vals, n, r):
     """Depth-r truncated measure from the N^r eigenvalues of X: each carries
-    weight 1/N^r, and eigenvalues within the clustering tolerance (default
-    1e-6 * N) are merged into one atom at their mean."""
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL_FACTOR * n
+    weight 1/N^r, and eigenvalues within the clustering tolerance 1e-6 * N
+    are merged into one atom at their mean."""
+    cluster_tol = CLUSTER_TOL_FACTOR * n
     weights = np.full(len(vals), 1.0 / n**r)
     return SpectralMeasure(n, r, cluster_atoms(vals, weights, cluster_tol), cluster_tol)
 
 
-def truncated_law(h, r, cap=DEFAULT_CAP, cluster_tol=None):
+def truncated_law(h, r, cap=DEFAULT_CAP):
     """Truncated measure at depth r, from the Hermitian eigenvalues of X.
 
     Depth 0 is the point mass at N.  The eigenvalues come from
@@ -248,7 +247,7 @@ def truncated_law(h, r, cap=DEFAULT_CAP, cluster_tol=None):
     if r < 0:
         raise ValueError("depth r must be >= 0")
     vals = _gram_spectrum(h, r, cap=cap) if r else np.array([float(h.n)])
-    return _law_from_spectrum(vals, h.n, r, cluster_tol)
+    return _law_from_spectrum(vals, h.n, r)
 
 
 def _real_trace(value, scale, what):
@@ -259,8 +258,16 @@ def _real_trace(value, scale, what):
     return float(value.real)
 
 
+def _check_word_and_depth(p, r):
+    if p < 1:
+        raise ValueError("word length p must be >= 1")
+    if r < 0:
+        raise ValueError("depth r must be >= 0")
+
+
 def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     """c_p^r as Tr(T_p^r), with T_p from the magic grid."""
+    _check_word_and_depth(p, r)
     n = h.n
     if r == 0:
         return float(n**p)
@@ -270,6 +277,7 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     """c_p^r as (1/N^r) Tr(X^p), with X the depth-r Gram matrix."""
+    _check_word_and_depth(p, r)
     n = h.n
     if r == 0:
         return float(n**p)
@@ -386,12 +394,14 @@ def haar_moment_estimate(h, p, k_max=32, tol=1e-8, cap=DEFAULT_CAP):
     the multiplicity of the eigenvalue 1: `rounded` counts the eigenvalues
     within tol of 1.  `estimate` is the Cesaro average s_{k_max}, and
     `converged` is set when the last two averages agree within tol and the
-    estimate sits within tol of `rounded`.  `gap` is 1 minus the largest
-    eigenvalue below 1 - tol (1.0 when there is none); it bounds the distance
-    of s_k from the limit by N^p (1 - gap) / (k gap).
+    estimate sits within tol of `rounded`, so never at k_max = 1.  `gap` is 1
+    minus the largest eigenvalue below 1 - tol (1.0 when there is none); it
+    bounds the distance of s_k from the limit by N^p (1 - gap) / (k gap).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     lam = _truncation_spectrum(h, p, cap=cap)
-    seq = _cesaro_sequence(lam, p, max(k_max, 2))
+    seq = _cesaro_sequence(lam, p, k_max)
     estimate = float(seq.partial_averages[-1])
     rounded = int((np.abs(lam - 1.0) <= tol).sum())
     converged = seq.last_increment < tol and abs(estimate - rounded) < tol

@@ -6,16 +6,15 @@ import pytest
 
 import hadtrunc as ht
 from hadtrunc.dita import (_structured_kernel, _structured_spectrum, bench_structured_vs_dense,
-                           delta_nonzero_count, r_kernels, structured_gram_matrix,
-                           structured_moments)
+                           r_kernels, structured_gram_matrix, structured_moments)
 from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 
 dita_mod = importlib.import_module("hadtrunc.dita")  # the package attribute is a function
 
 
-# References used only here: entrywise kernel formulas and a brute-force
-# support count, which the dense layouts and the closed form are checked against.
+# References used only here: entrywise kernel formulas, which the dense layouts
+# are checked against, and a brute-force support count with its closed form.
 
 def r_kernel(q, x):
     """Single kernel slice R^x (x taken mod M)."""
@@ -70,6 +69,12 @@ def count_delta_nonzeros(m, n, r):
     a = multi_indices(n, r)
     diff = (a[:, None, :] - a[None, :, :]) % n
     return int((diff == diff[:, :, :1]).all(axis=2).sum()) * (m**r) ** 2
+
+
+def delta_nonzero_count(m, n, r):
+    """Closed form of the depth-r Gram entries passing the common-difference
+    constraint: M^{2r} * N^{r+1}, checked against `count_delta_nonzeros`."""
+    return m ** (2 * r) * n ** (r + 1)
 
 
 def test_kernels_flat_q_are_delta():

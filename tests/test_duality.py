@@ -57,12 +57,11 @@ def test_duality_solves_only_read_spectra(solves, p_max, r_max, depths_h, depths
                       + [(f"transpose({name})", r) for r in depths_t])
 
 
-@pytest.mark.parametrize("r_max, atom_r_max", [(3, None), (2, 3), (3, 1)])
-def test_selfduality_solves_each_spectrum_once(solves, r_max, atom_r_max):
-    # moments need depths 1..r_max, atoms 1..atom_r_max; each pair is solved once
+def test_selfduality_solves_each_spectrum_once(solves):
+    # moments and atoms both need depths 1..r_max; each pair is solved once
     q = ht.seeded_phase_matrix(2, 2, 7)
-    report = ht.dita_selfduality_residual(2, 2, q, 3, r_max, atom_r_max=atom_r_max)
-    assert report.passed and report.grid.shape == (3, r_max)
+    report = ht.dita_selfduality_residual(2, 2, q, 3, 3)
+    assert report.passed and report.grid.shape == (3, 3)
     assert len(solves) == len(set(solves)) == 6  # H and H^t at depths 1..3
 
 
@@ -86,7 +85,7 @@ def test_dita_selfduality_seeded():
 
 def test_dita_selfduality_23():
     q = ht.seeded_phase_matrix(2, 3, 5)
-    report = ht.dita_selfduality_residual(2, 3, q, 3, 2, atom_r_max=2)
+    report = ht.dita_selfduality_residual(2, 3, q, 3, 2)
     assert report.passed
     assert "atoms_match" in report.to_dict()
 

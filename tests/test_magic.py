@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,17 @@ def test_truncation_tensor_cap():
     grid = ht.magic_grid(ht.fourier(6))
     with pytest.raises(CapExceededError):
         ht.truncation_tensor(grid, 5)  # 6^5 = 7776 > 4096
+
+
+def test_truncation_tensor_peak_is_one_output():
+    grid = ht.magic_grid(ht.fourier(6))
+    tracemalloc.start()
+    try:
+        t = ht.truncation_tensor(grid, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * t.nbytes  # the output is 1296^2 complex entries, 25.6 MiB
 
 
 def test_word_integral_depth_zero():

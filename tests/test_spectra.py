@@ -13,6 +13,8 @@ from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
+from conftest import SMALL_SPECS
+
 # Tao's 6x6 complex Hadamard matrix is w^E with w = e^{2 pi i/3}; unlike the
 # corpus, its depth-3 Gram matrices are genuinely complex.
 TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
@@ -172,6 +174,16 @@ def test_spectrum_argument_checks():
             call(ht.fourier(2))
 
 
+def test_haar_estimate_is_average_at_k_max():
+    h = ht.build_matrix("dita(2,2;seed=7)")
+    for k_max in (0, -5):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            ht.haar_moment_estimate(h, 2, k_max=k_max)
+    est = ht.haar_moment_estimate(h, 2, k_max=1)
+    assert est.estimate == pytest.approx(4.0, rel=1e-12)  # s_1 = c_2^1 = N
+    assert not est.converged
+
+
 def test_cluster_atoms():
     atoms = cluster_atoms([0.0, 1e-9, 2.0, 2.0 + 1e-9, 5.0],
                           [0.25, 0.25, 0.2, 0.2, 0.1], tol=1e-6)
@@ -235,11 +247,23 @@ def test_measure_top_mass():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_moment_pipelines_agree(small_matrix, p, r):
-    n = small_matrix.n
-    via_t = ht.moments_via_T(small_matrix, p, r)
-    via_x = ht.moments_via_X(small_matrix, p, r)
-    assert abs(via_t - via_x) <= 1e-8 * n**p
+@pytest.mark.parametrize("spec", [*SMALL_SPECS, "tao6"])
+def test_moment_pipelines_agree(spec, p, r, tao6):
+    h = tao6 if spec == "tao6" else ht.build_matrix(spec)
+    via_t = ht.moments_via_T(h, p, r)
+    via_x = ht.moments_via_X(h, p, r)
+    assert abs(via_t - via_x) <= 1e-8 * h.n**p
+
+
+@pytest.mark.parametrize("oracle, p, r, match", [
+    (ht.moments_via_T, 2, -1, "depth r must be >= 0"),
+    (ht.moments_via_X, 2, -1, "depth r must be >= 0"),
+    (ht.moments_via_T, 0, 0, "word length p must be >= 1"),
+    (ht.moments_via_X, -1, 2, "word length p must be >= 1"),
+], ids=["T-r", "X-r", "T-p", "X-p"])
+def test_moment_oracles_check_arguments(oracle, p, r, match):
+    with pytest.raises(ValueError, match=match):
+        oracle(ht.fourier(2), p, r)
 
 
 def test_moment_closed_forms(corpus_matrix):
@@ -341,7 +365,7 @@ def test_haar_estimate_tensor_multiplicative():
     assert est.converged and est.rounded == 4
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_truncation_tensor_is_adjoint_gram(small_matrix, p):
     t = ht.truncation_tensor(ht.magic_grid(small_matrix), p)
     x = ht.gram_matrix(ht.adjoint(small_matrix), p)
@@ -349,7 +373,7 @@ def test_truncation_tensor_is_adjoint_gram(small_matrix, p):
 
 
 def test_truncation_tensor_is_adjoint_gram_tao6(tao6):
-    for p in (1, 2, 3):
+    for p in (1, 2, 3, 4):
         t = ht.truncation_tensor(ht.magic_grid(tao6), p)
         x = ht.gram_matrix(ht.adjoint(tao6), p)
         assert np.abs(t - x / 6).max() < 1e-14
