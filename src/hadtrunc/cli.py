@@ -53,8 +53,9 @@ def _emit_json(data, out_path):
     _emit(json.dumps(_jsonify(data), indent=2), out_path)
 
 
-def measure_svg(measure, width=640, height=360, margin=40):
-    """Static SVG bar chart of an atomic measure on [0, N]."""
+def measure_svg(measure):
+    """Static 640 x 360 SVG bar chart of an atomic measure on [0, N]."""
+    width, height, margin = 640, 360, 40
     n = measure.n
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

@@ -104,8 +104,7 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
         raise ValueError("p and r must be >= 1")
     m, n = np.shape(q)
     check_cap((m * n) ** r, cap)
-    vals = _structured_spectrum(q, r)
-    return float(spectra._moments_from_spectrum(vals, m * n, r, p)[p - 1])
+    return float(spectra._power_sums(_structured_spectrum(q, r), p)[p - 1] / (m * n) ** r)
 
 
 @dataclass(frozen=True)

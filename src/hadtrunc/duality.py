@@ -53,10 +53,7 @@ def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
     start = time.perf_counter()
     table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
     table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
-    grid = np.empty((p_max, r_max))
-    for p in range(1, p_max + 1):
-        for r in range(1, r_max + 1):
-            grid[p - 1, r - 1] = abs(table_h.gamma[p - 1, r] - table_t.gamma[r - 1, p])
+    grid = np.abs(table_h.gamma[:, 1:] - table_t.gamma[:, 1:].T)
     max_res = float(grid.max())
     elapsed = time.perf_counter() - start
     return DualityReport(h.provenance, p_max, r_max, grid, max_res, tol,
@@ -73,6 +70,12 @@ class TopMassProbe:
         return {"mass_h": self.mass_h, "mass_ht": self.mass_ht, "gap": self.gap}
 
 
+def _top_masses(h, r_max, cap):
+    """Masses at N of the truncated measures of H at depths 1..r_max."""
+    return np.array([spectra.measure_top_mass(spectra.truncated_law(h, r, cap=cap))
+                     for r in range(1, r_max + 1)])
+
+
 def top_mass_duality(h, r_probe, cap=DEFAULT_CAP):
     """Masses at N of the depth-averaged truncated measures of H and H^t.
 
@@ -81,20 +84,18 @@ def top_mass_duality(h, r_probe, cap=DEFAULT_CAP):
     """
     if r_probe < 1:
         raise ValueError("r_probe must be >= 1")
-    ht = matrices.transpose(h)
-    mass_h = np.mean([spectra.measure_top_mass(spectra.truncated_law(h, r, cap=cap))
-                      for r in range(1, r_probe + 1)])
-    mass_t = np.mean([spectra.measure_top_mass(spectra.truncated_law(ht, r, cap=cap))
-                      for r in range(1, r_probe + 1)])
+    mass_h = _top_masses(h, r_probe, cap).mean()
+    mass_t = _top_masses(matrices.transpose(h), r_probe, cap).mean()
     return TopMassProbe(float(mass_h), float(mass_t), float(abs(mass_h - mass_t)))
 
 
-def atoms_agree(m1, m2, weight_tol=1e-8):
-    """Whether two atomic measures coincide within their clustering tolerance."""
+def atoms_agree(m1, m2):
+    """Whether two atomic measures coincide: locations within their clustering
+    tolerance, weights within 1e-8."""
     if len(m1.atoms) != len(m2.atoms):
         return False
     tol = max(m1.cluster_tol, m2.cluster_tol)
-    return all(abs(x1 - x2) <= tol and abs(w1 - w2) <= weight_tol
+    return all(abs(x1 - x2) <= tol and abs(w1 - w2) <= 1e-8
                for (x1, w1), (x2, w2) in zip(m1.atoms, m2.atoms))
 
 
@@ -118,8 +119,7 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     for r in range(1, r_max + 1):
         vals_h = spectra._gram_spectrum(h, r, cap=cap)
         vals_t = spectra._gram_spectrum(ht, r, cap=cap)
-        c_h, c_t = (spectra._moments_from_spectrum(vals, size, r, p_max)
-                    for vals in (vals_h, vals_t))
+        c_h, c_t = (spectra._power_sums(vals, p_max) / size**r for vals in (vals_h, vals_t))
         grid[:, r - 1] = np.abs(c_h - c_t) / norms
         atoms_ok &= atoms_agree(spectra._law_from_spectrum(vals_h, size, r),
                                 spectra._law_from_spectrum(vals_t, size, r))
@@ -132,8 +132,4 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
 def fourier_finite_check(n, r_max=4, tol=1e-10, cap=DEFAULT_CAP):
     """For F_N the mass of every truncated measure at N must equal 1/N,
     matching the cyclic group of order N behind the matrix."""
-    h = matrices.fourier(n)
-    return all(
-        abs(spectra.measure_top_mass(spectra.truncated_law(h, r, cap=cap)) - 1.0 / n) <= tol
-        for r in range(1, r_max + 1)
-    )
+    return bool(np.all(np.abs(_top_masses(matrices.fourier(n), r_max, cap) - 1.0 / n) <= tol))

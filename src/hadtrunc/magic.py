@@ -84,7 +84,7 @@ def _grid_array(h):
     return np.einsum("ik,jl,il,jk->ijkl", arr, arr, arr.conj(), arr.conj()) / n
 
 
-def _magic_deviations(p, tol):
+def _magic_deviations(p):
     """MagicReport of the projection array p, plus the idempotency and
     self-adjointness deviations of each P_ij as (N, N) arrays."""
     n = p.shape[0]
@@ -94,32 +94,32 @@ def _magic_deviations(p, tol):
     sadj = np.abs(p - p.conj().transpose(0, 1, 3, 2)).max(axis=(2, 3))
     row = float(np.abs(p.sum(axis=1) - eye[None, :, :]).max())
     col = float(np.abs(p.sum(axis=0) - eye[None, :, :]).max())
-    report = MagicReport(float(idem.max()), float(sadj.max()), row, col, tol)
+    report = MagicReport(float(idem.max()), float(sadj.max()), row, col, MAGIC_TOL)
     return report, idem, sadj
 
 
-def magic_grid(h, tol=MAGIC_TOL):
+def magic_grid(h):
     """Build the projection grid of H and abort if any invariant fails.
 
     Uses the closed entry formula throughout; the diagnostics name the first
     grid position whose idempotency or self-adjointness breaks.
     """
     p = _grid_array(h)
-    report, idem, sadj = _magic_deviations(p, tol)
+    report, idem, sadj = _magic_deviations(p)
     for devs, what in ((idem, "idempotency"), (sadj, "self-adjointness")):
-        if devs.max() > tol:
+        if devs.max() > MAGIC_TOL:
             i, j = np.unravel_index(int(devs.argmax()), devs.shape)
             raise MagicGridError(
-                f"{what} fails at P_({i},{j}): deviation {devs.max():.3e} > {tol:.1e}"
+                f"{what} fails at P_({i},{j}): deviation {devs.max():.3e} > {MAGIC_TOL:.1e}"
             )
     if not report.passed:
         raise MagicGridError(f"row/column sums fail: {report.to_dict()}")
     return MagicGrid(h.n, p, h.provenance)
 
 
-def verify_magic(grid, tol=MAGIC_TOL):
+def verify_magic(grid):
     """Max deviations from idempotency, self-adjointness and unit row/col sums."""
-    return _magic_deviations(grid.projections, tol)[0]
+    return _magic_deviations(grid.projections)[0]
 
 
 def truncation_tensor(grid, p, cap=DEFAULT_CAP):
@@ -151,8 +151,8 @@ def truncation_tensor(grid, p, cap=DEFAULT_CAP):
 def truncated_integral_word(h, r, a, b, cap=DEFAULT_CAP):
     """Truncated integral of the word u_{a1 b1}...u_{ap bp} at depth r.
 
-    Returns the (a, b) entry of T_p^r; depth 0 gives the Kronecker delta of
-    the two index words.
+    Returns the (a, b) entry of T_p^r, as row a of T_p times T_p r - 1
+    times; depth 0 gives the Kronecker delta of the two index words.
     """
     a = list(a)
     b = list(b)
@@ -167,12 +167,11 @@ def truncated_integral_word(h, r, a, b, cap=DEFAULT_CAP):
     if r == 0:
         return complex(a == b)
     p = len(a)
-    check_cap(n**p, cap)
     t = truncation_tensor(magic_grid(h), p, cap=cap)
-    power = np.linalg.matrix_power(t, r)
-    flat_a = int(np.ravel_multi_index(a, (n,) * p))
-    flat_b = int(np.ravel_multi_index(b, (n,) * p))
-    return complex(power[flat_a, flat_b])
+    row = t[np.ravel_multi_index(a, (n,) * p)]
+    for _ in range(r - 1):
+        row = row @ t
+    return complex(row[np.ravel_multi_index(b, (n,) * p)])
 
 
 def grid_relations_check(h):

@@ -208,17 +208,17 @@ def dephase(h):
     return HadamardMatrix(np.ascontiguousarray(arr), f"dephase({h.provenance})")
 
 
-def equivalence_fingerprint(h, digits=9):
+def equivalence_fingerprint(h):
     """Sorted multiset of the entry phase quadruples H_ia H_jb / (H_ib H_ja).
 
     Row/column permutations permute the quadruples and row/column phase
     multiplications cancel exactly, so equal fingerprints are a necessary
-    (not sufficient) condition for equivalence.  Values are rounded to
-    `digits` decimals before sorting so the result is deterministic.
+    (not sufficient) condition for equivalence.  Values are rounded to 9
+    decimals before sorting so the result is deterministic.
     """
     arr = h.array
     vals = np.einsum("ia,jb,ib,ja->ijab", arr, arr, arr.conj(), arr.conj())
-    vals = np.round(vals.ravel(), digits) + 0.0  # normalize -0.0
+    vals = np.round(vals.ravel(), 9) + 0.0  # normalize -0.0
     order = np.lexsort((vals.imag, vals.real))
     return tuple(complex(v) for v in vals[order])
 

@@ -21,7 +21,8 @@ Rotating a multi-index does not change its cyclic word, so X commutes with
 the cyclic shift P; the spectrum is solved as r Hermitian blocks of size
 about N^r / r, one per eigenvalue of P, built from the profile without
 forming X and certified from the profile alone (`_certified_spectrum`).
-`gram_matrix` stays the dense oracle.
+`gram_matrix` stays the dense oracle.  Every power sum of a spectrum comes
+from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 """
 
 from __future__ import annotations
@@ -109,12 +110,33 @@ def _cyclic_orbits(n, r):
     return rots, reps, sizes
 
 
+def _trace_power(a, k):
+    """Tr(A^k) for k >= 1, as sum A^{ceil(k/2)} * (A^{floor(k/2)})^T, so only
+    half powers are multiplied out; A need not be Hermitian."""
+    if k == 1:
+        return np.trace(a)
+    half = np.linalg.matrix_power(a, k // 2)
+    return np.sum((half @ a if k % 2 else half) * half.T)
+
+
+def _power_sums(vals, k):
+    """sum_l l^j for j = 1..k, from one running power of vals, so memory is
+    one copy of vals for any k."""
+    sums = np.empty(k)
+    power = vals.copy()
+    sums[0] = power.sum()
+    for j in range(1, k):
+        power *= vals
+        sums[j] = power.sum()
+    return sums
+
+
 def _gram_norms(q, r):
     """Tr X = N^r (unit diagonal) and ||X||_F^2 = Tr(K^r) of the depth-r Gram
     matrix, K[(a,b),(c,d)] = |Q_{ab,cd}|^2, at a cost independent of r."""
     n = q.shape[0]
     k = np.abs(q.reshape(n * n, n * n)) ** 2
-    return float(n**r), float(np.trace(np.linalg.matrix_power(k, r)))
+    return float(n**r), float(_trace_power(k, r))
 
 
 def _certified_spectrum(blocks, q, r):
@@ -205,19 +227,16 @@ class SpectralMeasure:
 
 
 def cluster_atoms(values, weights, tol):
-    """Merge sorted spectrum values closer than tol into weighted atoms."""
+    """Single-linkage atoms: the sorted values split wherever a gap exceeds tol
+    (so a chain of close values may span more), and each run becomes one atom
+    at its weighted mean, carrying its total weight."""
     order = np.argsort(values)
     values = np.asarray(values)[order]
     weights = np.asarray(weights)[order]
-    atoms = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            chunk_w = float(weights[start:i].sum())
-            loc = float((values[start:i] * weights[start:i]).sum() / chunk_w)
-            atoms.append((loc, chunk_w))
-            start = i
-    return tuple(atoms)
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    mass = np.add.reduceat(weights, starts)
+    locs = np.add.reduceat(values * weights, starts) / mass
+    return tuple(zip(locs.tolist(), mass.tolist()))
 
 
 def measure_top_mass(measure):
@@ -272,7 +291,7 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     if r == 0:
         return float(n**p)
     t = magic_mod.truncation_tensor(magic_mod.magic_grid(h), p, cap=cap)
-    return _real_trace(np.trace(np.linalg.matrix_power(t, r)), n**p, f"Tr(T_{p}^{r})")
+    return _real_trace(_trace_power(t, r), n**p, f"Tr(T_{p}^{r})")
 
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):
@@ -281,11 +300,7 @@ def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     n = h.n
     if r == 0:
         return float(n**p)
-    x = gram_matrix(h, r, cap=cap)
-    trace = np.trace(x)
-    if p > 1:  # Tr(X^p) = sum X^{ceil(p/2)} * (X^{floor(p/2)})^T; X need not be Hermitian
-        half = np.linalg.matrix_power(x, p // 2)
-        trace = np.sum((half @ x if p % 2 else half) * half.T)
+    trace = _trace_power(gram_matrix(h, r, cap=cap), p)
     return _real_trace(trace / n**r, n**p, f"tr(X_{r}^{p})")
 
 
@@ -310,11 +325,6 @@ class MomentTable:
         }
 
 
-def _moments_from_spectrum(vals, n, r, p_max):
-    """c_p^r = (1/N^r) sum_l l^p for p = 1..p_max, from the depth-r spectrum."""
-    return (vals[None, :] ** np.arange(1, p_max + 1)[:, None]).sum(axis=1) / n**r
-
-
 def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     """Fill the (p, r) moment grid through the Gram-matrix route.
 
@@ -327,7 +337,7 @@ def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     c = np.empty((p_max, r_max + 1))
     c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
     for r in range(1, r_max + 1):
-        c[:, r] = _moments_from_spectrum(_gram_spectrum(h, r, cap=cap), n, r, p_max)
+        c[:, r] = _power_sums(_gram_spectrum(h, r, cap=cap), p_max) / n**r
     gamma = c / np.array([float(n**p) for p in range(1, p_max + 1)])[:, None]
     return MomentTable(n, p_max, r_max, c, gamma)
 
@@ -347,17 +357,11 @@ class CesaroSequence:
 
 
 def _cesaro_sequence(lam, p, k_max):
-    """Cesaro averages s_k = (1/k) sum_{r<=k} sum_lambda lambda^r, k = 1..k_max.
-
-    One running power of the spectrum is kept, so memory is O(N^p + k_max)
-    for any k_max.
+    """Cesaro averages s_k = (1/k) sum_{r<=k} sum_lambda lambda^r, k = 1..k_max,
+    from the power sums of the spectrum (`_power_sums`), so memory is
+    O(N^p + k_max) for any k_max.
     """
-    power_sums = np.empty(k_max)
-    power = lam.copy()
-    for r in range(k_max):
-        power_sums[r] = power.sum()
-        power *= lam
-    averages = np.cumsum(power_sums) / np.arange(1, k_max + 1)
+    averages = np.cumsum(_power_sums(lam, k_max)) / np.arange(1, k_max + 1)
     increment = float(abs(averages[-1] - averages[-2])) if k_max > 1 else float("nan")
     return CesaroSequence(p, averages, increment)
 

@@ -138,6 +138,26 @@ def test_word_integrals_sum_to_moments(small_matrix, p, r):
     assert total == pytest.approx(ht.moments_via_T(h, p, r), abs=1e-9 * n**p)
 
 
+def test_word_integral_is_entry_of_power():
+    h = ht.build_matrix("dita(2,3;seed=7)")
+    a, b = [0, 0, 3], [1, 1, 4]
+    power = np.linalg.matrix_power(ht.truncation_tensor(ht.magic_grid(h), 3), 5)
+    want = power[np.ravel_multi_index(a, (6,) * 3), np.ravel_multi_index(b, (6,) * 3)]
+    assert abs(want) > 1e-2
+    assert ht.truncated_integral_word(h, 5, a, b) == pytest.approx(want, rel=1e-12)
+
+
+def test_word_integral_peak_is_one_tensor():
+    tracemalloc.start()
+    try:
+        val = ht.truncated_integral_word(ht.fourier(6), 8, [0, 1, 2, 3], [1, 2, 3, 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(1 / 6, abs=1e-12)  # T_p of F_N is a projection
+    assert peak < 2 * 1296**2 * 16  # twice T_4, 25.6 MiB
+
+
 def test_word_integral_index_range():
     with pytest.raises(IndexError):
         ht.truncated_integral_word(ht.fourier(3), 1, [0, 3], [0, 0])

@@ -193,6 +193,58 @@ def test_cluster_atoms():
     assert atoms[2] == (5.0, pytest.approx(0.1))
 
 
+def cluster_atoms_loop(values, weights, tol):
+    """The single-linkage walk over sorted values, one value at a time."""
+    order = np.argsort(values)
+    values = np.asarray(values)[order]
+    weights = np.asarray(weights)[order]
+    atoms = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol:
+            chunk_w = float(weights[start:i].sum())
+            loc = float((values[start:i] * weights[start:i]).sum() / chunk_w)
+            atoms.append((loc, chunk_w))
+            start = i
+    return tuple(atoms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cluster_atoms_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    centres = rng.uniform(0, 6, size=rng.integers(1, 12))
+    sizes = rng.integers(1, 40, size=len(centres))
+    sizes[0] = 40
+    # chains with steps of 0.5 tol .. 0.9 tol: every gap < tol, and the first
+    # chain spans > 19 tol, yet each chain is one atom
+    chains = [c + np.cumsum(rng.uniform(0.5, 0.9, size=k) * tol)
+              for c, k in zip(centres, sizes)]
+    values = rng.permutation(np.concatenate(chains))
+    weights = rng.uniform(0.1, 1.0, size=len(values))
+    atoms = cluster_atoms(values, weights, tol)
+    want = cluster_atoms_loop(values, weights, tol)
+    assert len(atoms) == len(want) == len(centres)
+    np.testing.assert_allclose(np.array(atoms), np.array(want), rtol=1e-14, atol=0)
+
+
+def test_cluster_atoms_empty():
+    assert cluster_atoms([], [], 1e-6) == cluster_atoms_loop([], [], 1e-6) == ()
+
+
+def test_moment_table_peak_is_one_spectrum(monkeypatch):
+    vals = np.random.default_rng(0).uniform(0, 4, size=10**6)
+    monkeypatch.setattr(spectra, "_gram_spectrum", lambda h, r, cap: vals)
+    tracemalloc.start()
+    try:
+        table = ht.moment_table(ht.fourier(4), 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.c[7, 1] == pytest.approx((vals**8).sum() / 4, rel=1e-12)
+    assert peak <= 3 * vals.nbytes
+
+
 def test_truncated_law_depth_zero():
     m = ht.truncated_law(ht.fourier(4), 0)
     assert m.atoms == ((4.0, 1.0),)
@@ -247,12 +299,24 @@ def test_measure_top_mass():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
-@pytest.mark.parametrize("spec", [*SMALL_SPECS, "tao6"])
+@pytest.mark.parametrize("spec", [*SMALL_SPECS, "tao6", "dita(3,3;seed=1)"])
 def test_moment_pipelines_agree(spec, p, r, tao6):
     h = tao6 if spec == "tao6" else ht.build_matrix(spec)
     via_t = ht.moments_via_T(h, p, r)
     via_x = ht.moments_via_X(h, p, r)
     assert abs(via_t - via_x) <= 1e-8 * h.n**p
+    if spec == "dita(3,3;seed=1)" and p == r == 3:
+        # Both oracles took Tr of a power of a complex matrix: X_3 and N T_3.
+        assert np.abs(ht.gram_matrix(h, 3).imag).max() > 1e-2
+        assert np.abs(ht.gram_matrix(ht.adjoint(h), 3).imag).max() > 1e-2
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_trace_power_is_trace_of_power(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    want = np.trace(np.linalg.matrix_power(a, k))
+    assert spectra._trace_power(a, k) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("oracle, p, r, match", [
