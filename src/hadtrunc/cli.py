@@ -183,6 +183,13 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _seed(text):
     value = int(text)
     if not 0 <= value < specs.SEED_LIMIT:
@@ -208,8 +215,8 @@ def build_parser():
 
     p = subs.add_parser("validate", help="check the Hadamard property of a spec'd matrix")
     p.add_argument("spec")
-    p.add_argument("--uni-tol", type=float, default=matrices.UNIMODULARITY_TOL)
-    p.add_argument("--orth-tol", type=float, default=matrices.ORTHOGONALITY_TOL)
+    p.add_argument("--uni-tol", type=_positive_float, default=matrices.UNIMODULARITY_TOL)
+    p.add_argument("--orth-tol", type=_positive_float, default=matrices.ORTHOGONALITY_TOL)
     p.add_argument("--dump", default=None, help="also write the matrix as JSON")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
@@ -243,7 +250,7 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
-    p.add_argument("--tol", type=float, default=duality_mod.PASS_TOL)
+    p.add_argument("--tol", type=_positive_float, default=duality_mod.PASS_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_duality)
 
@@ -255,7 +262,7 @@ def build_parser():
     src.add_argument("--qfile")
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
-    p.add_argument("--tol", type=float, default=duality_mod.PASS_TOL)
+    p.add_argument("--tol", type=_positive_float, default=duality_mod.PASS_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_dita_check)
 

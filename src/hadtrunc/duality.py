@@ -50,6 +50,8 @@ class DualityReport:
 
 def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
     """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1."""
+    if p_max < 1 or r_max < 1:
+        raise ValueError("p_max and r_max must be >= 1")
     start = time.perf_counter()
     table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
     table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
@@ -132,4 +134,6 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
 def fourier_finite_check(n, r_max=4, tol=1e-10, cap=DEFAULT_CAP):
     """For F_N the mass of every truncated measure at N must equal 1/N,
     matching the cyclic group of order N behind the matrix."""
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
     return bool(np.all(np.abs(_top_masses(matrices.fourier(n), r_max, cap) - 1.0 / n) <= tol))

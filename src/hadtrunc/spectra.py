@@ -18,9 +18,13 @@ Entrywise T_p(H) = X_p(H^*) / N, so the law, the moment table, the Cesaro
 averages and the Haar moments all reduce one checked Gram spectrum
 (`_gram_spectrum`); the grid-product T_p stays their oracle (`moments_via_T`).
 Rotating a multi-index does not change its cyclic word, so X commutes with
-the cyclic shift P; the spectrum is solved as r Hermitian blocks of size
-about N^r / r, one per eigenvalue of P, built from the profile without
-forming X and certified from the profile alone (`_certified_spectrum`).
+the cyclic shift P, and the spectrum splits into r blocks of size about
+N^r / r, one per eigenvalue of P.  Reversing both multi-indices conjugates X,
+since Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry maps each block
+to itself, so each is solved as a real symmetric matrix.  The blocks are
+built from the profile, from the rows of one orbit in each reversed pair
+(somewhat over half the rows), without forming X, and certified from the
+profile alone (`_certified_spectrum`).
 `gram_matrix` stays the dense oracle.  Every power sum of a spectrum comes
 from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 """
@@ -139,17 +143,23 @@ def _gram_norms(q, r):
     return float(n**r), float(_trace_power(k, r))
 
 
-def _certified_spectrum(blocks, q, r):
+def _certified_spectrum(blocks, q, r, dropped=0.0):
     """Ascending eigenvalues of the depth-r Gram matrix X of the profile q, from
     blocks unitarily equivalent to X (each array holds one block or a batch).
 
-    sum ||B - B^*||_F^2 = ||X - X^*||_F^2 must be <= (1e-9 N)^2 (else
-    `MomentImagError`), then the eigenvalues must reproduce `_gram_norms` to
-    1e-9 relative (else `EigensolverError`): this certifies the reduction and
-    catches a bad, lost or duplicated eigenvalue.
+    For complex blocks (the structured FFT blocks of `dita`),
+    sum ||B - B^*||_F^2 = ||X - X^*||_F^2.  For the real sector blocks of
+    `_gram_spectrum` it is ||X~ - X~^*||_F^2, X~ being the gathered rows
+    completed by the reversal symmetry, and `dropped` is the squared norm of
+    the imaginary parts those blocks discard, which vanish for a true X.  The
+    sum must be <= (1e-9 N)^2 (else `MomentImagError`), then the eigenvalues
+    must reproduce `_gram_norms` to 1e-9 relative (else `EigensolverError`):
+    this certifies the reduction and catches a bad, lost or duplicated
+    eigenvalue.
     """
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
-    skew_sq = sum(np.linalg.norm(b - b.swapaxes(-1, -2).conj()) ** 2 for b in blocks)
+    skew_sq = dropped + sum(np.linalg.norm(b - b.swapaxes(-1, -2).conj()) ** 2
+                            for b in blocks)
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
@@ -173,9 +183,31 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
         X_k[alpha, beta] = sqrt(d_alpha d_beta)/r sum_{m<r} w^{km} X[P^m A_alpha, A_beta],
 
     which is sqrt(d_beta/d_alpha) sum_{m<d_alpha} w^{km} X[P^m A_alpha, A_beta]
-    since P^{d_alpha} A_alpha = A_alpha.  Only these N^{2r}/r entries of X are
-    built, from the profile, and freed once transformed.  The sector sizes sum
-    to N^r and sector 0 has one row per necklace.
+    since P^{d_alpha} A_alpha = A_alpha.  The sector sizes sum to N^r and
+    sector 0 has one row per necklace.
+
+    Q_{cd,ab} = conj(Q_{ab,cd}), so reversing both words conjugates X:
+    X[RA, RB] = conj(X[A, B]) with R(a_1..a_r) = (a_r..a_1).  R maps orbit
+    alpha onto orbit sigma(alpha), an involution, with
+    R A_alpha = P^{j_alpha} A_sigma(alpha), and since R P = P^{-1} R,
+
+        X_k[sigma alpha, sigma beta] = c_alpha conj(c_beta X_k[alpha, beta]),   c_alpha = w^{k j_alpha}.
+
+    In the basis g_alpha = c_alpha^{1/2} e_alpha (the root w^{k j_alpha/2}
+    is the same for alpha and sigma alpha) this reads
+    X'_k[sigma alpha, sigma beta] = conj(X'_k[alpha, beta]), and X'_k is real
+    symmetric on g_alpha for each palindromic orbit (sigma alpha = alpha) and
+    u = (g_alpha + g_sigma alpha)/sqrt 2, v = i (g_alpha - g_sigma alpha)/sqrt 2
+    for each pair alpha < sigma(alpha).  With s and t the sum and difference
+    of X'_k[alpha, beta] and X'_k[alpha, sigma beta], the entries are Re s
+    (u, u), -Im t (u, v), Im s (v, u) and Re t (v, v).  A palindromic orbit
+    has no v: its row is scaled by 1/sqrt 2, and in its column s is
+    X'_k[alpha, beta] alone, scaled by sqrt 2.  Only rows with
+    sigma(alpha) >= alpha enter, so of the N^{2r}/r entries of X that the
+    sectors need, the share (1 + f)/2 is built from the profile, f being the
+    share of palindromic orbits.  The imaginary parts that the palindromic
+    rows drop (their Im s and Re t) vanish for the true X; their squared norm
+    goes to the contract with the blocks.
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")
@@ -183,11 +215,35 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     q = profile(h)
     digits = multi_indices(h.n, r)
     rots, reps, sizes = _cyclic_orbits(h.n, r)
-    blocks = _product_over_cycle(q, digits[rots[:, reps].ravel()], digits[reps], r)
-    blocks = np.fft.ifft(blocks.reshape(r, len(reps), -1), axis=0)  # (1/r) sum_m w^{km}
-    blocks *= np.sqrt(np.outer(sizes, sizes))
-    keeps = (np.flatnonzero(k * sizes % r == 0) for k in range(r))
-    return _certified_spectrum([b[np.ix_(keep, keep)] for b, keep in zip(blocks, keeps)], q, r)
+    orbit = np.full(h.n**r, -1)  # the orbit of each flat index, as a position in reps
+    orbit[rots[:, reps]] = np.arange(len(reps))
+    reversed_reps = digits[reps] @ h.n ** np.arange(r)
+    sigma = orbit[reversed_reps]
+    shift = (rots[:, reps[sigma]] == reversed_reps).argmax(axis=0)  # j_alpha
+    rows = np.flatnonzero(sigma >= np.arange(len(reps)))
+    gathered = _product_over_cycle(q, digits[rots[:, reps[rows]].ravel()], digits[reps], r)
+    gathered = gathered.reshape(r, len(rows), -1)
+    np.fft.ifft(gathered, axis=0, out=gathered)  # (1/r) sum_m w^{km}
+    blocks, dropped = [], 0.0
+    for k, block in enumerate(gathered):
+        keep = k * sizes[rows] % r == 0
+        pairs = np.flatnonzero(keep & (sigma[rows] > rows))  # positions in rows
+        at = np.concatenate([pairs, np.flatnonzero(keep & (sigma[rows] == rows))])
+        classes = rows[at]
+        cols = np.concatenate([classes, sigma[rows[pairs]]])
+        p, c = len(pairs), len(classes)
+        root = np.exp(1j * np.pi * k * shift / r) * np.sqrt(sizes)  # c^{1/2} sqrt(d)
+        lift = np.ones(len(cols))
+        lift[p:c] = np.sqrt(2)  # the palindromic orbits
+        g = block[at[:, None], cols]  # X_k[alpha, (classes, sigma(pairs))]
+        g *= (root[classes].conj() / lift[:c])[:, None] * (root[cols] * lift)[None, :]
+        t = g[:, :p] - g[:, c:]
+        g[:, :p] += g[:, c:]
+        g[:, c:] = t  # g = [s | t]
+        blocks.append(np.block([[g.real[:, :c], -g.imag[:, c:]],
+                                [g.imag[:p, :c], g.real[:p, c:]]]))
+        dropped += np.linalg.norm(g.imag[p:, :c]) ** 2 + np.linalg.norm(g.real[p:, c:]) ** 2
+    return _certified_spectrum(blocks, q, r, dropped)
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
@@ -404,6 +460,8 @@ def haar_moment_estimate(h, p, k_max=32, tol=1e-8, cap=DEFAULT_CAP):
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     lam = _truncation_spectrum(h, p, cap=cap)
     seq = _cesaro_sequence(lam, p, k_max)
     estimate = float(seq.partial_averages[-1])

@@ -31,6 +31,23 @@ def test_validate_fail_exit_one(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(["duality", "fourier:2", "--p-max", "1", "--r-max", "1", "--tol"],
+                 id="duality-tol"),
+    pytest.param(["dita-check", "--m", "2", "--n", "2", "--seed", "7", "--p-max", "1",
+                  "--r-max", "1", "--tol"], id="dita-check-tol"),
+    pytest.param(["validate", "fourier:2", "--uni-tol"], id="uni-tol"),
+    pytest.param(["validate", "fourier:2", "--orth-tol"], id="orth-tol"),
+])
+def test_tolerance_must_be_finite_and_positive(capsys, command):
+    for value in ("inf", "nan", "-1", "0"):
+        code, out, err = run_cli(capsys, *command, value)
+        assert code == 2 and out == ""
+        assert "must be finite and > 0" in err
+    code, _, _ = run_cli(capsys, *command, "1e-6")
+    assert code == 0
+
+
 def test_validate_dump(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, _, _ = run_cli(capsys, "validate", "fourier:3", "--dump", str(path))

@@ -127,6 +127,17 @@ def test_top_mass_duality_rejects_zero_depth():
         ht.top_mass_duality(ht.fourier(2), 0)
 
 
+@pytest.mark.parametrize("p_max, r_max", [(3, 0), (0, 3)])
+def test_duality_residual_checks_arguments(p_max, r_max):
+    with pytest.raises(ValueError, match="p_max and r_max must be >= 1"):
+        ht.duality_residual(ht.fourier(2), p_max, r_max)
+
+
+def test_fourier_finite_check_rejects_zero_depth():
+    with pytest.raises(ValueError, match="r_max must be >= 1"):
+        ht.fourier_finite_check(3, r_max=0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fourier_finite_check(n):
     assert ht.fourier_finite_check(n)

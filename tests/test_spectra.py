@@ -174,6 +174,12 @@ def test_spectrum_argument_checks():
             call(ht.fourier(2))
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+def test_haar_estimate_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        ht.haar_moment_estimate(ht.build_matrix("dita(2,2;seed=7)"), 2, tol=tol)
+
+
 def test_haar_estimate_is_average_at_k_max():
     h = ht.build_matrix("dita(2,2;seed=7)")
     for k_max in (0, -5):
@@ -587,6 +593,66 @@ def test_cyclic_sector_sizes_depth_four(sectors, tao6):
     # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4}, d = 4
     assert sectors == [336, 315, 330, 315]
     assert _necklaces(6, 4) == 336
+
+
+# Complex X at the inputs and depths the oracle test above does not reach: a
+# conjugation or sign error in the real basis cannot hide behind a real X.
+@pytest.mark.parametrize("h, r", [
+    pytest.param(tao6_matrix(), 4, id="tao6-r4"),
+    pytest.param(ht.build_matrix("dita(3,3;seed=1)"), 3, id="dita33-r3"),
+    pytest.param(ht.build_matrix("transpose(dita(2,3;seed=7))"), 4, id="transpose-dita23-r4"),
+])
+def test_real_sector_blocks_match_gram_vector_oracle(h, r):
+    vals = spectra._gram_spectrum(h, r)
+    oracle = np.sort(np.linalg.svd(ht.gram_vectors(h, r), compute_uv=False) ** 2)
+    assert np.abs(vals - oracle).max() <= 1e-12 * h.n
+    assert np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-2
+
+
+@pytest.mark.parametrize("spec, r, sizes", [
+    ("tao6", 4, [336, 315, 330, 315]),
+    ("dita(3,3;seed=1)", 3, [249, 240, 240]),
+])
+def test_sector_blocks_are_real(monkeypatch, tao6, spec, r, sizes):
+    exact = np.linalg.eigvalsh
+    blocks = []
+
+    def recording(x):
+        blocks.append((x.dtype, len(x)))
+        return exact(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    spectra._gram_spectrum(tao6 if spec == "tao6" else ht.build_matrix(spec), r)
+    assert blocks == [(np.dtype(np.float64), size) for size in sizes]
+
+
+@pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
+                         ids=SPECTRUM_CONSUMERS.keys())
+def test_imaginary_palindromic_row_rejected(monkeypatch, consumer):
+    exact = spectra._product_over_cycle
+
+    def faulty(tensor, rows, cols, r):
+        # X[0...0, 1...1] gains an imaginary part.  Both words are their own
+        # reversal and rotations, so the real block keeps only the real part of
+        # this entry and the fault shows only in what row 0...0 drops.
+        out = exact(tensor, rows, cols, r)
+        out[(rows == 0).all(axis=1)[:, None] & (cols == 1).all(axis=1)[None, :]] += 1e-6j
+        return out
+
+    monkeypatch.setattr(spectra, "_product_over_cycle", faulty)
+    with pytest.raises(MomentImagError, match="not Hermitian"):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+def test_gram_spectrum_gathers_only_rows_reversal_keeps():
+    h = ht.build_matrix("transpose(dita(2,3;seed=7))")
+    tracemalloc.start()
+    try:
+        spectra._gram_spectrum(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6  # 17.8 MB gathering every row into complex blocks
 
 
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
