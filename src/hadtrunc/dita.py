@@ -1,19 +1,14 @@
-"""Structure-exploiting kernels for deformed Fourier matrices.
+"""Entry points for deformed Fourier matrices dita(M, N, Q), on the phase matrix Q.
 
 For H built from F_M, F_N and a phase parameter matrix Q, the profile tensor
-collapses to Kronecker deltas times the kernels
-
-    R^x_{ab,cd} = (1/M) * sum_m w^{mx} Q_ma Q_md / (Q_mc Q_mb),   w = e^{2 pi i/M},
-
-and the depth-r Gram matrix becomes, entrywise,
-
-    X_{IA,JB} = delta(a_1-b_1 = ... = a_r-b_r) * prod_s R^{x_s}_{a_s b_s, a_{s+1} b_{s+1}},
-
-with x_s = u_s - u_{s+1} (mod M) for U = I - J.  So X is a convolution operator
-over Z_M^r, and the delta keeps A - B in the diagonal subgroup Z_N (1, ..., 1),
-whose N^{r-1} cosets split every N-part block.  A discrete Fourier transform
-over U thus leaves M^r N^{r-1} Hermitian N x N blocks, one per frequency and
-coset, which is what the fast spectrum and moments exploit.
+collapses to Kronecker deltas times the kernels R^x of `spectra._r_kernels`,
+and the depth-r Gram matrix becomes a convolution operator over Z_M^r whose
+support keeps A - B in the diagonal subgroup Z_N (1, ..., 1).  A discrete
+Fourier transform over the M-part thus leaves M^r N^{r-1} Hermitian N x N
+blocks, one per frequency and coset.  The kernel and those blocks are built in
+`spectra` (`_structured_kernel`, `_structured_blocks`), whose `_gram_spectrum`
+also routes every matrix it recognizes as a dita, or the transpose of one,
+through them; here they are reached from Q directly.
 The dense pipeline remains the oracle: every structured result is validated
 against it in the tests and before any benchmark timing is reported.
 """
@@ -29,47 +24,13 @@ from . import matrices, spectra
 from .magic import DEFAULT_CAP, check_cap, multi_indices
 
 
-def r_kernels(q):
-    """All kernels R^x, x in Z_M, as an array of shape (M, N, N, N, N)."""
-    q = np.asarray(q, dtype=complex)
-    m = q.shape[0]
-    w = np.exp(2j * np.pi / m)
-    phases = w ** (np.arange(m)[:, None] * np.arange(m)[None, :])  # [x, m]
-    return np.einsum("xm,ma,mb,mc,md->xabcd", phases, q, q.conj(), q.conj(), q) / m
-
-
-def _structured_kernel(q, r):
-    """The nonzero entries of the depth-r Gram matrix, k[U, C, t, t'].
-
-    U is the flat M-part difference I - J in Z_M^r, C the flat coset of the
-    diagonal subgroup Z_N (1, ..., 1) in Z_N^r, with representative A_C whose
-    first digit is 0, and X_{IA,JB} = k[U, C, t, t'] for A = A_C + t (1, ..., 1),
-    B = A_C + t' (1, ..., 1); every other entry of X vanishes.  Shape
-    (M^r, N^{r-1}, N, N).
-    """
-    q = matrices._check_phase_matrix(q)
-    m, n = q.shape
-    kernels = r_kernels(q)
-    u = multi_indices(m, r)
-    reps = multi_indices(n, r)[: n ** (r - 1)]  # the A_C: first digit 0
-    a = (reps[:, None, :] + np.arange(n)[:, None]) % n  # a[C, t, s]
-    out = np.ones((m**r, n ** (r - 1), n, n), dtype=complex)
-    for s in range(r):
-        sp = (s + 1) % r
-        x = (u[:, s] - u[:, sp]) % m
-        out *= kernels[x[:, None, None, None],
-                       a[None, :, :, None, s], a[None, :, None, :, s],
-                       a[None, :, :, None, sp], a[None, :, None, :, sp]]
-    return out
-
-
 def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
-    """Full depth-r Gram matrix scattered from `_structured_kernel` (dense
+    """Full depth-r Gram matrix scattered from `spectra._structured_kernel` (dense
     layout, same index flattening as the generic pipeline); the pairs whose
     N-parts lie in different cosets are zero."""
     m, n = np.shape(q)
     check_cap((m * n) ** r, cap)
-    kernel = _structured_kernel(q, r)
+    kernel = spectra._structured_kernel(q, r)
     place = np.arange(r - 1, -1, -1)
     digits = multi_indices(m * n, r)
     ipart = digits // n @ m**place
@@ -86,15 +47,13 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
 def _structured_spectrum(q, r):
     """Ascending eigenvalues of the depth-r Gram matrix of dita(M, N, Q).
 
-    A Fourier transform over the r U-axes of `_structured_kernel` leaves one
-    Hermitian N x N block per frequency in Z_M^r and coset; all M^r N^{r-1}
-    blocks are solved in one batched eigensolve, certified against the profile
-    of the dense dita(M, N, Q) by `spectra._certified_spectrum`.
+    All M^r N^{r-1} blocks of `spectra._structured_blocks` are solved in one
+    batched eigensolve, certified against the profile of the dense
+    dita(M, N, Q) by `spectra._certified_spectrum`.
     """
     m, n = np.shape(q)
-    kernel = _structured_kernel(q, r).reshape((m,) * r + (-1, n, n))
-    blocks = np.fft.fftn(kernel, axes=tuple(range(r))).reshape(-1, n, n)
-    return spectra._certified_spectrum([blocks], spectra.profile(matrices.dita(m, n, q)), r)
+    return spectra._certified_spectrum([spectra._structured_blocks(q, r)],
+                                       spectra.profile(matrices.dita(m, n, q)), r)
 
 
 def structured_moments(q, p, r, cap=DEFAULT_CAP):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices, spectra
-from .magic import DEFAULT_CAP
+from .magic import DEFAULT_CAP, check_cap
 
 PASS_TOL = 1e-8
 
@@ -52,6 +52,7 @@ def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
     """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1."""
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
+    matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
     table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
     table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
@@ -107,20 +108,25 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     depths 1..r_max.
 
     Each (matrix, depth) spectrum is solved once and gives both the moment
-    column and the atoms.
+    column and the atoms.  Both sides are solved from the cyclic sector blocks
+    (`spectra._sector_spectrum`), never from the structured blocks that
+    `spectra._gram_spectrum` would pick for them, so the comparison does not
+    rest on the structure it is about.
     """
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
+    matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
     h = matrices.dita(m, n, q)
     ht = matrices.transpose(h)
     size = h.n
+    check_cap(size**r_max, cap)
     norms = np.array([float(size**p) for p in range(1, p_max + 1)])
     grid = np.empty((p_max, r_max))
     atoms_ok = True
     for r in range(1, r_max + 1):
-        vals_h = spectra._gram_spectrum(h, r, cap=cap)
-        vals_t = spectra._gram_spectrum(ht, r, cap=cap)
+        vals_h = spectra._sector_spectrum(h, r)
+        vals_t = spectra._sector_spectrum(ht, r)
         c_h, c_t = (spectra._power_sums(vals, p_max) / size**r for vals in (vals_h, vals_t))
         grid[:, r - 1] = np.abs(c_h - c_t) / norms
         atoms_ok &= atoms_agree(spectra._law_from_spectrum(vals_h, size, r),
@@ -136,4 +142,5 @@ def fourier_finite_check(n, r_max=4, tol=1e-10, cap=DEFAULT_CAP):
     matching the cyclic group of order N behind the matrix."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    matrices._check_tolerance("tol", tol)
     return bool(np.all(np.abs(_top_masses(matrices.fourier(n), r_max, cap) - 1.0 / n) <= tol))

@@ -67,6 +67,11 @@ def _check_phase_matrix(q):
     return q
 
 
+def _check_tolerance(name, value):
+    if not 0 < value < np.inf:  # also rejects NaN
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     n: int
@@ -93,6 +98,8 @@ def validate(matrix, uni_tol=UNIMODULARITY_TOL, orth_tol=ORTHOGONALITY_TOL):
     The orthogonality tolerance is scaled by N (off-diagonal Gram entries of
     an exact Hadamard matrix vanish; diagonal ones equal N).
     """
+    _check_tolerance("uni_tol", uni_tol)
+    _check_tolerance("orth_tol", orth_tol)
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")

@@ -17,14 +17,28 @@ tensors of the magic grid, which gives a fully independent cross-check.
 Entrywise T_p(H) = X_p(H^*) / N, so the law, the moment table, the Cesaro
 averages and the Haar moments all reduce one checked Gram spectrum
 (`_gram_spectrum`); the grid-product T_p stays their oracle (`moments_via_T`).
-Rotating a multi-index does not change its cyclic word, so X commutes with
-the cyclic shift P, and the spectrum splits into r blocks of size about
-N^r / r, one per eigenvalue of P.  Reversing both multi-indices conjugates X,
-since Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry maps each block
-to itself, so each is solved as a real symmetric matrix.  The blocks are
-built from the profile, from the rows of one orbit in each reversed pair
-(somewhat over half the rows), without forming X, and certified from the
-profile alone (`_certified_spectrum`).
+`_gram_spectrum` is the one dispatch point, between two routes that pass the
+same contract, computed from the profile of the input alone
+(`_certified_spectrum`):
+
+- Sector blocks (`_sector_spectrum`), for any input.  Rotating a multi-index
+  does not change its cyclic word, so X commutes with the cyclic shift P, and
+  the spectrum splits into r blocks of size about N^r / r, one per eigenvalue
+  of P.  Reversing both multi-indices conjugates X, since
+  Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry maps each block to
+  itself, so each is solved as a real symmetric matrix.  The blocks are built
+  from the profile, from the rows of one orbit in each reversed pair (somewhat
+  over half the rows), without forming X.
+- Structured blocks (`_structured_blocks`), for a deformed Fourier matrix
+  dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab) or its transpose.  The profile of
+  dita(M, N, Q) is a Kronecker delta times the kernels R^x of `_r_kernels`, so
+  X is a convolution over Z_M^r, and a Fourier transform leaves M^r N^{r-1}
+  Hermitian N x N blocks.  An input takes this route only when
+  `_dita_factors` rebuilds it, entry by entry within 1e-14, as such a matrix
+  up to the shuffle (j, b) -> (b, j) of rows and columns, which maps
+  transpose(dita(M, N, Q)) onto dita(N, M, Q^T); no spec or provenance string
+  is read.
+
 `gram_matrix` stays the dense oracle.  Every power sum of a spectrum comes
 from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 """
@@ -41,6 +55,9 @@ from .errors import EigensolverError, MomentImagError
 from .magic import DEFAULT_CAP, check_cap, multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
+# Largest entrywise difference between an input and the dita rebuilt from its
+# entries; shuffled transposes of dita(M, N, Q), M, N <= 5, come within 3.4e-16.
+_DITA_MATCH_TOL = 1e-14
 CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 
 
@@ -147,9 +164,9 @@ def _certified_spectrum(blocks, q, r, dropped=0.0):
     """Ascending eigenvalues of the depth-r Gram matrix X of the profile q, from
     blocks unitarily equivalent to X (each array holds one block or a batch).
 
-    For complex blocks (the structured FFT blocks of `dita`),
+    For complex blocks (the structured FFT blocks of `_structured_blocks`),
     sum ||B - B^*||_F^2 = ||X - X^*||_F^2.  For the real sector blocks of
-    `_gram_spectrum` it is ||X~ - X~^*||_F^2, X~ being the gathered rows
+    `_sector_spectrum` it is ||X~ - X~^*||_F^2, X~ being the gathered rows
     completed by the reversal symmetry, and `dropped` is the squared norm of
     the imaginary parts those blocks discard, which vanish for a true X.  The
     sum must be <= (1e-9 N)^2 (else `MomentImagError`), then the eigenvalues
@@ -172,8 +189,114 @@ def _certified_spectrum(blocks, q, r, dropped=0.0):
     return vals
 
 
+def _r_kernels(q):
+    """All kernels R^x, x in Z_M, of dita(M, N, Q), as an array of shape
+    (M, N, N, N, N):
+
+        R^x_{ab,cd} = (1/M) sum_m w^{mx} Q_ma Q_md / (Q_mc Q_mb),   w = e^{2 pi i/M}.
+
+    The profile of dita(M, N, Q) at columns (i,a), (j,b), (k,c), (l,d) is
+    R^{i+l-k-j}_{ab,cd} when a - b = c - d (mod N), and 0 otherwise.
+    """
+    q = np.asarray(q, dtype=complex)
+    m = q.shape[0]
+    w = np.exp(2j * np.pi / m)
+    phases = w ** (np.arange(m)[:, None] * np.arange(m)[None, :])  # [x, m]
+    return np.einsum("xm,ma,mb,mc,md->xabcd", phases, q, q.conj(), q.conj(), q) / m
+
+
+def _structured_kernel(q, r):
+    """The nonzero entries of the depth-r Gram matrix of dita(M, N, Q), k[U, C, t, t'].
+
+    Entrywise X_{IA,JB} = prod_s R^{x_s}_{a_s b_s, a_{s+1} b_{s+1}} when
+    a_1 - b_1 = ... = a_r - b_r (mod N), and 0 otherwise, with
+    x_s = u_s - u_{s+1} (mod M) for U = I - J.  So X is a convolution over
+    Z_M^r, and A - B stays in the diagonal subgroup Z_N (1, ..., 1).
+    U is the flat M-part difference I - J in Z_M^r, C the flat coset of that
+    subgroup in Z_N^r, with representative A_C whose first digit is 0, and
+    X_{IA,JB} = k[U, C, t, t'] for A = A_C + t (1, ..., 1), B = A_C + t' (1, ..., 1);
+    every other entry of X vanishes.  Shape (M^r, N^{r-1}, N, N).
+    """
+    q = matrices._check_phase_matrix(q)
+    m, n = q.shape
+    kernels = _r_kernels(q)
+    u = multi_indices(m, r)
+    reps = multi_indices(n, r)[: n ** (r - 1)]  # the A_C: first digit 0
+    a = (reps[:, None, :] + np.arange(n)[:, None]) % n  # a[C, t, s]
+    out = np.ones((m**r, n ** (r - 1), n, n), dtype=complex)
+    for s in range(r):
+        sp = (s + 1) % r
+        x = (u[:, s] - u[:, sp]) % m
+        out *= kernels[x[:, None, None, None],
+                       a[None, :, :, None, s], a[None, :, None, :, s],
+                       a[None, :, :, None, sp], a[None, :, None, :, sp]]
+    return out
+
+
+def _structured_blocks(q, r):
+    """The depth-r Gram matrix of dita(M, N, Q) as M^r N^{r-1} Hermitian N x N
+    blocks, one per frequency in Z_M^r and coset: a Fourier transform of
+    `_structured_kernel` over its r U-axes.  Shape (M^r N^{r-1}, N, N)."""
+    m, n = np.shape(q)
+    kernel = _structured_kernel(q, r).reshape((m,) * r + (-1, n, n))
+    return np.fft.fftn(kernel, axes=tuple(range(r))).reshape(-1, n, n)
+
+
+def _dita_factors(arr):
+    """(M, N, Q) such that arr is dita(M, N, Q) with M, N >= 2, up to one
+    permutation of rows and columns that leaves the Gram spectrum unchanged;
+    None when there is none.
+
+    For each factorization len(arr) = M N, two index maps are tried: the
+    identity, and the shuffle (j, b) -> (b, j) on rows and columns, which
+    maps transpose(dita(M, N, Q)) onto dita(N, M, Q^T).  Q is read off the
+    entries at rows (i, 0) and columns (0, b), and the candidate is accepted
+    only when dita(M, N, Q), rebuilt by `matrices.dita`, matches it in every
+    entry within _DITA_MATCH_TOL.
+    """
+    size = arr.shape[0]
+    for m in range(2, size // 2 + 1):
+        if size % m:
+            continue
+        n = size // m
+        shuffle = np.arange(size).reshape(m, n).T.ravel()
+        for outer, inner, cand in ((m, n, arr), (n, m, arr[shuffle[:, None], shuffle])):
+            q = cand[::inner, :inner]
+            try:
+                rebuilt = matrices.dita(outer, inner, q).array
+            except ValueError:  # Q is not unimodular
+                continue
+            if np.abs(rebuilt - cand).max() <= _DITA_MATCH_TOL:
+                return outer, inner, q
+    return None
+
+
 def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     """Ascending eigenvalues of the depth-r Gram matrix X, under `_certified_spectrum`.
+
+    The one dispatch point of every spectrum.  After the depth and the cap
+    N^r are checked, an input that `_dita_factors` recognizes entry by entry
+    as dita(M, N, Q), or as its transpose, is solved from the M^r N^{r-1}
+    blocks of `_structured_blocks`.  Permuting the rows of h leaves its profile
+    unchanged and permuting its columns only permutes X, so the blocks of the
+    recognized dita have the spectrum of X.  Any other
+    input is solved from the cyclic sector blocks of `_sector_spectrum`.  On
+    both routes the blocks are certified against the profile of h itself.
+    """
+    if r < 1:
+        raise ValueError("depth r must be >= 1")
+    check_cap(h.n**r, cap)
+    factors = _dita_factors(h.array)
+    if factors is None:
+        return _sector_spectrum(h, r)
+    _, _, q = factors
+    return _certified_spectrum([_structured_blocks(q, r)], profile(h), r)
+
+
+def _sector_spectrum(h, r):
+    """Ascending eigenvalues of the depth-r Gram matrix X from its cyclic
+    sector blocks, under `_certified_spectrum`; the route that assumes no
+    structure of h beyond that of every X.
 
     Every entry of X is a cyclic word, so X commutes with the cyclic shift P
     and splits into r Hermitian blocks, one per eigenvalue w^k of P
@@ -209,9 +332,6 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     rows drop (their Im s and Re t) vanish for the true X; their squared norm
     goes to the contract with the blocks.
     """
-    if r < 1:
-        raise ValueError("depth r must be >= 1")
-    check_cap(h.n**r, cap)
     q = profile(h)
     digits = multi_indices(h.n, r)
     rots, reps, sizes = _cyclic_orbits(h.n, r)
@@ -460,8 +580,7 @@ def haar_moment_estimate(h, p, k_max=32, tol=1e-8, cap=DEFAULT_CAP):
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    matrices._check_tolerance("tol", tol)
     lam = _truncation_spectrum(h, p, cap=cap)
     seq = _cesaro_sequence(lam, p, k_max)
     estimate = float(seq.partial_averages[-1])

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 import hadtrunc as ht
+from hadtrunc import spectra
+from hadtrunc.errors import EigensolverError, MomentImagError
 
 # Matrices the identity checks run over: Fourier sizes 2..6, one tensor
 # product, and deformed Fourier matrices with a few seeds.
@@ -39,3 +42,40 @@ def corpus_matrix(request, corpus):
 @pytest.fixture(scope="session", params=SMALL_SPECS)
 def small_matrix(request):
     return ht.build_matrix(request.param)
+
+
+# Faults on the structured route (`spectra._structured_blocks`), each with the
+# error the contract must raise: install(monkeypatch), error type, message.
+
+def _skew_kernel(monkeypatch):
+    exact = spectra._structured_kernel
+
+    def skewed(q, r):
+        kernel = exact(q, r)
+        kernel[0, 0, 0, 1] += 1e-6  # one entry of X, not its mirror
+        return kernel
+
+    monkeypatch.setattr(spectra, "_structured_kernel", skewed)
+
+
+def _replace_top_eigenvalue(monkeypatch, replacement):
+    exact = np.linalg.eigvalsh
+
+    def faulty(a):
+        vals = exact(a)
+        top = np.unravel_index(np.argmax(vals), vals.shape)
+        vals[top] = replacement(vals, top)
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+
+
+STRUCTURED_FAULTS = {
+    "skewed-kernel": (_skew_kernel, MomentImagError, "not Hermitian"),
+    "lost-eigenvalue": (lambda mp: _replace_top_eigenvalue(mp, lambda vals, top: 0.0),
+                        EigensolverError, "trace identity"),
+    # the largest eigenvalue is lost, the one below it in its block doubled
+    "duplicated-eigenvalue": (lambda mp: _replace_top_eigenvalue(
+        mp, lambda vals, top: vals[(*top[:-1], top[-1] - 1)]),
+        EigensolverError, "trace identity"),
+}

@@ -7,6 +7,8 @@ import hadtrunc as ht
 from hadtrunc import spectra
 from hadtrunc.cli import main
 
+from conftest import STRUCTURED_FAULTS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -90,9 +92,19 @@ def test_non_hermitian_gram_exit_one(capsys, monkeypatch, command):
         return out
 
     monkeypatch.setattr(spectra, "_product_over_cycle", skewed)
+    monkeypatch.setattr(spectra, "_dita_factors", lambda arr: None)  # the sector route
     code, out, err = run_cli(capsys, *command)
     assert code == 1
     assert out == "" and err.startswith("error:") and "not Hermitian" in err
+
+
+@pytest.mark.parametrize("fault", STRUCTURED_FAULTS.values(), ids=STRUCTURED_FAULTS.keys())
+def test_structured_route_fault_exit_one(capsys, monkeypatch, fault):
+    install, _, match = fault
+    install(monkeypatch)
+    code, out, err = run_cli(capsys, "measure", "dita(2,2;seed=7)", "--r", "2")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and match in err
 
 
 def test_eigensolver_failure_exit_one(capsys, monkeypatch):

@@ -1,16 +1,16 @@
-import importlib
 from itertools import product
 
 import numpy as np
 import pytest
 
 import hadtrunc as ht
-from hadtrunc.dita import (_structured_kernel, _structured_spectrum, bench_structured_vs_dense,
-                           r_kernels, structured_gram_matrix, structured_moments)
+from hadtrunc import spectra
+from hadtrunc.dita import (_structured_spectrum, bench_structured_vs_dense,
+                           structured_gram_matrix, structured_moments)
 from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
-
-dita_mod = importlib.import_module("hadtrunc.dita")  # the package attribute is a function
+from hadtrunc.spectra import _r_kernels as r_kernels
+from hadtrunc.spectra import _structured_kernel
 
 
 # References used only here: entrywise kernel formulas, which the dense layouts
@@ -175,14 +175,14 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
 
 
 def test_structured_skewed_kernel_rejected(monkeypatch):
-    exact = dita_mod._structured_kernel
+    exact = spectra._structured_kernel
 
     def skewed(q, r):
         kernel = exact(q, r)
         kernel[0, 0, 0, 1] += 1e-6
         return kernel
 
-    monkeypatch.setattr(dita_mod, "_structured_kernel", skewed)
+    monkeypatch.setattr(spectra, "_structured_kernel", skewed)
     with pytest.raises(MomentImagError, match="not Hermitian"):
         structured_moments(ht.seeded_phase_matrix(2, 3, 7), 2, 3)
 

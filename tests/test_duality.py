@@ -44,6 +44,26 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sector_solves(monkeypatch):
+    """(matrix provenance, depth) of every sector-route spectrum solved, in
+    order, plus None for every structured block build."""
+    calls = []
+    exact_sector, exact_blocks = spectra._sector_spectrum, spectra._structured_blocks
+
+    def sector(h, r):
+        calls.append((h.provenance, r))
+        return exact_sector(h, r)
+
+    def blocks(q, r):
+        calls.append(None)
+        return exact_blocks(q, r)
+
+    monkeypatch.setattr(spectra, "_sector_spectrum", sector)
+    monkeypatch.setattr(spectra, "_structured_blocks", blocks)
+    return calls
+
+
 @pytest.mark.parametrize("p_max, r_max, depths_h, depths_t", [
     (3, 1, [1], [1, 2, 3]),
     (1, 3, [1, 2, 3], [1]),
@@ -57,12 +77,14 @@ def test_duality_solves_only_read_spectra(solves, p_max, r_max, depths_h, depths
                       + [(f"transpose({name})", r) for r in depths_t])
 
 
-def test_selfduality_solves_each_spectrum_once(solves):
-    # moments and atoms both need depths 1..r_max; each pair is solved once
+def test_selfduality_solves_each_spectrum_once(sector_solves):
+    # moments and atoms both need depths 1..r_max; each pair is solved once,
+    # from the sector blocks: the structured route is never taken
     q = ht.seeded_phase_matrix(2, 2, 7)
     report = ht.dita_selfduality_residual(2, 2, q, 3, 3)
     assert report.passed and report.grid.shape == (3, 3)
-    assert len(solves) == len(set(solves)) == 6  # H and H^t at depths 1..3
+    assert None not in sector_solves
+    assert len(sector_solves) == len(set(sector_solves)) == 6  # H and H^t at depths 1..3
 
 
 def test_duality_report_dict():
@@ -143,7 +165,24 @@ def test_fourier_finite_check(n):
     assert ht.fourier_finite_check(n)
 
 
-def test_fourier_finite_check_rejects_wrong_mass():
-    # an impossible tolerance of 0 still passes because the masses are exact
-    # up to roundoff; an artificial shift must fail
-    assert not ht.fourier_finite_check(3, r_max=2, tol=-1.0)
+def test_fourier_finite_check_rejects_wrong_mass(monkeypatch):
+    # the masses are exact up to roundoff; a mass shifted by 1e-9 must fail
+    exact = spectra.measure_top_mass
+    monkeypatch.setattr(spectra, "measure_top_mass", lambda m: exact(m) + 1e-9)
+    assert not ht.fourier_finite_check(3, r_max=2)
+
+
+TOLERANCE_CALLS = {
+    "duality_residual": lambda tol: ht.duality_residual(
+        ht.build_matrix("dita(2,2;seed=7)"), 2, 2, tol=tol),
+    "dita_selfduality_residual": lambda tol: ht.dita_selfduality_residual(
+        2, 2, ht.seeded_phase_matrix(2, 2, 7), 2, 2, tol=tol),
+    "fourier_finite_check": lambda tol: ht.fourier_finite_check(3, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+def test_tolerance_must_be_finite_and_positive(call, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        call(tol)

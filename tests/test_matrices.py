@@ -147,6 +147,13 @@ def test_validate_rejects_nonsquare():
         ht.validate(np.ones((2, 3), dtype=complex))
 
 
+@pytest.mark.parametrize("name", ["uni_tol", "orth_tol"])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_validate_rejects_bad_tolerance(name, tol):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        ht.validate(ht.fourier(2).array, **{name: tol})
+
+
 def test_hadamard_wrapper_rejects_bad_matrix():
     with pytest.raises(HadamardValidationError):
         ht.hadamard(np.ones((2, 2)))

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from math import gcd
 
@@ -13,7 +14,7 @@ from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
-from conftest import SMALL_SPECS
+from conftest import CORPUS_SPECS, SMALL_SPECS, STRUCTURED_FAULTS
 
 # Tao's 6x6 complex Hadamard matrix is w^E with w = e^{2 pi i/3}; unlike the
 # corpus, its depth-3 Gram matrices are genuinely complex.
@@ -489,6 +490,27 @@ SPECTRUM_CONSUMERS = {
 }
 
 
+@pytest.fixture
+def generic_route(monkeypatch):
+    """Recognize no input as a deformed Fourier matrix, so every spectrum is
+    solved from the cyclic sector blocks."""
+    monkeypatch.setattr(spectra, "_dita_factors", lambda arr: None)
+
+
+@pytest.fixture
+def structured_calls(monkeypatch):
+    """(M, N, r) of every structured block build, in call order."""
+    exact = spectra._structured_blocks
+    calls = []
+
+    def spy(q, r):
+        calls.append((*np.shape(q), r))
+        return exact(q, r)
+
+    monkeypatch.setattr(spectra, "_structured_blocks", spy)
+    return calls
+
+
 def _skew_one_entry(out, rows, cols):
     out[-1, -2] += 1e-6
 
@@ -501,6 +523,7 @@ def _skew_spread(out, rows, cols):
     out[upper] += spectra.EIGEN_RESIDUAL_TOL * 4 / 2
 
 
+@pytest.mark.usefixtures("generic_route")
 @pytest.mark.parametrize("consumer, fault", [
     pytest.param(consumer, fault, id=name + suffix)
     for suffix, fault in (("", _skew_one_entry), ("-spread", _skew_spread))
@@ -519,6 +542,7 @@ def test_non_hermitian_gram_rejected(monkeypatch, consumer, fault):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
+@pytest.mark.usefixtures("generic_route")
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
                          ids=SPECTRUM_CONSUMERS.keys())
 def test_non_cyclic_gram_rejected(monkeypatch, consumer):
@@ -541,12 +565,14 @@ def test_gram_spectrum_never_builds_x(monkeypatch):
         raise AssertionError("the dense Gram matrix was built")
 
     monkeypatch.setattr(spectra, "gram_matrix", forbidden)
-    for consumer in SPECTRUM_CONSUMERS.values():
-        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+    for recognize in (spectra._dita_factors, lambda arr: None):  # structured, then sectors
+        monkeypatch.setattr(spectra, "_dita_factors", recognize)
+        for consumer in SPECTRUM_CONSUMERS.values():
+            consumer(ht.build_matrix("dita(2,2;seed=7)"))
     h = ht.build_matrix("transpose(dita(2,3;seed=7))")
     tracemalloc.start()
     try:
-        spectra._gram_spectrum(h, 4)
+        spectra._sector_spectrum(h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -581,7 +607,7 @@ def _necklaces(n, r):
     pytest.param(ht.build_matrix("transpose(dita(2,3;seed=7))"), 3, id="transpose-dita23-r3"),
 ])
 def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
-    vals = spectra._gram_spectrum(h, r)
+    vals = spectra._sector_spectrum(h, r)
     oracle = np.sort(np.linalg.svd(ht.gram_vectors(h, r), compute_uv=False) ** 2)
     assert np.abs(vals - oracle).max() <= 1e-12 * h.n
     assert len(sectors) == r and sum(sectors) == h.n**r
@@ -589,24 +615,119 @@ def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
 
 
 def test_cyclic_sector_sizes_depth_four(sectors, tao6):
-    spectra._gram_spectrum(tao6, 4)
+    spectra._sector_spectrum(tao6, 4)
     # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4}, d = 4
     assert sectors == [336, 315, 330, 315]
     assert _necklaces(6, 4) == 336
 
 
+def _build(spec):
+    return tao6_matrix() if spec == "tao6" else ht.build_matrix(spec)
+
+
+@functools.cache
+def gram_vector_oracle(spec, r):
+    """Ascending squared singular values of `gram_vectors`: the spectrum of X."""
+    return np.sort(np.linalg.svd(ht.gram_vectors(_build(spec), r), compute_uv=False) ** 2)
+
+
 # Complex X at the inputs and depths the oracle test above does not reach: a
-# conjugation or sign error in the real basis cannot hide behind a real X.
-@pytest.mark.parametrize("h, r", [
-    pytest.param(tao6_matrix(), 4, id="tao6-r4"),
-    pytest.param(ht.build_matrix("dita(3,3;seed=1)"), 3, id="dita33-r3"),
-    pytest.param(ht.build_matrix("transpose(dita(2,3;seed=7))"), 4, id="transpose-dita23-r4"),
+# conjugation or sign error in the real basis, or in the structured blocks of a
+# transposed dita, cannot hide behind a real X.  The routed cases take the
+# structured route.
+@pytest.mark.parametrize("spec, r, spectrum", [
+    pytest.param("tao6", 4, spectra._sector_spectrum, id="tao6-r4"),
+    pytest.param("dita(3,3;seed=1)", 3, spectra._sector_spectrum, id="dita33-r3"),
+    pytest.param("transpose(dita(2,3;seed=7))", 4, spectra._sector_spectrum,
+                 id="transpose-dita23-r4"),
+    pytest.param("dita(3,3;seed=1)", 3, spectra._gram_spectrum, id="dita33-r3-routed"),
+    pytest.param("transpose(dita(2,3;seed=7))", 4, spectra._gram_spectrum,
+                 id="transpose-dita23-r4-routed"),
 ])
-def test_real_sector_blocks_match_gram_vector_oracle(h, r):
-    vals = spectra._gram_spectrum(h, r)
-    oracle = np.sort(np.linalg.svd(ht.gram_vectors(h, r), compute_uv=False) ** 2)
-    assert np.abs(vals - oracle).max() <= 1e-12 * h.n
+def test_real_sector_blocks_match_gram_vector_oracle(structured_calls, spec, r, spectrum):
+    h = _build(spec)
+    vals = spectrum(h, r)
+    assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-2
+    assert len(structured_calls) == (spectrum is spectra._gram_spectrum)
+
+
+DITA_SPECS = [spec for spec in CORPUS_SPECS if spec.startswith("dita")]
+
+
+# The dita corpus and its transposes at every depth up to dim 256 (r <= 4 at
+# N = 4, r <= 3 at N = 6); the routed complex X above reach dims 729 and 1296.
+@pytest.mark.parametrize("spec, r", [
+    (spec, r) for spec in DITA_SPECS + [f"transpose({s})" for s in DITA_SPECS]
+    for r in range(1, 5) if ht.build_matrix(spec).n ** r <= 256
+] + [("fouriergroup:2x3", 3), ("tensor(fourier:2,fourier:3)", 2)])
+def test_routed_spectrum_matches_gram_vector_oracle(structured_calls, spec, r):
+    h = ht.build_matrix(spec)
+    vals = spectra._gram_spectrum(h, r)
+    assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
+    assert len(structured_calls) == 1
+
+
+def _shuffle(m, n):
+    """Index j N + b -> b M + j: row (j, b) of transpose(dita(M, N, Q)) is row
+    (b, j) of dita(N, M, Q^T), and likewise for columns."""
+    return np.arange(m * n).reshape(m, n).T.ravel()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 6))
+def test_transpose_is_shuffled_dita(m, n):
+    order = _shuffle(m, n)
+    for seed in (1, 7, 13, 2024):
+        q = ht.seeded_phase_matrix(m, n, seed)
+        shuffled = ht.transpose(ht.dita(m, n, q)).array[order[:, None], order]
+        assert np.abs(shuffled - ht.dita(n, m, q.T).array).max() <= spectra._DITA_MATCH_TOL
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 3)])
+def test_dita_factors_recognize_dita_and_transpose(m, n):
+    q = ht.seeded_phase_matrix(m, n, 7)
+    h = ht.dita(m, n, q)
+    got_m, got_n, got_q = spectra._dita_factors(h.array)
+    assert (got_m, got_n) == (m, n) and np.array_equal(got_q, q)
+    got_m, got_n, got_q = spectra._dita_factors(ht.transpose(h).array)
+    assert (got_m, got_n) == (n, m) and np.array_equal(got_q, q.T)
+
+
+@pytest.mark.parametrize("spec", ["fouriergroup:2x3", "tensor(fourier:2,fourier:3)"])
+def test_dita_factors_recognize_fourier_group(spec):
+    m, n, q = spectra._dita_factors(ht.build_matrix(spec).array)
+    assert (m, n) == (2, 3) and np.array_equal(q, np.ones((2, 3)))
+
+
+def _phased_dita():
+    """D1 dita(2,3;seed=7) D2 with random unimodular diagonals."""
+    d1, d2 = np.exp(2j * np.pi * np.random.default_rng(3).random((2, 6)))
+    return ht.hadamard(d1[:, None] * ht.build_matrix("dita(2,3;seed=7)").array * d2)
+
+
+def _moved_dita():
+    """dita(2,3;seed=7) with one entry turned by 1e-10 rad."""
+    arr = ht.build_matrix("dita(2,3;seed=7)").array.copy()
+    arr[-1, -2] *= np.exp(1e-10j)
+    return ht.hadamard(arr)
+
+
+@pytest.mark.parametrize("spec", ["fourier:4", "fourier:6", "fourier:8", "tao6", "fourier:2",
+                                  "fourier:3", "fourier:5", "fourier:7", "phased", "moved"])
+def test_dita_factors_reject(monkeypatch, spec):
+    h = {"phased": _phased_dita, "moved": _moved_dita}.get(spec, lambda: _build(spec))()
+    assert spectra._dita_factors(h.array) is None
+    exact = np.linalg.eigvalsh
+    solved = []
+
+    def spy(a):
+        solved.append((a.ndim, a.dtype))
+        return exact(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    spectra._gram_spectrum(h, 2)
+    assert solved == [(2, np.dtype(np.float64))] * 2  # the two real sector blocks
 
 
 @pytest.mark.parametrize("spec, r, sizes", [
@@ -622,10 +743,11 @@ def test_sector_blocks_are_real(monkeypatch, tao6, spec, r, sizes):
         return exact(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    spectra._gram_spectrum(tao6 if spec == "tao6" else ht.build_matrix(spec), r)
+    spectra._sector_spectrum(tao6 if spec == "tao6" else ht.build_matrix(spec), r)
     assert blocks == [(np.dtype(np.float64), size) for size in sizes]
 
 
+@pytest.mark.usefixtures("generic_route")
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
                          ids=SPECTRUM_CONSUMERS.keys())
 def test_imaginary_palindromic_row_rejected(monkeypatch, consumer):
@@ -648,13 +770,14 @@ def test_gram_spectrum_gathers_only_rows_reversal_keeps():
     h = ht.build_matrix("transpose(dita(2,3;seed=7))")
     tracemalloc.start()
     try:
-        spectra._gram_spectrum(h, 4)
+        spectra._sector_spectrum(h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 12e6  # 17.8 MB gathering every row into complex blocks
 
 
+@pytest.mark.usefixtures("generic_route")
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
                          ids=SPECTRUM_CONSUMERS.keys())
 def test_duplicated_eigenvalue_rejected(monkeypatch, consumer):
@@ -669,6 +792,17 @@ def test_duplicated_eigenvalue_rejected(monkeypatch, consumer):
     monkeypatch.setattr(np.linalg, "eigvalsh", duplicating)
     with pytest.raises(EigensolverError, match="trace identity"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+@pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
+                         ids=SPECTRUM_CONSUMERS.keys())
+@pytest.mark.parametrize("fault", STRUCTURED_FAULTS.values(), ids=STRUCTURED_FAULTS.keys())
+def test_structured_route_faults_rejected(monkeypatch, structured_calls, consumer, fault):
+    install, error, match = fault
+    install(monkeypatch)
+    with pytest.raises(error, match=match):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+    assert structured_calls
 
 
 # Tao's matrix adds complex Gram matrices (depth 3) to the real ones of the
