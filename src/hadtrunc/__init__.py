@@ -2,8 +2,7 @@
 complex Hadamard matrices, with a structure-exploiting fast path for deformed
 Fourier matrices."""
 
-from .duality import (DualityReport, dita_selfduality_residual, duality_residual,
-                      fourier_finite_check, top_mass_duality)
+from .duality import DualityReport, dita_selfduality_residual, duality_residual
 from .dita import bench_structured_vs_dense, structured_moments
 from .errors import (CapExceededError, EigensolverError, HadamardValidationError,
                      MagicGridError, MomentImagError, SpecSyntaxError)

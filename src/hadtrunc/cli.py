@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import duality as duality_mod
@@ -30,8 +31,9 @@ def _sig15(value):
 
 
 def _jsonify(obj):
+    """Floats to 15 significant digits, and to null if not finite (RFC 8259)."""
     if isinstance(obj, float):
-        return _sig15(obj)
+        return _sig15(obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

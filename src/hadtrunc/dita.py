@@ -6,9 +6,10 @@ and the depth-r Gram matrix becomes a convolution operator over Z_M^r whose
 support keeps A - B in the diagonal subgroup Z_N (1, ..., 1).  A discrete
 Fourier transform over the M-part thus leaves M^r N^{r-1} Hermitian N x N
 blocks, one per frequency and coset.  The kernel and those blocks are built in
-`spectra` (`_structured_kernel`, `_structured_blocks`), whose `_gram_spectrum`
-also routes every matrix it recognizes as a dita, or the transpose of one,
-through them; here they are reached from Q directly.
+`spectra` (`_structured_kernel`, `_structured_blocks`), and only
+`spectra._gram_spectrum`, the one dispatch point of every spectrum, solves
+them: it recognizes dita(M, N, Q), or its transpose, from its entries, and
+`structured_moments` hands it the matrix built from Q.
 The dense pipeline remains the oracle: every structured result is validated
 against it in the tests and before any benchmark timing is reported.
 """
@@ -28,6 +29,8 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     """Full depth-r Gram matrix scattered from `spectra._structured_kernel` (dense
     layout, same index flattening as the generic pipeline); the pairs whose
     N-parts lie in different cosets are zero."""
+    if r < 1:
+        raise ValueError("depth r must be >= 1")
     m, n = np.shape(q)
     check_cap((m * n) ** r, cap)
     kernel = spectra._structured_kernel(q, r)
@@ -44,26 +47,15 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     return out
 
 
-def _structured_spectrum(q, r):
-    """Ascending eigenvalues of the depth-r Gram matrix of dita(M, N, Q).
-
-    All M^r N^{r-1} blocks of `spectra._structured_blocks` are solved in one
-    batched eigensolve, certified against the profile of the dense
-    dita(M, N, Q) by `spectra._certified_spectrum`.
-    """
-    m, n = np.shape(q)
-    return spectra._certified_spectrum([spectra._structured_blocks(q, r)],
-                                       spectra.profile(matrices.dita(m, n, q)), r)
-
-
 def structured_moments(q, p, r, cap=DEFAULT_CAP):
-    """c_p^r of the deformed Fourier matrix, as a power sum of
-    `_structured_spectrum`; never materializes the (MN)^r dense X."""
+    """c_p^r of the deformed Fourier matrix, as a power sum of the Gram
+    spectrum that `spectra._gram_spectrum` solves from the structured blocks
+    (M, N >= 2); never materializes the (MN)^r dense X."""
     if p < 1 or r < 1:
         raise ValueError("p and r must be >= 1")
     m, n = np.shape(q)
-    check_cap((m * n) ** r, cap)
-    return float(spectra._power_sums(_structured_spectrum(q, r), p)[p - 1] / (m * n) ** r)
+    vals = spectra._gram_spectrum(matrices.dita(m, n, q), r, cap=cap)
+    return float(spectra._power_sums(vals, p)[p - 1] / (m * n) ** r)
 
 
 @dataclass(frozen=True)

@@ -63,35 +63,6 @@ def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
                          max_res < tol, elapsed)
 
 
-@dataclass(frozen=True)
-class TopMassProbe:
-    mass_h: float
-    mass_ht: float
-    gap: float
-
-    def to_dict(self):
-        return {"mass_h": self.mass_h, "mass_ht": self.mass_ht, "gap": self.gap}
-
-
-def _top_masses(h, r_max, cap):
-    """Masses at N of the truncated measures of H at depths 1..r_max."""
-    return np.array([spectra.measure_top_mass(spectra.truncated_law(h, r, cap=cap))
-                     for r in range(1, r_max + 1)])
-
-
-def top_mass_duality(h, r_probe, cap=DEFAULT_CAP):
-    """Masses at N of the depth-averaged truncated measures of H and H^t.
-
-    A finite-depth probe of the limiting top-mass equality; the paper-level
-    statement is about the Cesaro limit, so this is a diagnostic, not a gate.
-    """
-    if r_probe < 1:
-        raise ValueError("r_probe must be >= 1")
-    mass_h = _top_masses(h, r_probe, cap).mean()
-    mass_t = _top_masses(matrices.transpose(h), r_probe, cap).mean()
-    return TopMassProbe(float(mass_h), float(mass_t), float(abs(mass_h - mass_t)))
-
-
 def atoms_agree(m1, m2):
     """Whether two atomic measures coincide: locations within their clustering
     tolerance, weights within 1e-8."""
@@ -135,12 +106,3 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     elapsed = time.perf_counter() - start
     return DualityReport(h.provenance, p_max, r_max, grid, max_res, tol,
                          max_res < tol and atoms_ok, elapsed, atoms_match=atoms_ok)
-
-
-def fourier_finite_check(n, r_max=4, tol=1e-10, cap=DEFAULT_CAP):
-    """For F_N the mass of every truncated measure at N must equal 1/N,
-    matching the cyclic group of order N behind the matrix."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    matrices._check_tolerance("tol", tol)
-    return bool(np.all(np.abs(_top_masses(matrices.fourier(n), r_max, cap) - 1.0 / n) <= tol))

@@ -48,7 +48,6 @@ class MagicGrid:
 
     n: int
     projections: np.ndarray  # shape (N, N, N, N)
-    source_provenance: str = "unknown"
 
     def __post_init__(self):
         self.projections.setflags(write=False)
@@ -114,7 +113,7 @@ def magic_grid(h):
             )
     if not report.passed:
         raise MagicGridError(f"row/column sums fail: {report.to_dict()}")
-    return MagicGrid(h.n, p, h.provenance)
+    return MagicGrid(h.n, p)
 
 
 def verify_magic(grid):

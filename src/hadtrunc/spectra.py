@@ -14,9 +14,10 @@ normalized trace is the depth-r truncated measure, an atomic probability
 measure on [0, N].  The same moments are available through the truncation
 tensors of the magic grid, which gives a fully independent cross-check.
 
-Entrywise T_p(H) = X_p(H^*) / N, so the law, the moment table, the Cesaro
-averages and the Haar moments all reduce one checked Gram spectrum
-(`_gram_spectrum`); the grid-product T_p stays their oracle (`moments_via_T`).
+Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
+spectrum, so the law, the moment table, the Cesaro averages and the Haar
+moments all reduce one checked Gram spectrum (`_gram_spectrum`), the last two
+that of H^t; the grid-product T_p stays their oracle (`moments_via_T`).
 `_gram_spectrum` is the one dispatch point, between two routes that pass the
 same contract, computed from the profile of the input alone
 (`_certified_spectrum`):
@@ -59,13 +60,16 @@ EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace ide
 # entries; shuffled transposes of dita(M, N, Q), M, N <= 5, come within 3.4e-16.
 _DITA_MATCH_TOL = 1e-14
 CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
+HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
 
 
 def profile(h):
-    """Four-index profile tensor Q_{ab,cd}, indices in [0, N)."""
+    """Four-index profile tensor Q_{ab,cd}, indices in [0, N), as one
+    N^2 x N^2 product of the column ratios ab[i, (a, b)] = H_ia conj(H_ib)."""
     arr = h.array
     n = arr.shape[0]
-    return np.einsum("ia,ib,ic,id->abcd", arr, arr.conj(), arr.conj(), arr) / n
+    ab = (arr[:, :, None] * arr.conj()[:, None, :]).reshape(n, n * n)
+    return (ab.T @ ab.conj()).reshape(n, n, n, n) / n
 
 
 def _product_over_cycle(tensor, rows, cols, r):
@@ -369,12 +373,14 @@ def _sector_spectrum(h, r):
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
     """Eigenvalues of the truncation tensor T_p(H), which lie in [0, 1].
 
-    T_p(H) = X_p(H^*) / N entrywise, so T_p is never built: its spectrum is
-    the depth-p Gram spectrum of the adjoint, scaled by 1/N.
+    T_p(H) = X_p(H^*) / N entrywise, so T_p is never built.  The profile of
+    conj(H) is the conjugate of that of H, so X_p(H^t) = conj X_p(H^*) has the
+    same spectrum, and T_p is solved as the depth-p Gram spectrum of H^t over N:
+    `_dita_factors` recognizes the transpose of every dita, not its adjoint.
     """
     if p < 1:
         raise ValueError("word length p must be >= 1")
-    return _gram_spectrum(matrices.adjoint(h), p, cap=cap) / h.n
+    return _gram_spectrum(matrices.transpose(h), p, cap=cap) / h.n
 
 
 @dataclass(frozen=True)
@@ -546,9 +552,9 @@ def cesaro_moments(h, p, k_max, cap=DEFAULT_CAP):
     """Cesaro averages of the depth-r moments c_p^r for r = 1..k_max.
 
     c_p^r = Tr(T_p^r) = sum_lambda lambda^r over the spectrum of T_p, which is
-    that of X_p(H^*) / N; one Hermitian eigensolve of size N^p serves every
-    depth, so deep truncations cost O(N^p) each.  No convergence claim is made
-    here; the last increment is reported as a diagnostic only.
+    that of X_p(H^t) / N (`_truncation_spectrum`); one spectrum of size N^p
+    serves every depth, so deep truncations cost O(N^p) each.  No convergence
+    claim is made here; the last increment is reported as a diagnostic only.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -567,24 +573,25 @@ class HaarMomentEstimate:
                 "converged": self.converged, "gap": self.gap}
 
 
-def haar_moment_estimate(h, p, k_max=32, tol=1e-8, cap=DEFAULT_CAP):
+def haar_moment_estimate(h, p, k_max=32, cap=DEFAULT_CAP):
     """Exact p-th Haar moment plus its Cesaro estimate.
 
-    T_p is PSD with spectrum in [0, 1], so the Cesaro limit of Tr(T_p^r) is
-    the multiplicity of the eigenvalue 1: `rounded` counts the eigenvalues
-    within tol of 1.  `estimate` is the Cesaro average s_{k_max}, and
-    `converged` is set when the last two averages agree within tol and the
-    estimate sits within tol of `rounded`, so never at k_max = 1.  `gap` is 1
-    minus the largest eigenvalue below 1 - tol (1.0 when there is none); it
-    bounds the distance of s_k from the limit by N^p (1 - gap) / (k gap).
+    T_p is PSD with spectrum in [0, 1], that of X_p(H^t) / N
+    (`_truncation_spectrum`), so the Cesaro limit of Tr(T_p^r) is the
+    multiplicity of the eigenvalue 1: `rounded` counts the eigenvalues within
+    HAAR_TOL of 1.  `estimate` is the Cesaro average s_{k_max}, and
+    `converged` is set when the last two averages agree within HAAR_TOL and
+    the estimate sits within HAAR_TOL of `rounded`, so never at k_max = 1.
+    `gap` is 1 minus the largest eigenvalue below 1 - HAAR_TOL (1.0 when
+    there is none); it bounds the distance of s_k from the limit by
+    N^p (1 - gap) / (k gap).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    matrices._check_tolerance("tol", tol)
     lam = _truncation_spectrum(h, p, cap=cap)
     seq = _cesaro_sequence(lam, p, k_max)
     estimate = float(seq.partial_averages[-1])
-    rounded = int((np.abs(lam - 1.0) <= tol).sum())
-    converged = seq.last_increment < tol and abs(estimate - rounded) < tol
-    gap = 1.0 - float(np.max(lam[lam < 1.0 - tol], initial=0.0))
+    rounded = int((np.abs(lam - 1.0) <= HAAR_TOL).sum())
+    converged = seq.last_increment < HAAR_TOL and abs(estimate - rounded) < HAAR_TOL
+    gap = 1.0 - float(np.max(lam[lam < 1.0 - HAAR_TOL], initial=0.0))
     return HaarMomentEstimate(estimate, rounded, converged, gap)

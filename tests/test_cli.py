@@ -5,14 +5,22 @@ import pytest
 
 import hadtrunc as ht
 from hadtrunc import spectra
-from hadtrunc.cli import main
+from hadtrunc.cli import _jsonify, main
 
 from conftest import STRUCTURED_FAULTS
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run_cli(capsys, *argv):
+    """Run the CLI in-process; JSON on stdout must parse strictly, with no
+    NaN or Infinity."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith(("{", "[")):
+        json.loads(captured.out, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -182,6 +190,18 @@ def test_cesaro_csv(capsys):
     assert lines[0] == "k,s_k"
     assert len(lines) == 6
     assert float(lines[-1].split(",")[1]) == pytest.approx(4.0, abs=1e-10)
+
+
+def test_cesaro_single_average_is_strict_json(capsys):
+    # at k_max = 1 there is no last increment: null, not NaN
+    code, out, _ = run_cli(capsys, "cesaro", "fourier:3", "--p", "1", "--k-max", "1")
+    assert code == 0
+    assert json.loads(out)["last_increment"] is None
+
+
+def test_jsonify_maps_non_finite_floats_to_null():
+    data = {"speedup": float("inf"), "grid": [float("nan"), -float("inf"), 0.5]}
+    assert _jsonify(data) == {"speedup": None, "grid": [None, None, 0.5]}
 
 
 def test_duality_command(capsys):

@@ -5,8 +5,7 @@ import pytest
 
 import hadtrunc as ht
 from hadtrunc import spectra
-from hadtrunc.dita import (_structured_spectrum, bench_structured_vs_dense,
-                           structured_gram_matrix, structured_moments)
+from hadtrunc.dita import bench_structured_vs_dense, structured_gram_matrix, structured_moments
 from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import _r_kernels as r_kernels
@@ -155,8 +154,14 @@ def test_structured_gram_matrix_matches_dense(m, n, seed, r):
         assert np.abs(dense.imag).max() > 1e-2
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_structured_gram_matrix_rejects_depth_below_one(r):
+    with pytest.raises(ValueError, match="depth r must be >= 1"):
+        structured_gram_matrix(ht.seeded_phase_matrix(2, 2, 7), r)
+
+
 @pytest.mark.parametrize("m,n,seed,r", [(3, 3, 1, 3), (2, 3, 7, 4), (2, 2, 13, 5)])
-def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
+def test_structured_route_matches_gram_vectors(monkeypatch, m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
     vecs = ht.gram_vectors(ht.dita(m, n, q), r)
     oracle = np.sort(np.linalg.svd(vecs, compute_uv=False) ** 2)
@@ -168,7 +173,7 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    vals = _structured_spectrum(q, r)
+    vals = spectra._gram_spectrum(ht.dita(m, n, q), r)
     assert shapes == [(m**r * n ** (r - 1), n, n)]
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
     assert m**r * _structured_kernel(q, r).size == delta_nonzero_count(m, n, r)

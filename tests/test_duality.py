@@ -132,44 +132,10 @@ def test_atoms_agree():
     assert not atoms_agree(m1, m4)
 
 
-def test_top_mass_duality_fourier():
-    probe = ht.top_mass_duality(ht.fourier(4), 3)
-    assert probe.mass_h == pytest.approx(0.25, abs=1e-10)
-    assert probe.gap < 1e-10
-
-
-def test_top_mass_duality_dita():
-    probe = ht.top_mass_duality(ht.build_matrix("dita(2,2;seed=7)"), 3)
-    assert probe.gap < 1e-8
-    assert 0.0 < probe.mass_h <= 1.0
-
-
-def test_top_mass_duality_rejects_zero_depth():
-    with pytest.raises(ValueError):
-        ht.top_mass_duality(ht.fourier(2), 0)
-
-
 @pytest.mark.parametrize("p_max, r_max", [(3, 0), (0, 3)])
 def test_duality_residual_checks_arguments(p_max, r_max):
     with pytest.raises(ValueError, match="p_max and r_max must be >= 1"):
         ht.duality_residual(ht.fourier(2), p_max, r_max)
-
-
-def test_fourier_finite_check_rejects_zero_depth():
-    with pytest.raises(ValueError, match="r_max must be >= 1"):
-        ht.fourier_finite_check(3, r_max=0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_fourier_finite_check(n):
-    assert ht.fourier_finite_check(n)
-
-
-def test_fourier_finite_check_rejects_wrong_mass(monkeypatch):
-    # the masses are exact up to roundoff; a mass shifted by 1e-9 must fail
-    exact = spectra.measure_top_mass
-    monkeypatch.setattr(spectra, "measure_top_mass", lambda m: exact(m) + 1e-9)
-    assert not ht.fourier_finite_check(3, r_max=2)
 
 
 TOLERANCE_CALLS = {
@@ -177,7 +143,6 @@ TOLERANCE_CALLS = {
         ht.build_matrix("dita(2,2;seed=7)"), 2, 2, tol=tol),
     "dita_selfduality_residual": lambda tol: ht.dita_selfduality_residual(
         2, 2, ht.seeded_phase_matrix(2, 2, 7), 2, 2, tol=tol),
-    "fourier_finite_check": lambda tol: ht.fourier_finite_check(3, tol=tol),
 }
 
 

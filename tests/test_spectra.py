@@ -65,6 +65,14 @@ def test_profile_fourier_is_group_delta(orders):
     assert np.abs(ht.profile(h) - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("h", [tao6_matrix(), ht.build_matrix("dita(3,3;seed=1)")],
+                         ids=["tao6", "dita33-seed1"])
+def test_profile_matches_einsum_formula(h):
+    arr = h.array
+    want = np.einsum("ia,ib,ic,id->abcd", arr, arr.conj(), arr.conj(), arr) / h.n
+    assert np.abs(ht.profile(h) - want).max() <= 1e-14
+
+
 def test_profile_invariants(corpus_matrix):
     q = ht.profile(corpus_matrix)
     n = corpus_matrix.n
@@ -173,12 +181,6 @@ def test_spectrum_argument_checks():
     for call in (lambda h: ht.cesaro_moments(h, 0, 3), lambda h: ht.haar_moment_estimate(h, 0)):
         with pytest.raises(ValueError, match="word length p"):
             call(ht.fourier(2))
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
-def test_haar_estimate_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
-        ht.haar_moment_estimate(ht.build_matrix("dita(2,2;seed=7)"), 2, tol=tol)
 
 
 def test_haar_estimate_is_average_at_k_max():
@@ -448,6 +450,9 @@ def test_truncation_tensor_is_adjoint_gram_tao6(tao6):
         t = ht.truncation_tensor(ht.magic_grid(tao6), p)
         x = ht.gram_matrix(ht.adjoint(tao6), p)
         assert np.abs(t - x / 6).max() < 1e-14
+        # X_p(H^t) = conj X_p(H^*): the matrix whose spectrum T_p is given
+        xt = ht.gram_matrix(ht.transpose(tao6), p)
+        assert np.abs(t - xt.conj() / 6).max() < 1e-14
     assert np.abs(x.imag).max() > 1e-2
 
 
@@ -456,11 +461,13 @@ def _grid_cesaro(h, p, k_max):
     return np.cumsum(moments) / np.arange(1, k_max + 1)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_cesaro_matches_grid_route(small_matrix, p):
-    seq = ht.cesaro_moments(small_matrix, p, 5)
-    np.testing.assert_allclose(seq.partial_averages,
-                               _grid_cesaro(small_matrix, p, 5), rtol=1e-12)
+# dita(3,3;seed=1) at p = 3 has a complex X_3 and takes the structured route.
+@pytest.mark.parametrize("spec, p", [(spec, p) for spec in SMALL_SPECS for p in (1, 2, 3)]
+                         + [("dita(3,3;seed=1)", 3)])
+def test_cesaro_matches_grid_route(spec, p):
+    h = ht.build_matrix(spec)
+    seq = ht.cesaro_moments(h, p, 5)
+    np.testing.assert_allclose(seq.partial_averages, _grid_cesaro(h, p, 5), rtol=1e-12)
 
 
 def test_cesaro_matches_grid_route_tao6(tao6):
@@ -509,6 +516,20 @@ def structured_calls(monkeypatch):
 
     monkeypatch.setattr(spectra, "_structured_blocks", spy)
     return calls
+
+
+@pytest.mark.parametrize("spec", ["dita(3,3;seed=1)", "dita(2,3;seed=7)",
+                                  "transpose(dita(2,3;seed=7))"])
+def test_truncation_spectrum_takes_structured_route(monkeypatch, structured_calls, spec):
+    def forbidden(h, r):
+        raise AssertionError("T_p was solved from the sector blocks")
+
+    monkeypatch.setattr(spectra, "_sector_spectrum", forbidden)
+    h = ht.build_matrix(spec)
+    for consumer in (lambda: ht.cesaro_moments(h, 3, 5), lambda: ht.haar_moment_estimate(h, 3)):
+        structured_calls.clear()
+        consumer()
+        assert len(structured_calls) == 1
 
 
 def _skew_one_entry(out, rows, cols):
