@@ -161,7 +161,7 @@ def test_structured_gram_matrix_rejects_depth_below_one(r):
 
 
 @pytest.mark.parametrize("m,n,seed,r", [(3, 3, 1, 3), (2, 3, 7, 4), (2, 2, 13, 5)])
-def test_structured_route_matches_gram_vectors(monkeypatch, m, n, seed, r):
+def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
     vecs = ht.gram_vectors(ht.dita(m, n, q), r)
     oracle = np.sort(np.linalg.svd(vecs, compute_uv=False) ** 2)

@@ -132,10 +132,57 @@ def test_atoms_agree():
     assert not atoms_agree(m1, m4)
 
 
+def _masses_at_n(h, r_max):
+    """Masses at N of the truncated measures of H at depths 1..r_max."""
+    return np.array([ht.measure_top_mass(ht.truncated_law(h, r)) for r in range(1, r_max + 1)])
+
+
+def test_top_mass_duality_fourier():
+    h = ht.fourier(4)
+    mass_h = _masses_at_n(h, 3).mean()
+    mass_t = _masses_at_n(ht.transpose(h), 3).mean()
+    assert mass_h == pytest.approx(0.25, abs=1e-10)
+    assert abs(mass_h - mass_t) < 1e-10
+
+
+def test_top_mass_duality_dita():
+    h = ht.build_matrix("dita(2,2;seed=7)")
+    mass_h = _masses_at_n(h, 3).mean()
+    mass_t = _masses_at_n(ht.transpose(h), 3).mean()
+    assert abs(mass_h - mass_t) < 1e-8
+    assert 0.0 < mass_h <= 1.0
+
+
+def test_top_mass_duality_rejects_zero_depth():
+    # the top masses of H and H^t are compared atom by atom in
+    # dita_selfduality_residual, which needs at least one depth
+    with pytest.raises(ValueError, match="p_max and r_max must be >= 1"):
+        ht.dita_selfduality_residual(2, 2, ht.seeded_phase_matrix(2, 2, 7), 3, 0)
+
+
 @pytest.mark.parametrize("p_max, r_max", [(3, 0), (0, 3)])
 def test_duality_residual_checks_arguments(p_max, r_max):
     with pytest.raises(ValueError, match="p_max and r_max must be >= 1"):
         ht.duality_residual(ht.fourier(2), p_max, r_max)
+
+
+def test_fourier_finite_check_rejects_zero_depth():
+    # depth 0 is the point mass at N, not 1/N; the spectra start at depth 1
+    assert ht.measure_top_mass(ht.truncated_law(ht.fourier(3), 0)) == 1.0
+    with pytest.raises(ValueError, match="depth r must be >= 1"):
+        spectra._gram_spectrum(ht.fourier(3), 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fourier_finite_check(n):
+    assert np.abs(_masses_at_n(ht.fourier(n), 4) - 1.0 / n).max() <= 1e-10
+
+
+def test_fourier_finite_check_rejects_wrong_mass():
+    # the mass 1/N at every depth is a Fourier feature: a deformed Fourier
+    # matrix of the same size misses it by far more than the 1e-10 tolerance
+    masses = _masses_at_n(ht.build_matrix("dita(2,2;seed=7)"), 3)
+    assert np.abs(masses - 0.25).max() > 1e-2
 
 
 TOLERANCE_CALLS = {

@@ -183,6 +183,14 @@ def test_spectrum_argument_checks():
             call(ht.fourier(2))
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+def test_haar_estimate_rejects_bad_tolerance(tol):
+    # the tolerance is fixed at HAAR_TOL; no caller can set one, good or bad
+    with pytest.raises(TypeError, match="tol"):
+        ht.haar_moment_estimate(ht.build_matrix("dita(2,2;seed=7)"), 2, tol=tol)
+    assert np.isfinite(spectra.HAAR_TOL) and spectra.HAAR_TOL > 0
+
+
 def test_haar_estimate_is_average_at_k_max():
     h = ht.build_matrix("dita(2,2;seed=7)")
     for k_max in (0, -5):
