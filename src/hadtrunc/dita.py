@@ -8,8 +8,9 @@ Fourier transform over the M-part thus leaves M^r N^{r-1} Hermitian N x N
 blocks, one per frequency and coset.  The kernel and those blocks are built in
 `spectra` (`_structured_kernel`, `_structured_blocks`), and only
 `spectra._gram_spectrum`, the one dispatch point of every spectrum, solves
-them: it recognizes dita(M, N, Q), or its transpose, from its entries, and
-`structured_moments` hands it the matrix built from Q.
+them: it recognizes dita(M, N, Q) from its entries, up to row and column
+phases and digit shuffles (which cover its transpose and the Fourier matrix
+F_MN), and `structured_moments` hands it the matrix built from Q.
 The dense pipeline remains the oracle: every structured result is validated
 against it in the tests and before any benchmark timing is reported.
 """
@@ -49,11 +50,14 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
 
 def structured_moments(q, p, r, cap=DEFAULT_CAP):
     """c_p^r of the deformed Fourier matrix, as a power sum of the Gram
-    spectrum that `spectra._gram_spectrum` solves from the structured blocks
-    (M, N >= 2); never materializes the (MN)^r dense X."""
+    spectrum that `spectra._gram_spectrum` solves from the structured blocks;
+    never materializes the (MN)^r dense X.  M, N < 2 is rejected, since no
+    such matrix has the structure and it would take the sector route."""
     if p < 1 or r < 1:
         raise ValueError("p and r must be >= 1")
     m, n = np.shape(q)
+    if min(m, n) < 2:
+        raise ValueError(f"dita(M, N) needs M, N >= 2, got M = {m}, N = {n}")
     vals = spectra._gram_spectrum(matrices.dita(m, n, q), r, cap=cap)
     return float(spectra._power_sums(vals, p)[p - 1] / (m * n) ** r)
 
@@ -91,8 +95,8 @@ def bench_structured_vs_dense(m, n, q, p, r, repetitions=3, cap=DEFAULT_CAP):
     def structured_path():
         return structured_moments(q, p, r, cap=cap)
 
+    structured_val = structured_path()  # first, so that M, N < 2 fails before the dense path
     dense_val = dense_path()
-    structured_val = structured_path()
     scale = max(abs(dense_val), 1.0)
     verified = abs(dense_val - structured_val) <= 1e-9 * scale
     if not verified:

@@ -140,11 +140,12 @@ def hadamard(matrix, provenance="unknown", check=True):
 
 
 def fourier(n):
-    """Fourier matrix F_N = (w^{ij}) with w = exp(2*pi*i/N)."""
+    """Fourier matrix F_N = (w^{ij}) with w = exp(2*pi*i/N), the exponent
+    reduced mod N so that the entries do not lose precision as N grows."""
     if n < 1:
         raise ValueError("Fourier order must be >= 1")
     idx = np.arange(n)
-    arr = np.exp(2j * np.pi * np.outer(idx, idx) / n)
+    arr = np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)
     return HadamardMatrix(arr, f"fourier:{n}")
 
 

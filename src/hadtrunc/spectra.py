@@ -31,14 +31,17 @@ same contract, computed from the profile of the input alone
   from the profile, from the rows of one orbit in each reversed pair (somewhat
   over half the rows), without forming X.
 - Structured blocks (`_structured_blocks`), for a deformed Fourier matrix
-  dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab) or its transpose.  The profile of
-  dita(M, N, Q) is a Kronecker delta times the kernels R^x of `_r_kernels`, so
-  X is a convolution over Z_M^r, and a Fourier transform leaves M^r N^{r-1}
-  Hermitian N x N blocks.  An input takes this route only when
-  `_dita_factors` rebuilds it, entry by entry within 1e-14, as such a matrix
-  up to the shuffle (j, b) -> (b, j) of rows and columns, which maps
-  transpose(dita(M, N, Q)) onto dita(N, M, Q^T); no spec or provenance string
-  is read.
+  dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
+  the spectrum of X.  The profile of dita(M, N, Q) is a Kronecker delta times
+  the kernels R^x of `_r_kernels`, so X is a convolution over Z_M^r, and a
+  Fourier transform leaves M^r N^{r-1} Hermitian N x N blocks.  An input takes
+  this route only when `_dita_factors` rebuilds it, entry by entry within
+  1e-14, as such a matrix after row and column phases and the digit shuffle
+  (j, b) -> (b, j) on its rows, its columns or both.  That covers
+  transpose(dita(M, N, Q)), which is dita(N, M, Q^T) shuffled on both sides,
+  F_MN, which by Cooley-Tukey is dita(M, N, (w_MN^{ib})) with shuffled rows,
+  and D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or
+  provenance string is read.
 
 `gram_matrix` stays the dense oracle.  Every power sum of a spectrum comes
 from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
@@ -57,7 +60,9 @@ from .magic import DEFAULT_CAP, check_cap, multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
 # Largest entrywise difference between an input and the dita rebuilt from its
-# entries; shuffled transposes of dita(M, N, Q), M, N <= 5, come within 3.4e-16.
+# entries.  For M, N <= 5 and seeds 1, 7, 13, dita(M, N, Q) and its shuffled
+# transpose come within 3.6e-16, and both with random row and column phases,
+# dephased, within 8.1e-16; row-shuffled F_4 ... F_64 come within 2.1e-15.
 _DITA_MATCH_TOL = 1e-14
 CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
@@ -247,31 +252,54 @@ def _structured_blocks(q, r):
 
 
 def _dita_factors(arr):
-    """(M, N, Q) such that arr is dita(M, N, Q) with M, N >= 2, up to one
-    permutation of rows and columns that leaves the Gram spectrum unchanged;
+    """(M, N, Q) such that arr is dita(M, N, Q) with M, N >= 2, up to row and
+    column phases and digit shuffles that leave the Gram spectrum unchanged;
     None when there is none.
 
-    For each factorization len(arr) = M N, two index maps are tried: the
-    identity, and the shuffle (j, b) -> (b, j) on rows and columns, which
-    maps transpose(dita(M, N, Q)) onto dita(N, M, Q^T).  Q is read off the
-    entries at rows (i, 0) and columns (0, b), and the candidate is accepted
-    only when dita(M, N, Q), rebuilt by `matrices.dita`, matches it in every
-    entry within _DITA_MATCH_TOL.
+    For each factorization len(arr) = M N, with s the shuffle (b, j) -> (j, b)
+    from Z_N x Z_M onto Z_M x Z_N, four index maps are tried: none, s on rows
+    and columns (transpose(dita(N, M, Q^T)) is dita(M, N, Q) shuffled so), s
+    on rows only (F_MN, by Cooley-Tukey, is dita(M, N, (w_MN^{ib})) with rows
+    i + M a reordered to i N + a), and s on columns only.  Q is read off the
+    entries at rows (i, 0) and columns (0, b), and a candidate is accepted only
+    when dita(M, N, Q), rebuilt from Q and the Fourier matrices of
+    `matrices.fourier`, matches it in every entry within _DITA_MATCH_TOL and
+    Q is unimodular (as `matrices.dita` requires).  The four maps of one
+    factorization are checked as one batch; the first map in that order that
+    matches for any factorization wins.  The entries as given are tried
+    first, so a plain dita returns its own Q, then the dephased entries
+    (first row and column 1), which absorb row and column phases
+    D1 dita(M, N, Q) D2.
     """
     size = arr.shape[0]
-    for m in range(2, size // 2 + 1):
-        if size % m:
-            continue
-        n = size // m
-        shuffle = np.arange(size).reshape(m, n).T.ravel()
-        for outer, inner, cand in ((m, n, arr), (n, m, arr[shuffle[:, None], shuffle])):
-            q = cand[::inner, :inner]
-            try:
-                rebuilt = matrices.dita(outer, inner, q).array
-            except ValueError:  # Q is not unimodular
-                continue
-            if np.abs(rebuilt - cand).max() <= _DITA_MATCH_TOL:
-                return outer, inner, q
+    orders = [(m, size // m) for m in range(2, size // 2 + 1) if size % m == 0]
+    # entries off the unit circle (or NaN) match no dita, and dephasing divides by them
+    if not orders or not np.abs(np.abs(arr) - 1.0).max() <= 1e-12:
+        return None
+    same = np.arange(size)
+    maps = []
+    for m, n in orders:
+        shuffle = same.reshape(n, m).T.ravel()
+        rows = np.array([same, shuffle, shuffle, same])[:, :, None]
+        cols = np.array([same, shuffle, same, shuffle])[:, None, :]
+        waves = np.einsum("ij,ab->iajb", matrices.fourier(m).array, matrices.fourier(n).array)
+        maps.append((m, n, rows, cols, waves))
+    dephased = arr / arr[0]
+    dephased /= dephased[:, :1]
+    for entries in (arr, dephased):
+        found = []
+        for m, n, rows, cols, waves in maps:
+            cands = entries[rows, cols].reshape(4, m, n, m, n)  # [map, i, a, j, b]
+            q = cands[:, :, 0, 0, :]
+            dev = np.abs(q[:, :, None, None, :] * waves - cands).max(axis=(1, 2, 3, 4))
+            found.append((m, n, q, dev))
+        for k in range(4):
+            for m, n, q, dev in found:
+                if dev[k] <= _DITA_MATCH_TOL:
+                    try:
+                        return m, n, matrices._check_phase_matrix(q[k])
+                    except ValueError:  # Q is not unimodular
+                        pass
     return None
 
 
@@ -280,12 +308,14 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
 
     The one dispatch point of every spectrum.  After the depth and the cap
     N^r are checked, an input that `_dita_factors` recognizes entry by entry
-    as dita(M, N, Q), or as its transpose, is solved from the M^r N^{r-1}
-    blocks of `_structured_blocks`.  Permuting the rows of h leaves its profile
-    unchanged and permuting its columns only permutes X, so the blocks of the
-    recognized dita have the spectrum of X.  Any other
-    input is solved from the cyclic sector blocks of `_sector_spectrum`.  On
-    both routes the blocks are certified against the profile of h itself.
+    as dita(M, N, Q), up to row and column phases and digit shuffles, is
+    solved from the M^r N^{r-1} blocks of `_structured_blocks`.  Permuting the
+    rows of h or multiplying them by phases leaves its profile unchanged,
+    column phases cancel around each cycle of X, and permuting the columns
+    only permutes X, so the blocks of the recognized dita have the spectrum of
+    X.  Any other input is solved from the cyclic sector blocks of
+    `_sector_spectrum`.  On both routes the blocks are certified against the
+    profile of h itself.
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")

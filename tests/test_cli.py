@@ -253,6 +253,14 @@ def test_bench_command(capsys):
     assert data["dense_ms"] > 0 and data["structured_ms"] > 0
 
 
+@pytest.mark.parametrize("m, n", [("1", "2"), ("2", "1")])
+def test_bench_degenerate_factor_exit_two(capsys, m, n):
+    code, out, err = run_cli(capsys, "bench", "--m", m, "--n", n, "--seed", "3",
+                             "--p", "2", "--r", "2", "--reps", "1")
+    assert code == 2
+    assert out == "" and "M, N >= 2" in err
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gen", f"file={tmp_path}/nope.json")
     assert code == 2

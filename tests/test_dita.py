@@ -261,6 +261,17 @@ def test_bench_verifies_before_timing():
     assert data["speedup"] == pytest.approx(report.dense_ms / report.structured_ms)
 
 
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (1, 1)])
+def test_structured_moments_rejects_degenerate_factors(m, n):
+    # a 1 x N phase matrix gives no dita structure: it would be timed on the
+    # sector route and reported as a structured speedup
+    q = ht.seeded_phase_matrix(m, n, 3)
+    with pytest.raises(ValueError, match="M, N >= 2"):
+        structured_moments(q, 2, 2)
+    with pytest.raises(ValueError, match="M, N >= 2"):
+        bench_structured_vs_dense(m, n, q, 2, 2, repetitions=1)
+
+
 def test_bench_rejects_zero_reps():
     q = ht.seeded_phase_matrix(2, 2, 7)
     with pytest.raises(ValueError):

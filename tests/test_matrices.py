@@ -27,6 +27,16 @@ def test_fourier_4_entry():
     assert ht.fourier(4).array[3, 3] == pytest.approx(1j, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [18, 64])
+def test_fourier_exponent_is_reduced(n):
+    # exp(2 pi i ij / N) with ij unreduced is off by 1.5e-14 at N = 18 and
+    # 4.1e-14 at N = 64; each entry must be w^(ij mod N) exactly
+    idx = np.arange(n)
+    arr = ht.fourier(n).array
+    assert np.array_equal(arr, np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n))
+    assert np.array_equal(arr, arr[np.outer(idx, idx) % n, 1])
+
+
 def test_fourier_rejects_zero():
     with pytest.raises(ValueError):
         ht.fourier(0)

@@ -540,6 +540,20 @@ def test_truncation_spectrum_takes_structured_route(monkeypatch, structured_call
         assert len(structured_calls) == 1
 
 
+@pytest.mark.parametrize("consumer", [
+    pytest.param(lambda: ht.truncated_law(ht.fourier(8), 3), id="law-fourier8-r3"),
+    pytest.param(lambda: ht.duality_residual(ht.fourier(6), 3, 3), id="duality-fourier6"),
+    pytest.param(lambda: ht.truncated_law(_build("phased"), 4), id="law-phased-dita23-r4"),
+])
+def test_equivalent_dita_takes_structured_route(monkeypatch, structured_calls, consumer):
+    def forbidden(h, r):
+        raise AssertionError("an equivalent dita was solved from the sector blocks")
+
+    monkeypatch.setattr(spectra, "_sector_spectrum", forbidden)
+    consumer()
+    assert structured_calls
+
+
 def _skew_one_entry(out, rows, cols):
     out[-1, -2] += 1e-6
 
@@ -650,8 +664,34 @@ def test_cyclic_sector_sizes_depth_four(sectors, tao6):
     assert _necklaces(6, 4) == 336
 
 
+def _phased(h, cols=True):
+    """D1 h D2 with random unimodular diagonals; D2 = 1 unless cols."""
+    d1, d2 = np.exp(2j * np.pi * np.random.default_rng(3).random((2, h.n)))
+    return ht.hadamard(d1[:, None] * h.array * (d2 if cols else 1.0))
+
+
+def _moved(h):
+    """h with one entry turned by 1e-10 rad."""
+    arr = h.array.copy()
+    arr[-1, -2] *= np.exp(1e-10j)
+    return ht.hadamard(arr)
+
+
+# Inputs that no spec string builds: a dita with phases on its rows and
+# columns, and near-misses one entry away from the dita structure.
+NAMED_INPUTS = {
+    "tao6": tao6_matrix,
+    "phased": lambda: _phased(ht.build_matrix("dita(2,3;seed=7)")),
+    "phased-transpose": lambda: _phased(ht.build_matrix("transpose(dita(2,3;seed=7))")),
+    "row-phased-dita33": lambda: _phased(ht.build_matrix("dita(3,3;seed=1)"), cols=False),
+    "moved": lambda: _moved(ht.build_matrix("dita(2,3;seed=7)")),
+    "moved-fourier:8": lambda: _moved(ht.fourier(8)),
+    "moved-phased": lambda: _moved(NAMED_INPUTS["phased"]()),
+}
+
+
 def _build(spec):
-    return tao6_matrix() if spec == "tao6" else ht.build_matrix(spec)
+    return NAMED_INPUTS[spec]() if spec in NAMED_INPUTS else ht.build_matrix(spec)
 
 
 @functools.cache
@@ -672,6 +712,9 @@ def gram_vector_oracle(spec, r):
     pytest.param("dita(3,3;seed=1)", 3, spectra._gram_spectrum, id="dita33-r3-routed"),
     pytest.param("transpose(dita(2,3;seed=7))", 4, spectra._gram_spectrum,
                  id="transpose-dita23-r4-routed"),
+    # the same complex X as dita33-r3, recognized only once dephased
+    pytest.param("row-phased-dita33", 3, spectra._gram_spectrum,
+                 id="row-phased-dita33-r3-routed"),
 ])
 def test_real_sector_blocks_match_gram_vector_oracle(structured_calls, spec, r, spectrum):
     h = _build(spec)
@@ -684,14 +727,17 @@ def test_real_sector_blocks_match_gram_vector_oracle(structured_calls, spec, r, 
 DITA_SPECS = [spec for spec in CORPUS_SPECS if spec.startswith("dita")]
 
 
-# The dita corpus and its transposes at every depth up to dim 256 (r <= 4 at
-# N = 4, r <= 3 at N = 6); the routed complex X above reach dims 729 and 1296.
+# The dita corpus and its transposes, the Fourier matrices that are row-shuffled
+# ditas, and phased ditas, at every depth up to dim 256 (r <= 4 at N = 4,
+# r <= 3 at N = 6, r <= 2 at N = 8); the routed complex X above reach dims 729
+# and 1296.
 @pytest.mark.parametrize("spec, r", [
     (spec, r) for spec in DITA_SPECS + [f"transpose({s})" for s in DITA_SPECS]
-    for r in range(1, 5) if ht.build_matrix(spec).n ** r <= 256
+    + ["fourier:4", "fourier:6", "fourier:8", "phased", "phased-transpose"]
+    for r in range(1, 5) if _build(spec).n ** r <= 256
 ] + [("fouriergroup:2x3", 3), ("tensor(fourier:2,fourier:3)", 2)])
 def test_routed_spectrum_matches_gram_vector_oracle(structured_calls, spec, r):
-    h = ht.build_matrix(spec)
+    h = _build(spec)
     vals = spectra._gram_spectrum(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert len(structured_calls) == 1
@@ -729,23 +775,37 @@ def test_dita_factors_recognize_fourier_group(spec):
     assert (m, n) == (2, 3) and np.array_equal(q, np.ones((2, 3)))
 
 
-def _phased_dita():
-    """D1 dita(2,3;seed=7) D2 with random unimodular diagonals."""
-    d1, d2 = np.exp(2j * np.pi * np.random.default_rng(3).random((2, 6)))
-    return ht.hadamard(d1[:, None] * ht.build_matrix("dita(2,3;seed=7)").array * d2)
+# Inputs covered by the structure only up to equivalence: Cooley-Tukey
+# row shuffles of F_4, F_6, F_8, and phases on the rows and columns of a dita.
+@pytest.mark.parametrize("spec, m, n", [
+    pytest.param(spec, m, n, id=spec)
+    for spec, m, n in (("fourier:4", 2, 2), ("fourier:6", 2, 3), ("fourier:8", 2, 4),
+                       ("phased", 2, 3))
+])
+def test_dita_factors_recognize_equivalent(structured_calls, spec, m, n):
+    h = _build(spec)
+    assert spectra._dita_factors(h.array)[:2] == (m, n)
+    vals = spectra._gram_spectrum(h, 2)
+    assert structured_calls == [(m, n, 2)]
+    assert np.abs(vals - spectra._sector_spectrum(h, 2)).max() <= 1e-12 * h.n
 
 
-def _moved_dita():
-    """dita(2,3;seed=7) with one entry turned by 1e-10 rad."""
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_dita_factors_recognize_large_fourier(n):
+    assert spectra._dita_factors(ht.fourier(n).array)[:2] == (2, n // 2)
+
+
+def test_dita_factors_reject_off_unit_circle():
     arr = ht.build_matrix("dita(2,3;seed=7)").array.copy()
-    arr[-1, -2] *= np.exp(1e-10j)
-    return ht.hadamard(arr)
+    arr[0, 1] = 0.0  # dephasing would divide by it
+    assert spectra._dita_factors(arr) is None
+    assert spectra._dita_factors(2 * ht.fourier(4).array) is None
 
 
-@pytest.mark.parametrize("spec", ["fourier:4", "fourier:6", "fourier:8", "tao6", "fourier:2",
-                                  "fourier:3", "fourier:5", "fourier:7", "phased", "moved"])
+@pytest.mark.parametrize("spec", ["tao6", "fourier:2", "fourier:3", "fourier:5", "fourier:7",
+                                  "moved", "moved-fourier:8", "moved-phased"])
 def test_dita_factors_reject(monkeypatch, spec):
-    h = {"phased": _phased_dita, "moved": _moved_dita}.get(spec, lambda: _build(spec))()
+    h = _build(spec)
     assert spectra._dita_factors(h.array) is None
     exact = np.linalg.eigvalsh
     solved = []
