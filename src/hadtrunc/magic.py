@@ -88,8 +88,7 @@ def _magic_deviations(p):
     self-adjointness deviations of each P_ij as (N, N) arrays."""
     n = p.shape[0]
     eye = np.eye(n)
-    prod = np.einsum("ijkm,ijml->ijkl", p, p)
-    idem = np.abs(prod - p).max(axis=(2, 3))
+    idem = np.abs(p @ p - p).max(axis=(2, 3))
     sadj = np.abs(p - p.conj().transpose(0, 1, 3, 2)).max(axis=(2, 3))
     row = float(np.abs(p.sum(axis=1) - eye[None, :, :]).max())
     col = float(np.abs(p.sum(axis=0) - eye[None, :, :]).max())
@@ -129,21 +128,22 @@ def truncation_tensor(grid, p, cap=DEFAULT_CAP):
     first a = ceil(p/2) and last b = floor(p/2) letters, tr(AB) =
     (1/N) sum_kl A_kl B_lk, so only the half-word products
     W_k[I, J] = P_{i1 j1} ... P_{ik jk} for k <= a are multiplied out, level
-    by level, and contracted straight into the output.  W_a holds N^{2a+2}
-    entries and the output N^{2p}, so from p = 4 on the output is the peak.
+    by level, and contracted as one batched matmul that writes the output in
+    its own (I_a, I_b, J_a, J_b) layout.  W_a holds N^{2a+2} entries and the
+    output N^{2p}, so from p = 4 on the output is the peak.
     """
     if p < 1:
         raise ValueError("word length p must be >= 1")
     n = grid.n
     dim = n**p
     check_cap(dim, cap)
-    proj = grid.projections
     words = [np.eye(n, dtype=complex)[None, None]]  # words[k] is W_k
     for k in range(1, (p + 1) // 2 + 1):
-        words.append((words[-1][:, None, :, None] @ proj[None, :, None, :])
+        words.append((words[-1][:, None, :, None] @ grid.projections[None, :, None, :])
                      .reshape(n**k, n**k, n, n))
-    # optimize=True would contract through a transposed copy of the output
-    out = np.einsum("xykl,uvlk->xuyv", words[(p + 1) // 2], words[p // 2] / n)
+    w_a, w_b = words[(p + 1) // 2], words[p // 2].transpose(0, 3, 2, 1)  # xykl, uklv
+    w_b = w_b.reshape(1, len(w_b), n * n, len(w_b)) / n
+    out = w_a.reshape(len(w_a), 1, len(w_a), n * n) @ w_b
     return out.reshape(dim, dim)
 
 

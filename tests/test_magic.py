@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
+from hadtrunc import magic
 from hadtrunc.errors import CapExceededError, MagicGridError
 from hadtrunc.magic import MagicGrid, multi_indices
+
+from conftest import tao6_matrix
 
 
 def brute_word_trace(h, a, b):
@@ -65,6 +68,20 @@ def test_magic_grid_rejects_non_hadamard():
         ht.magic_grid(fake)
 
 
+def test_magic_deviations_per_projection(monkeypatch):
+    h = tao6_matrix()
+    p = magic._grid_array(h)
+    p[1, 2] *= 1.5  # (1.5 P)^2 - 1.5 P = 0.75 P: only P_(1,2) stops being idempotent
+    idem = magic._magic_deviations(p)[1]
+    expected = np.array([[np.abs(p[i, j] @ p[i, j] - p[i, j]).max() for j in range(6)]
+                         for i in range(6)])
+    assert np.abs(idem - expected).max() < 1e-15
+    assert np.unravel_index(idem.argmax(), idem.shape) == (1, 2)
+    monkeypatch.setattr(magic, "_grid_array", lambda _: p)
+    with pytest.raises(MagicGridError, match=r"idempotency fails at P_\(1,2\)"):
+        ht.magic_grid(h)
+
+
 def test_truncation_tensor_depth_one(corpus_matrix):
     n = corpus_matrix.n
     t1 = ht.truncation_tensor(ht.magic_grid(corpus_matrix), 1)
@@ -93,6 +110,23 @@ def test_truncation_tensor_matches_brute_traces():
             assert t[flat_a, flat_b] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("h,p", [
+    pytest.param(tao6_matrix(), 3, id="tao6-p3"),  # complex T_3
+    pytest.param(ht.build_matrix("dita(2,3;seed=7)"), 3, id="dita23-seed7-p3"),
+    pytest.param(ht.build_matrix("dita(2,2;seed=7)"), 5, id="dita22-seed7-p5"),
+])
+def test_truncation_tensor_matches_brute_traces_odd(h, p):
+    # odd p, so the first half-word is one letter longer than the second
+    t = ht.truncation_tensor(ht.magic_grid(h), p)
+    dim = h.n**p
+    digits = multi_indices(h.n, p)
+    corners = [(0, 0), (0, dim - 1), (dim - 1, 0), (dim - 1, dim - 1)]
+    interior = np.random.default_rng(2014).integers(1, dim - 1, size=(10, 2))
+    for flat_a, flat_b in [*corners, *interior]:
+        expected = brute_word_trace(h, digits[flat_a], digits[flat_b])
+        assert t[flat_a, flat_b] == pytest.approx(expected, abs=1e-12)
+
+
 def test_truncation_tensor_cap():
     grid = ht.magic_grid(ht.fourier(6))
     with pytest.raises(CapExceededError):
@@ -108,6 +142,21 @@ def test_truncation_tensor_peak_is_one_output():
     finally:
         tracemalloc.stop()
     assert peak < 2 * t.nbytes  # the output is 1296^2 complex entries, 25.6 MiB
+
+
+@pytest.mark.parametrize("spec,p,bound", [
+    ("fourier:6", 4, 1.1),  # the output is the peak
+    ("dita(3,3;seed=1)", 3, 2.1),  # W_2 is as large as the output
+])
+def test_truncation_tensor_written_once(spec, p, bound):
+    grid = ht.magic_grid(ht.build_matrix(spec))
+    tracemalloc.start()
+    try:
+        t = ht.truncation_tensor(grid, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * t.nbytes  # a transposed copy of the output would add 1.0
 
 
 def test_word_integral_depth_zero():

@@ -14,20 +14,7 @@ from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
-from conftest import CORPUS_SPECS, SMALL_SPECS, STRUCTURED_FAULTS
-
-# Tao's 6x6 complex Hadamard matrix is w^E with w = e^{2 pi i/3}; unlike the
-# corpus, its depth-3 Gram matrices are genuinely complex.
-TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
-                  [0, 0, 1, 1, 2, 2],
-                  [0, 1, 0, 2, 2, 1],
-                  [0, 1, 2, 0, 1, 2],
-                  [0, 2, 2, 1, 0, 1],
-                  [0, 2, 1, 2, 1, 0]]
-
-
-def tao6_matrix():
-    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+from conftest import CORPUS_SPECS, SMALL_SPECS, STRUCTURED_FAULTS, tao6_matrix
 
 
 @pytest.fixture(scope="module")
