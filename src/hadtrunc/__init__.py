@@ -14,8 +14,7 @@ from .matrices import (HadamardMatrix, ValidationReport, adjoint, conjugate,
                        seeded_phase_matrix, tensor, transpose, validate)
 from .specs import build_matrix, parse_matrix_spec, unparse
 from .spectra import (MomentTable, SpectralMeasure, cesaro_moments, gram_matrix,
-                      gram_vectors, haar_moment_estimate, measure_top_mass,
-                      moment_table, moments_via_T, moments_via_X, profile,
-                      truncated_law)
+                      haar_moment_estimate, measure_top_mass, moment_table,
+                      moments_via_T, moments_via_X, profile, truncated_law)
 
 __version__ = "0.1.0"

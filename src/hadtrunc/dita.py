@@ -1,18 +1,19 @@
 """Entry points for deformed Fourier matrices dita(M, N, Q), on the phase matrix Q.
 
-For H built from F_M, F_N and a phase parameter matrix Q, the profile tensor
-collapses to Kronecker deltas times the kernels R^x of `spectra._r_kernels`,
-and the depth-r Gram matrix becomes a convolution operator over Z_M^r whose
-support keeps A - B in the diagonal subgroup Z_N (1, ..., 1).  A discrete
-Fourier transform over the M-part thus leaves M^r N^{r-1} Hermitian N x N
-blocks, one per frequency and coset.  The kernel and those blocks are built in
-`spectra` (`_structured_kernel`, `_structured_blocks`), and only
+For H built from F_M, F_N and a phase parameter matrix Q, the depth-r Gram
+matrix is a convolution operator over Z_M^r whose support keeps A - B in the
+diagonal subgroup Z_N (1, ..., 1).  A discrete Fourier transform over the
+M-part thus leaves one N x N block per frequency kappa in Z_M^r and coset:
+V V^* when sum kappa = 0 (mod M), for the closed-form unimodular N x M
+factors V of `spectra._structured_factors`, and zero otherwise.  Only
 `spectra._gram_spectrum`, the one dispatch point of every spectrum, solves
 them: it recognizes dita(M, N, Q) from its entries, up to row and column
 phases and digit shuffles (which cover its transpose and the Fourier matrix
 F_MN), and `structured_moments` hands it the matrix built from Q.
-The dense pipeline remains the oracle: every structured result is validated
-against it in the tests and before any benchmark timing is reported.
+`structured_gram_matrix` undoes the transform to lay the factors out as the
+dense X, which the dense pipeline checks entry by entry: every structured
+result is validated against it in the tests and before any benchmark timing
+is reported.
 """
 
 from __future__ import annotations
@@ -27,20 +28,31 @@ from .magic import DEFAULT_CAP, check_cap, multi_indices
 
 
 def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
-    """Full depth-r Gram matrix scattered from `spectra._structured_kernel` (dense
-    layout, same index flattening as the generic pipeline); the pairs whose
-    N-parts lie in different cosets are zero."""
+    """Full depth-r Gram matrix rebuilt from `spectra._structured_factors` (dense
+    layout, same index flattening as the generic pipeline).
+
+    The blocks V V^* at the frequencies kappa with sum kappa = 0 (mod M), and
+    zero blocks elsewhere, go through one inverse Fourier transform over the r
+    kappa-axes, which gives k[U, C, t, t'] = X_{IA,JB} for U = I - J and
+    A = A_C + t (1, ..., 1), B = A_C + t' (1, ..., 1); the pairs whose N-parts
+    lie in different cosets are zero.
+    """
     if r < 1:
         raise ValueError("depth r must be >= 1")
     m, n = np.shape(q)
     check_cap((m * n) ** r, cap)
-    kernel = spectra._structured_kernel(q, r)
+    v = spectra._structured_factors(q, r)
+    udig = multi_indices(m, r)
+    blocks = np.zeros((m**r, n ** (r - 1), n, n), dtype=complex)
+    blocks[udig.sum(axis=1) % m == 0] = (
+        v @ v.swapaxes(-1, -2).conj()).reshape(-1, n ** (r - 1), n, n)
+    kernel = np.fft.ifftn(blocks.reshape((m,) * r + (-1, n, n)), axes=tuple(range(r)))
+    kernel = kernel.reshape(m**r, -1, n, n)
     place = np.arange(r - 1, -1, -1)
     digits = multi_indices(m * n, r)
     ipart = digits // n @ m**place
     adig = digits % n
     coset = (adig - adig[:, :1]) % n @ n**place
-    udig = multi_indices(m, r)
     diff = (udig[:, None, :] - udig[None, :, :]) % m @ m**place
     out = kernel[diff[ipart[:, None], ipart[None, :]], coset[:, None],
                  adig[:, 0, None], adig[None, :, 0]]

@@ -30,14 +30,18 @@ same contract, computed from the profile of the input alone
   itself, so each is solved as a real symmetric matrix.  The blocks are built
   from the profile, from the rows of one orbit in each reversed pair (somewhat
   over half the rows), without forming X.
-- Structured blocks (`_structured_blocks`), for a deformed Fourier matrix
+- Structured blocks, for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
-  the spectrum of X.  The profile of dita(M, N, Q) is a Kronecker delta times
-  the kernels R^x of `_r_kernels`, so X is a convolution over Z_M^r, and a
-  Fourier transform leaves M^r N^{r-1} Hermitian N x N blocks.  An input takes
-  this route only when `_dita_factors` rebuilds it, entry by entry within
-  1e-14, as such a matrix after row and column phases and the digit shuffle
-  (j, b) -> (b, j) on its rows, its columns or both.  That covers
+  the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
+  keeps A - B in the diagonal subgroup Z_N (1, ..., 1), and a Fourier
+  transform over Z_M^r leaves one block per frequency and coset.  The blocks
+  at frequencies with nonzero digit sum vanish and every other one is V V^*,
+  for the closed-form unimodular N x M factors V of `_structured_factors`, so
+  the spectrum is that of M^{r-1} N^{r-1} Gram matrices of size min(M, N),
+  plus exact zeros.  An input takes this route only when `_dita_factors`
+  rebuilds it, entry by entry within 1e-14, as such a matrix after row and
+  column phases and the digit shuffle (j, b) -> (b, j) on its rows, its
+  columns or both.  That covers
   transpose(dita(M, N, Q)), which is dita(N, M, Q^T) shuffled on both sides,
   F_MN, which by Cooley-Tukey is dita(M, N, (w_MN^{ib})) with shuffled rows,
   and D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or
@@ -171,17 +175,18 @@ def _gram_norms(q, r):
 
 def _certified_spectrum(blocks, q, r, dropped=0.0):
     """Ascending eigenvalues of the depth-r Gram matrix X of the profile q, from
-    blocks unitarily equivalent to X (each array holds one block or a batch).
+    blocks whose eigenvalues together are those of X (each array holds one
+    block or a batch).
 
-    For complex blocks (the structured FFT blocks of `_structured_blocks`),
-    sum ||B - B^*||_F^2 = ||X - X^*||_F^2.  For the real sector blocks of
-    `_sector_spectrum` it is ||X~ - X~^*||_F^2, X~ being the gathered rows
-    completed by the reversal symmetry, and `dropped` is the squared norm of
-    the imaginary parts those blocks discard, which vanish for a true X.  The
-    sum must be <= (1e-9 N)^2 (else `MomentImagError`), then the eigenvalues
-    must reproduce `_gram_norms` to 1e-9 relative (else `EigensolverError`):
-    this certifies the reduction and catches a bad, lost or duplicated
-    eigenvalue.
+    For the real sector blocks of `_sector_spectrum`, sum ||B - B^*||_F^2 is
+    ||X~ - X~^*||_F^2, X~ being the gathered rows completed by the reversal
+    symmetry, and `dropped` is the squared norm of the imaginary parts those
+    blocks discard, which vanish for a true X.  The structured Gram blocks of
+    `_gram_spectrum` are Hermitian by construction, so on that route only the
+    trace identities check the factors.  The sum must be <= (1e-9 N)^2 (else
+    `MomentImagError`), then the eigenvalues must reproduce `_gram_norms` to
+    1e-9 relative (else `EigensolverError`): this certifies the reduction and
+    catches a bad, lost or duplicated eigenvalue.
     """
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
     skew_sq = dropped + sum(np.linalg.norm(b - b.swapaxes(-1, -2).conj()) ** 2
@@ -198,57 +203,33 @@ def _certified_spectrum(blocks, q, r, dropped=0.0):
     return vals
 
 
-def _r_kernels(q):
-    """All kernels R^x, x in Z_M, of dita(M, N, Q), as an array of shape
-    (M, N, N, N, N):
+def _structured_factors(q, r):
+    """The unimodular factors V of the depth-r Gram matrix of dita(M, N, Q), one
+    N x M matrix per frequency kappa in Z_M^r with sum kappa = 0 (mod M) and per
+    coset C of the diagonal subgroup Z_N (1, ..., 1) in Z_N^r:
 
-        R^x_{ab,cd} = (1/M) sum_m w^{mx} Q_ma Q_md / (Q_mc Q_mb),   w = e^{2 pi i/M}.
+        V[t, m0] = prod_s Q[mu_s, a_s] / Q[mu_s, a_{s+1}],   a_{r+1} = a_1,
 
-    The profile of dita(M, N, Q) at columns (i,a), (j,b), (k,c), (l,d) is
-    R^{i+l-k-j}_{ab,cd} when a - b = c - d (mod N), and 0 otherwise.
-    """
-    q = np.asarray(q, dtype=complex)
-    m = q.shape[0]
-    w = np.exp(2j * np.pi / m)
-    phases = w ** (np.arange(m)[:, None] * np.arange(m)[None, :])  # [x, m]
-    return np.einsum("xm,ma,mb,mc,md->xabcd", phases, q, q.conj(), q.conj(), q) / m
-
-
-def _structured_kernel(q, r):
-    """The nonzero entries of the depth-r Gram matrix of dita(M, N, Q), k[U, C, t, t'].
-
-    Entrywise X_{IA,JB} = prod_s R^{x_s}_{a_s b_s, a_{s+1} b_{s+1}} when
-    a_1 - b_1 = ... = a_r - b_r (mod N), and 0 otherwise, with
-    x_s = u_s - u_{s+1} (mod M) for U = I - J.  So X is a convolution over
-    Z_M^r, and A - B stays in the diagonal subgroup Z_N (1, ..., 1).
-    U is the flat M-part difference I - J in Z_M^r, C the flat coset of that
-    subgroup in Z_N^r, with representative A_C whose first digit is 0, and
-    X_{IA,JB} = k[U, C, t, t'] for A = A_C + t (1, ..., 1), B = A_C + t' (1, ..., 1);
-    every other entry of X vanishes.  Shape (M^r, N^{r-1}, N, N).
+    with mu_s = m0 + kappa_1 + ... + kappa_s (mod M) and a = A_C + t (1, ..., 1),
+    A_C the representative of C whose first digit is 0.  A Fourier transform
+    over the M-part of the column multi-indices takes X to blocks, one per
+    frequency and coset, and V V^* is the block at (kappa, C); the blocks with
+    sum kappa != 0 (mod M) vanish.  Shape (M^{r-1} N^{r-1}, N, M), kappa major
+    and both in the row-major order of `multi_indices`.
     """
     q = matrices._check_phase_matrix(q)
     m, n = q.shape
-    kernels = _r_kernels(q)
-    u = multi_indices(m, r)
+    kappa = multi_indices(m, r)
+    kappa = kappa[kappa.sum(axis=1) % m == 0]
+    mu = (np.cumsum(kappa, axis=1)[:, :, None] + np.arange(m)) % m  # mu[kappa, s, m0]
     reps = multi_indices(n, r)[: n ** (r - 1)]  # the A_C: first digit 0
     a = (reps[:, None, :] + np.arange(n)[:, None]) % n  # a[C, t, s]
-    out = np.ones((m**r, n ** (r - 1), n, n), dtype=complex)
+    ratio = q[:, :, None] / q[:, None, :]  # Q[m, a] / Q[m, b]
+    out = np.ones((len(kappa), len(reps), n, m), dtype=complex)
     for s in range(r):
         sp = (s + 1) % r
-        x = (u[:, s] - u[:, sp]) % m
-        out *= kernels[x[:, None, None, None],
-                       a[None, :, :, None, s], a[None, :, None, :, s],
-                       a[None, :, :, None, sp], a[None, :, None, :, sp]]
-    return out
-
-
-def _structured_blocks(q, r):
-    """The depth-r Gram matrix of dita(M, N, Q) as M^r N^{r-1} Hermitian N x N
-    blocks, one per frequency in Z_M^r and coset: a Fourier transform of
-    `_structured_kernel` over its r U-axes.  Shape (M^r N^{r-1}, N, N)."""
-    m, n = np.shape(q)
-    kernel = _structured_kernel(q, r).reshape((m,) * r + (-1, n, n))
-    return np.fft.fftn(kernel, axes=tuple(range(r))).reshape(-1, n, n)
+        out *= ratio[mu[:, None, None, s, :], a[None, :, :, s, None], a[None, :, :, sp, None]]
+    return out.reshape(-1, n, m)
 
 
 def _dita_factors(arr):
@@ -309,13 +290,14 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     The one dispatch point of every spectrum.  After the depth and the cap
     N^r are checked, an input that `_dita_factors` recognizes entry by entry
     as dita(M, N, Q), up to row and column phases and digit shuffles, is
-    solved from the M^r N^{r-1} blocks of `_structured_blocks`.  Permuting the
-    rows of h or multiplying them by phases leaves its profile unchanged,
-    column phases cancel around each cycle of X, and permuting the columns
-    only permutes X, so the blocks of the recognized dita have the spectrum of
-    X.  Any other input is solved from the cyclic sector blocks of
-    `_sector_spectrum`.  On both routes the blocks are certified against the
-    profile of h itself.
+    solved from the factors V of `_structured_factors`: the M x M Gram
+    matrices V^*V when M <= N, else the N x N V V^*, plus the
+    (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros as 1 x 1 blocks.
+    Permuting the rows of h or multiplying them by phases leaves its profile
+    unchanged, column phases cancel around each cycle of X, and permuting the
+    columns only permutes X, so these blocks have the spectrum of X.  Any
+    other input is solved from the cyclic sector blocks of `_sector_spectrum`.
+    On both routes the blocks are certified against the profile of h itself.
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")
@@ -323,8 +305,11 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     factors = _dita_factors(h.array)
     if factors is None:
         return _sector_spectrum(h, r)
-    _, _, q = factors
-    return _certified_spectrum([_structured_blocks(q, r)], profile(h), r)
+    m, n, q = factors
+    v = _structured_factors(q, r)
+    gram = v.swapaxes(-1, -2).conj() @ v if m <= n else v @ v.swapaxes(-1, -2).conj()
+    zeros = np.zeros(((m * n) ** r - gram.shape[0] * gram.shape[1], 1, 1))
+    return _certified_spectrum([gram, zeros], profile(h), r)
 
 
 def _sector_spectrum(h, r):

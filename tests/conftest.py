@@ -3,7 +3,7 @@ import pytest
 
 import hadtrunc as ht
 from hadtrunc import spectra
-from hadtrunc.errors import EigensolverError, MomentImagError
+from hadtrunc.errors import EigensolverError
 
 # Matrices the identity checks run over: Fourier sizes 2..6, one tensor
 # product, and deformed Fourier matrices with a few seeds.
@@ -57,18 +57,18 @@ def small_matrix(request):
     return ht.build_matrix(request.param)
 
 
-# Faults on the structured route (`spectra._structured_blocks`), each with the
+# Faults on the structured route (`spectra._structured_factors`), each with the
 # error the contract must raise: install(monkeypatch), error type, message.
 
-def _skew_kernel(monkeypatch):
-    exact = spectra._structured_kernel
+def _skew_factors(monkeypatch):
+    exact = spectra._structured_factors
 
     def skewed(q, r):
-        kernel = exact(q, r)
-        kernel[0, 0, 0, 1] += 1e-6  # one entry of X, not its mirror
-        return kernel
+        v = exact(q, r)
+        v[0, 0, 0] *= 1 + 1e-6  # one entry of one factor V
+        return v
 
-    monkeypatch.setattr(spectra, "_structured_kernel", skewed)
+    monkeypatch.setattr(spectra, "_structured_factors", skewed)
 
 
 def _replace_top_eigenvalue(monkeypatch, replacement):
@@ -84,7 +84,9 @@ def _replace_top_eigenvalue(monkeypatch, replacement):
 
 
 STRUCTURED_FAULTS = {
-    "skewed-kernel": (_skew_kernel, MomentImagError, "not Hermitian"),
+    # the Gram blocks V^*V are Hermitian whatever V is: the trace identities
+    # catch a skewed factor
+    "skewed-kernel": (_skew_factors, EigensolverError, "trace identity"),
     "lost-eigenvalue": (lambda mp: _replace_top_eigenvalue(mp, lambda vals, top: 0.0),
                         EigensolverError, "trace identity"),
     # the largest eigenvalue is lost, the one below it in its block doubled

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,14 +7,31 @@ import pytest
 import hadtrunc as ht
 from hadtrunc import spectra
 from hadtrunc.dita import bench_structured_vs_dense, structured_gram_matrix, structured_moments
-from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
+from hadtrunc.errors import CapExceededError, EigensolverError
 from hadtrunc.magic import multi_indices
-from hadtrunc.spectra import _r_kernels as r_kernels
-from hadtrunc.spectra import _structured_kernel
+from hadtrunc.spectra import gram_vectors
 
 
 # References used only here: entrywise kernel formulas, which the dense layouts
-# are checked against, and a brute-force support count with its closed form.
+# are checked against, the Fourier-transformed kernel blocks, which the factor
+# spectra are checked against beyond the cap, and a brute-force support count
+# with its closed form.
+
+def r_kernels(q):
+    """All kernels R^x, x in Z_M, of dita(M, N, Q), as an array of shape
+    (M, N, N, N, N):
+
+        R^x_{ab,cd} = (1/M) sum_m w^{mx} Q_ma Q_md / (Q_mc Q_mb),   w = e^{2 pi i/M}.
+
+    The profile of dita(M, N, Q) at columns (i,a), (j,b), (k,c), (l,d) is
+    R^{i+l-k-j}_{ab,cd} when a - b = c - d (mod N), and 0 otherwise.
+    """
+    q = np.asarray(q, dtype=complex)
+    m = q.shape[0]
+    w = np.exp(2j * np.pi / m)
+    phases = w ** (np.arange(m)[:, None] * np.arange(m)[None, :])  # [x, m]
+    return np.einsum("xm,ma,mb,mc,md->xabcd", phases, q, q.conj(), q.conj(), q) / m
+
 
 def r_kernel(q, x):
     """Single kernel slice R^x (x taken mod M)."""
@@ -61,6 +79,45 @@ def structured_gram_entry(q, i_indices, a_indices, j_indices, b_indices):
         x = (i_idx[s] + j_idx[sp] - j_idx[s] - i_idx[sp]) % m
         out *= kernels[x, a_idx[s], b_idx[s], a_idx[sp], b_idx[sp]]
     return complex(out)
+
+
+def structured_kernel(q, r):
+    """The entries of the depth-r Gram matrix of dita(M, N, Q) on its coset
+    support, k[U, C, t, t'] = prod_s R^{u_s - u_{s+1}}_{a_s b_s, a_{s+1} b_{s+1}}
+    for U = I - J, A = A_C + t (1, ..., 1), B = A_C + t' (1, ..., 1), A_C the
+    coset representative whose first digit is 0.  Shape (M^r, N^{r-1}, N, N)."""
+    m, n = q.shape
+    kernels = r_kernels(q)
+    u = multi_indices(m, r)
+    reps = multi_indices(n, r)[: n ** (r - 1)]
+    a = (reps[:, None, :] + np.arange(n)[:, None]) % n  # a[C, t, s]
+    out = np.ones((m**r, n ** (r - 1), n, n), dtype=complex)
+    for s in range(r):
+        sp = (s + 1) % r
+        x = (u[:, s] - u[:, sp]) % m
+        out *= kernels[x[:, None, None, None],
+                       a[None, :, :, None, s], a[None, :, None, :, s],
+                       a[None, :, :, None, sp], a[None, :, None, :, sp]]
+    return out
+
+
+def fft_blocks(q, r):
+    """The M^r N^{r-1} Hermitian N x N blocks of the depth-r Gram matrix, a
+    Fourier transform of `structured_kernel` over its r U-axes, frequency major.
+    Shape (M^r, N^{r-1}, N, N)."""
+    m, n = q.shape
+    kernel = structured_kernel(q, r).reshape((m,) * r + (-1, n, n))
+    return np.fft.fftn(kernel, axes=tuple(range(r))).reshape(m**r, -1, n, n)
+
+
+def coset_support(m, n, r):
+    """Pairs of flat depth-r multi-indices of dita(M, N, Q) whose N-parts
+    differ by a constant (mod N): where X may be nonzero."""
+    a = (multi_indices(m * n, r) % n).astype(np.int8)
+    support = np.ones(((m * n) ** r,) * 2, dtype=bool)
+    for s in range(1, r):
+        support &= (a[:, None, s] - a[None, :, s] - a[:, None, 0] + a[None, :, 0]) % n == 0
+    return support
 
 
 def count_delta_nonzeros(m, n, r):
@@ -160,10 +217,12 @@ def test_structured_gram_matrix_rejects_depth_below_one(r):
         structured_gram_matrix(ht.seeded_phase_matrix(2, 2, 7), r)
 
 
-@pytest.mark.parametrize("m,n,seed,r", [(3, 3, 1, 3), (2, 3, 7, 4), (2, 2, 13, 5)])
+# M > N (the N x N blocks V V^*) at (3, 2) and (4, 2); M <= N (V^*V) otherwise.
+@pytest.mark.parametrize("m,n,seed,r", [(3, 3, 1, 3), (2, 3, 7, 4), (2, 2, 13, 5),
+                                        (3, 2, 1, 3), (4, 2, 3, 3)])
 def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
-    vecs = ht.gram_vectors(ht.dita(m, n, q), r)
+    vecs = gram_vectors(ht.dita(m, n, q), r)
     oracle = np.sort(np.linalg.svd(vecs, compute_uv=False) ** 2)
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -174,21 +233,66 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     vals = spectra._gram_spectrum(ht.dita(m, n, q), r)
-    assert shapes == [(m**r * n ** (r - 1), n, n)]
+    blocks, k = (m * n) ** (r - 1), min(m, n)
+    assert shapes == [(blocks, k, k), ((m * n) ** r - blocks * k, 1, 1)]
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
-    assert m**r * _structured_kernel(q, r).size == delta_nonzero_count(m, n, r)
+    support = coset_support(m, n, r)
+    assert support.sum() == delta_nonzero_count(m, n, r)
+    assert not structured_gram_matrix(q, r)[~support].any()
+    assert np.abs((vecs @ vecs.conj().T)[~support]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m,n,seed,r", [(2, 3, 7, 3), (3, 3, 1, 3), (3, 2, 7, 3),
+                                        (4, 2, 3, 2), (2, 2, 13, 4)])
+def test_factor_blocks_match_fft_blocks(m, n, seed, r):
+    # V V^* is the Fourier block at each frequency with digit sum 0 (mod M),
+    # in the order of `multi_indices`; every other block vanishes
+    q = ht.seeded_phase_matrix(m, n, seed)
+    blocks = fft_blocks(q, r)
+    keep = multi_indices(m, r).sum(axis=1) % m == 0
+    v = spectra._structured_factors(q, r)
+    assert v.shape == ((m * n) ** (r - 1), n, m)
+    assert np.abs(np.abs(v) - 1.0).max() <= 1e-14
+    factor_blocks = (v @ v.swapaxes(-1, -2).conj()).reshape(-1, n ** (r - 1), n, n)
+    assert np.abs(factor_blocks - blocks[keep]).max() <= 1e-13
+    assert np.abs(blocks[~keep]).max(initial=0.0) <= 1e-13
+
+
+# Beyond the cap, where no dense oracle runs: dims 46656, 7776 and 6561, the
+# last with a complex X.
+@pytest.mark.parametrize("m,n,seed,r", [(2, 3, 7, 6), (3, 2, 1, 5), (3, 3, 1, 4)])
+def test_factor_spectrum_beyond_cap_matches_fft_blocks(m, n, seed, r):
+    q = ht.seeded_phase_matrix(m, n, seed)
+    vals = spectra._gram_spectrum(ht.dita(m, n, q), r, cap=(m * n) ** r)
+    oracle = np.sort(np.linalg.eigvalsh(fft_blocks(q, r)).ravel())
+    assert np.abs(vals - oracle).max() <= 1e-12 * m * n
+
+
+def test_factor_spectrum_peak_memory():
+    # The factors V hold (MN)^r entries, a factor N below the kernel that the
+    # Fourier blocks are built from; the Fourier-block route peaked at 6.9 MB
+    h = ht.build_matrix("dita(2,3;seed=7)")
+    tracemalloc.start()
+    try:
+        spectra._gram_spectrum(h, 6, cap=6**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_structured_skewed_kernel_rejected(monkeypatch):
-    exact = spectra._structured_kernel
+    # V^*V is Hermitian whatever V is, so a wrong factor entry shows in the
+    # trace identities
+    exact = spectra._structured_factors
 
     def skewed(q, r):
-        kernel = exact(q, r)
-        kernel[0, 0, 0, 1] += 1e-6
-        return kernel
+        v = exact(q, r)
+        v[0, 0, 0] *= 1 + 1e-6
+        return v
 
-    monkeypatch.setattr(spectra, "_structured_kernel", skewed)
-    with pytest.raises(MomentImagError, match="not Hermitian"):
+    monkeypatch.setattr(spectra, "_structured_factors", skewed)
+    with pytest.raises(EigensolverError, match="trace identity"):
         structured_moments(ht.seeded_phase_matrix(2, 3, 7), 2, 3)
 
 

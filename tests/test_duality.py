@@ -47,20 +47,20 @@ def solves(monkeypatch):
 @pytest.fixture
 def sector_solves(monkeypatch):
     """(matrix provenance, depth) of every sector-route spectrum solved, in
-    order, plus None for every structured block build."""
+    order, plus None for every structured factor build."""
     calls = []
-    exact_sector, exact_blocks = spectra._sector_spectrum, spectra._structured_blocks
+    exact_sector, exact_factors = spectra._sector_spectrum, spectra._structured_factors
 
     def sector(h, r):
         calls.append((h.provenance, r))
         return exact_sector(h, r)
 
-    def blocks(q, r):
+    def factors(q, r):
         calls.append(None)
-        return exact_blocks(q, r)
+        return exact_factors(q, r)
 
     monkeypatch.setattr(spectra, "_sector_spectrum", sector)
-    monkeypatch.setattr(spectra, "_structured_blocks", blocks)
+    monkeypatch.setattr(spectra, "_structured_factors", factors)
     return calls
 
 

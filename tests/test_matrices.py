@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadtrunc as ht
+from hadtrunc.dita import structured_gram_matrix
 from hadtrunc.errors import HadamardValidationError
 from hadtrunc.matrices import matrix_from_dict, matrix_to_dict, splitmix64
 
@@ -108,6 +109,8 @@ def test_dita_rejects_non_finite_phases(bad):
         ht.dita(2, 2, q)
     with pytest.raises(ValueError, match="unimodular"):
         ht.structured_moments(q, 1, 1)
+    with pytest.raises(ValueError, match="unimodular"):
+        structured_gram_matrix(q, 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -82,19 +82,19 @@ def test_profile_tensor_factorizes():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_gram_routes_agree(corpus_matrix, r):
     xp = ht.gram_matrix(corpus_matrix, r)
-    vecs = ht.gram_vectors(corpus_matrix, r)
+    vecs = spectra.gram_vectors(corpus_matrix, r)
     assert np.abs(xp - vecs @ vecs.conj().T).max() < 1e-10
 
 
 def test_gram_routes_agree_depth_four():
     h = ht.build_matrix("dita(2,2;seed=13)")
     xp = ht.gram_matrix(h, 4)
-    vecs = ht.gram_vectors(h, 4)
+    vecs = spectra.gram_vectors(h, 4)
     assert np.abs(xp - vecs @ vecs.conj().T).max() < 1e-10
 
 
 def test_gram_vectors_unit_norm(small_matrix):
-    vecs = ht.gram_vectors(small_matrix, 3)
+    vecs = spectra.gram_vectors(small_matrix, 3)
     assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() < 1e-12
 
 
@@ -501,15 +501,15 @@ def generic_route(monkeypatch):
 
 @pytest.fixture
 def structured_calls(monkeypatch):
-    """(M, N, r) of every structured block build, in call order."""
-    exact = spectra._structured_blocks
+    """(M, N, r) of every structured factor build, in call order."""
+    exact = spectra._structured_factors
     calls = []
 
     def spy(q, r):
         calls.append((*np.shape(q), r))
         return exact(q, r)
 
-    monkeypatch.setattr(spectra, "_structured_blocks", spy)
+    monkeypatch.setattr(spectra, "_structured_factors", spy)
     return calls
 
 
@@ -638,7 +638,7 @@ def _necklaces(n, r):
 ])
 def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
     vals = spectra._sector_spectrum(h, r)
-    oracle = np.sort(np.linalg.svd(ht.gram_vectors(h, r), compute_uv=False) ** 2)
+    oracle = np.sort(np.linalg.svd(spectra.gram_vectors(h, r), compute_uv=False) ** 2)
     assert np.abs(vals - oracle).max() <= 1e-12 * h.n
     assert len(sectors) == r and sum(sectors) == h.n**r
     assert sectors[0] == _necklaces(h.n, r)
@@ -684,7 +684,7 @@ def _build(spec):
 @functools.cache
 def gram_vector_oracle(spec, r):
     """Ascending squared singular values of `gram_vectors`: the spectrum of X."""
-    return np.sort(np.linalg.svd(ht.gram_vectors(_build(spec), r), compute_uv=False) ** 2)
+    return np.sort(np.linalg.svd(spectra.gram_vectors(_build(spec), r), compute_uv=False) ** 2)
 
 
 # Complex X at the inputs and depths the oracle test above does not reach: a
