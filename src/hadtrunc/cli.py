@@ -199,10 +199,11 @@ def _seed(text):
     return value
 
 
-def _add_common(sub, formats=("json",)):
+def _add_common(sub, formats=("json",), cap=True):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                     help="dense size cap on N^p / N^r")
+    if cap:
+        sub.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                         help="dense size cap on N^p / N^r")
     if len(formats) > 1:
         sub.add_argument("--format", choices=formats, default="json")
 
@@ -220,12 +221,12 @@ def build_parser():
     p.add_argument("--uni-tol", type=_positive_float, default=matrices.UNIMODULARITY_TOL)
     p.add_argument("--orth-tol", type=_positive_float, default=matrices.ORTHOGONALITY_TOL)
     p.add_argument("--dump", default=None, help="also write the matrix as JSON")
-    _add_common(p)
+    _add_common(p, cap=False)
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("gen", help="write a spec'd matrix as JSON")
     p.add_argument("spec")
-    _add_common(p)
+    _add_common(p, cap=False)
     p.set_defaults(func=_cmd_gen)
 
     p = subs.add_parser("measure", help="truncated spectral measure at depth r")

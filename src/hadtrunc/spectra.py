@@ -18,9 +18,9 @@ Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
 moments all reduce one checked Gram spectrum (`_gram_spectrum`), the last two
 that of H^t; the grid-product T_p stays their oracle (`moments_via_T`).
-`_gram_spectrum` is the one dispatch point, between two routes that pass the
-same contract, computed from the profile of the input alone
-(`_certified_spectrum`):
+`_gram_spectrum` is the one dispatch point, between two routes whose
+spectra pass the same contract, computed from the profile of the input alone
+(`_certified_spectrum`): N^r eigenvalues that reproduce Tr X and ||X||_F^2.
 
 - Sector blocks (`_sector_spectrum`), for any input.  Rotating a multi-index
   does not change its cyclic word, so X commutes with the cyclic shift P, and
@@ -29,7 +29,7 @@ same contract, computed from the profile of the input alone
   Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry maps each block to
   itself, so each is solved as a real symmetric matrix.  The blocks are built
   from the profile, from the rows of one orbit in each reversed pair (somewhat
-  over half the rows), without forming X.
+  over half the rows), without forming X, and checked to be Hermitian.
 - Structured blocks, for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
   the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
@@ -173,28 +173,17 @@ def _gram_norms(q, r):
     return float(n**r), float(_trace_power(k, r))
 
 
-def _certified_spectrum(blocks, q, r, dropped=0.0):
-    """Ascending eigenvalues of the depth-r Gram matrix X of the profile q, from
-    blocks whose eigenvalues together are those of X (each array holds one
-    block or a batch).
-
-    For the real sector blocks of `_sector_spectrum`, sum ||B - B^*||_F^2 is
-    ||X~ - X~^*||_F^2, X~ being the gathered rows completed by the reversal
-    symmetry, and `dropped` is the squared norm of the imaginary parts those
-    blocks discard, which vanish for a true X.  The structured Gram blocks of
-    `_gram_spectrum` are Hermitian by construction, so on that route only the
-    trace identities check the factors.  The sum must be <= (1e-9 N)^2 (else
-    `MomentImagError`), then the eigenvalues must reproduce `_gram_norms` to
-    1e-9 relative (else `EigensolverError`): this certifies the reduction and
-    catches a bad, lost or duplicated eigenvalue.
-    """
-    tol = EIGEN_RESIDUAL_TOL * q.shape[0]
-    skew_sq = dropped + sum(np.linalg.norm(b - b.swapaxes(-1, -2).conj()) ** 2
-                            for b in blocks)
-    if not skew_sq <= tol**2:  # also rejects NaN
-        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
-                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+def _certified_spectrum(vals, q, r):
+    """The eigenvalues vals of the depth-r Gram matrix X of the profile q,
+    sorted in place, once they pass the contract of both routes, else
+    `EigensolverError`: N^r of them (the trace identities miss a lost zero)
+    that reproduce `_gram_norms` to 1e-9 relative, which catches a bad,
+    lost or duplicated eigenvalue."""
+    vals.sort()
+    dim = q.shape[0] ** r
+    if len(vals) != dim:
+        raise EigensolverError(f"depth-{r} spectrum has {len(vals)} eigenvalues, "
+                               f"not N^r = {dim}")
     for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals),
                                _gram_norms(q, r)):
         if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
@@ -290,14 +279,15 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     The one dispatch point of every spectrum.  After the depth and the cap
     N^r are checked, an input that `_dita_factors` recognizes entry by entry
     as dita(M, N, Q), up to row and column phases and digit shuffles, is
-    solved from the factors V of `_structured_factors`: the M x M Gram
-    matrices V^*V when M <= N, else the N x N V V^*, plus the
-    (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros as 1 x 1 blocks.
+    solved from the factors V of `_structured_factors`: one `eigvalsh` of
+    the batch of M x M Gram matrices V^*V when M <= N, else of the N x N
+    V V^*, and the (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros appended.
     Permuting the rows of h or multiplying them by phases leaves its profile
     unchanged, column phases cancel around each cycle of X, and permuting the
-    columns only permutes X, so these blocks have the spectrum of X.  Any
+    columns only permutes X, so these blocks have the spectrum of X.  Q is
+    unimodular (`_dita_factors` checks it), so V is finite and V^*V Hermitian:
+    the contract, against the profile of h itself, is the whole check.  Any
     other input is solved from the cyclic sector blocks of `_sector_spectrum`.
-    On both routes the blocks are certified against the profile of h itself.
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")
@@ -308,8 +298,8 @@ def _gram_spectrum(h, r, cap=DEFAULT_CAP):
     m, n, q = factors
     v = _structured_factors(q, r)
     gram = v.swapaxes(-1, -2).conj() @ v if m <= n else v @ v.swapaxes(-1, -2).conj()
-    zeros = np.zeros(((m * n) ** r - gram.shape[0] * gram.shape[1], 1, 1))
-    return _certified_spectrum([gram, zeros], profile(h), r)
+    vals = np.linalg.eigvalsh(gram).ravel()  # then the zeros of the vanishing blocks
+    return _certified_spectrum(np.append(vals, np.zeros((m * n) ** r - len(vals))), profile(h), r)
 
 
 def _sector_spectrum(h, r):
@@ -348,8 +338,11 @@ def _sector_spectrum(h, r):
     sigma(alpha) >= alpha enter, so of the N^{2r}/r entries of X that the
     sectors need, the share (1 + f)/2 is built from the profile, f being the
     share of palindromic orbits.  The imaginary parts that the palindromic
-    rows drop (their Im s and Re t) vanish for the true X; their squared norm
-    goes to the contract with the blocks.
+    rows drop (their Im s and Re t) vanish for the true X.  These are the
+    only blocks that can fail to be Hermitian: before any is solved,
+    sum ||B - B^T||_F^2 (that is ||X~ - X~^*||_F^2, X~ the gathered rows
+    completed by the reversal symmetry) plus the squared norm `dropped` of
+    those imaginary parts must be <= (1e-9 N)^2, else `MomentImagError`.
     """
     q = profile(h)
     digits = multi_indices(h.n, r)
@@ -382,7 +375,12 @@ def _sector_spectrum(h, r):
         blocks.append(np.block([[g.real[:, :c], -g.imag[:, c:]],
                                 [g.imag[:p, :c], g.real[:p, c:]]]))
         dropped += np.linalg.norm(g.imag[p:, :c]) ** 2 + np.linalg.norm(g.real[p:, c:]) ** 2
-    return _certified_spectrum(blocks, q, r, dropped)
+    tol = EIGEN_RESIDUAL_TOL * h.n
+    skew_sq = dropped + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
+    if not skew_sq <= tol**2:  # also rejects NaN
+        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
+                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
+    return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), q, r)
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
@@ -457,8 +455,7 @@ def truncated_law(h, r, cap=DEFAULT_CAP):
     """Truncated measure at depth r, from the Hermitian eigenvalues of X.
 
     Depth 0 is the point mass at N.  The eigenvalues come from
-    `_gram_spectrum`, so the law is trusted only once its blocks pass the
-    Hermiticity and trace-identity contract.
+    `_gram_spectrum`, so the law is trusted only once they pass its checks.
     """
     if r < 0:
         raise ValueError("depth r must be >= 0")

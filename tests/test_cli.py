@@ -81,6 +81,14 @@ def test_missing_required_flag_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["validate", "fourier:5", "--cap", "5"],
+                                     ["gen", "fourier:2", "--cap", "1"]])
+def test_cap_refused_where_nothing_is_capped(capsys, command):
+    # neither command builds anything that the size cap limits
+    assert main(command) == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exit_three(capsys):
     code, _, err = run_cli(capsys, "measure", "fourier:6", "--r", "5")
     assert code == 3

@@ -234,7 +234,9 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     vals = spectra._gram_spectrum(ht.dita(m, n, q), r)
     blocks, k = (m * n) ** (r - 1), min(m, n)
-    assert shapes == [(blocks, k, k), ((m * n) ** r - blocks * k, 1, 1)]
+    assert shapes == [(blocks, k, k)]  # one batch; the zeros are appended, not solved
+    assert len(vals) == (m * n) ** r
+    assert (vals == 0.0).sum() >= (m * n) ** r - blocks * k
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
     support = coset_support(m, n, r)
     assert support.sum() == delta_nonzero_count(m, n, r)
@@ -271,14 +273,19 @@ def test_factor_spectrum_beyond_cap_matches_fft_blocks(m, n, seed, r):
 def test_factor_spectrum_peak_memory():
     # The factors V hold (MN)^r entries, a factor N below the kernel that the
     # Fourier blocks are built from; the Fourier-block route peaked at 6.9 MB
-    h = ht.build_matrix("dita(2,3;seed=7)")
-    tracemalloc.start()
-    try:
-        spectra._gram_spectrum(h, 6, cap=6**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    # at dita(2,3;seed=7), r = 6.  The zeros are appended, not solved as 1 x 1
+    # blocks, and the Gram batch gets no Hermiticity temporary: with both, the
+    # peaks were 2.64 and 4.33 MB at the last two cases.
+    for spec, r, bound in [("dita(2,3;seed=7)", 6, 4e6), ("dita(2,3;seed=7)", 6, 2.4e6),
+                           ("dita(3,3;seed=1)", 5, 3.8e6)]:
+        h = ht.build_matrix(spec)
+        tracemalloc.start()
+        try:
+            spectra._gram_spectrum(h, r, cap=h.n**r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (spec, r, peak)
 
 
 def test_structured_skewed_kernel_rejected(monkeypatch):

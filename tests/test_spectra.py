@@ -579,14 +579,15 @@ def test_non_cyclic_gram_rejected(monkeypatch, consumer):
     exact = spectra._cyclic_orbits
 
     def unrotated(n, r):
-        # Every "rotation" is the identity: the sector blocks stay Hermitian
-        # with trace N^r, but no longer represent X.
+        # Every "rotation" is the identity: the sector blocks stay Hermitian,
+        # but only the orbit minima are labelled, so they lose most rows of X
+        # (4 eigenvalues of 256 at depth 4).
         rots, reps, sizes = exact(n, r)
         rots[:] = rots[0]
         return rots, reps, sizes
 
     monkeypatch.setattr(spectra, "_cyclic_orbits", unrotated)
-    with pytest.raises(EigensolverError, match="trace identity"):
+    with pytest.raises(EigensolverError, match=r"eigenvalues, not N\^r = "):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
@@ -870,6 +871,22 @@ def test_duplicated_eigenvalue_rejected(monkeypatch, consumer):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
+@pytest.mark.usefixtures("generic_route")
+@pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
+                         ids=SPECTRUM_CONSUMERS.keys())
+def test_lost_zero_eigenvalue_rejected(monkeypatch, consumer):
+    exact = np.linalg.eigvalsh
+
+    def losing_zero(x):
+        # a zero eigenvalue changes neither trace identity; only the count sees it
+        vals = exact(x)
+        return vals[1:] if abs(vals[0]) <= 1e-9 else vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", losing_zero)
+    with pytest.raises(EigensolverError, match=r"eigenvalues, not N\^r = "):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
                          ids=SPECTRUM_CONSUMERS.keys())
 @pytest.mark.parametrize("fault", STRUCTURED_FAULTS.values(), ids=STRUCTURED_FAULTS.keys())
@@ -881,10 +898,11 @@ def test_structured_route_faults_rejected(monkeypatch, structured_calls, consume
     assert structured_calls
 
 
-# Tao's matrix adds complex Gram matrices (depth 3) to the real ones of the
-# deformed Fourier matrices.
+# Tao's matrix and dita(3,3;seed=1) add complex Gram matrices (depth 3) to the
+# real ones of the other deformed Fourier matrices; dita(3,3;seed=1) itself
+# takes the structured route, its conjugate and permuted copies the sector route.
 PROPERTY_MATRICES = [tao6_matrix(), ht.build_matrix("dita(3,2;seed=1)"),
-                     ht.build_matrix("dita(2,3;seed=7)")]
+                     ht.build_matrix("dita(2,3;seed=7)"), ht.build_matrix("dita(3,3;seed=1)")]
 
 
 @st.composite
