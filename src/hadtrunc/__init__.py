@@ -9,9 +9,9 @@ from .errors import (CapExceededError, EigensolverError, HadamardValidationError
 from .magic import (DEFAULT_CAP, MagicGrid, grid_relations_check, magic_grid,
                     truncated_integral_word, truncation_tensor, verify_magic)
 from .matrices import (HadamardMatrix, ValidationReport, adjoint, conjugate,
-                       dephase, dita, equivalence_fingerprint, fourier,
-                       fourier_group, hadamard, load_matrix, save_matrix,
-                       seeded_phase_matrix, tensor, transpose, validate)
+                       dephase, dita, fourier, fourier_group, hadamard,
+                       load_matrix, save_matrix, seeded_phase_matrix, tensor,
+                       transpose, validate)
 from .specs import build_matrix, parse_matrix_spec, unparse
 from .spectra import (MomentTable, SpectralMeasure, cesaro_moments, gram_matrix,
                       haar_moment_estimate, measure_top_mass, moment_table,

@@ -161,6 +161,14 @@ def _qsource(args):
     return ("seed", args.seed)
 
 
+def _add_phase_source(sub):
+    sub.add_argument("--m", type=_positive_int, required=True)
+    sub.add_argument("--n", type=_positive_int, required=True)
+    src = sub.add_mutually_exclusive_group(required=True)
+    src.add_argument("--seed", type=_seed)
+    src.add_argument("--qfile")
+
+
 def _cmd_dita_check(args):
     q = specs.resolve_phase_matrix(args.m, args.n, _qsource(args))
     report = duality_mod.dita_selfduality_residual(
@@ -258,11 +266,7 @@ def build_parser():
     p.set_defaults(func=_cmd_duality)
 
     p = subs.add_parser("dita-check", help="self-duality check for a deformed Fourier matrix")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--seed", type=_seed)
-    src.add_argument("--qfile")
+    _add_phase_source(p)
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
     p.add_argument("--tol", type=_positive_float, default=duality_mod.PASS_TOL)
@@ -270,11 +274,7 @@ def build_parser():
     p.set_defaults(func=_cmd_dita_check)
 
     p = subs.add_parser("bench", help="time structured vs dense moment evaluation")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--seed", type=_seed)
-    src.add_argument("--qfile")
+    _add_phase_source(p)
     p.add_argument("--p", type=_positive_int, required=True)
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--reps", type=_positive_int, default=3)

@@ -6,9 +6,9 @@ diagonal subgroup Z_N (1, ..., 1).  A discrete Fourier transform over the
 M-part thus leaves one N x N block per frequency kappa in Z_M^r and coset:
 V V^* when sum kappa = 0 (mod M), for the closed-form unimodular N x M
 factors V of `spectra._structured_factors`, and zero otherwise.  Only
-`spectra._gram_spectrum`, the one dispatch point of every spectrum, solves
-them: it recognizes dita(M, N, Q) from its entries, up to row and column
-phases and digit shuffles (which cover its transpose and the Fourier matrix
+`spectra._gram_spectra`, the one dispatch point of every spectrum, solves
+them: it recognizes dita(M, N, Q) from its entries, once per matrix per call,
+up to row and column phases and digit shuffles (which cover its transpose and
 F_MN), and `structured_moments` hands it the matrix built from Q.
 `structured_gram_matrix` undoes the transform to lay the factors out as the
 dense X, which the dense pipeline checks entry by entry: every structured
@@ -62,7 +62,7 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
 
 def structured_moments(q, p, r, cap=DEFAULT_CAP):
     """c_p^r of the deformed Fourier matrix, as a power sum of the Gram
-    spectrum that `spectra._gram_spectrum` solves from the structured blocks;
+    spectrum that `spectra._gram_spectra` solves from the structured blocks;
     never materializes the (MN)^r dense X.  M, N < 2 is rejected, since no
     such matrix has the structure and it would take the sector route."""
     if p < 1 or r < 1:
@@ -70,7 +70,7 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     m, n = np.shape(q)
     if min(m, n) < 2:
         raise ValueError(f"dita(M, N) needs M, N >= 2, got M = {m}, N = {n}")
-    vals = spectra._gram_spectrum(matrices.dita(m, n, q), r, cap=cap)
+    [vals] = spectra._gram_spectra(matrices.dita(m, n, q), [r], cap)
     return float(spectra._power_sums(vals, p)[p - 1] / (m * n) ** r)
 
 

@@ -79,25 +79,24 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     depths 1..r_max.
 
     Each (matrix, depth) spectrum is solved once and gives both the moment
-    column and the atoms.  Both sides are solved from the cyclic sector blocks
-    (`spectra._sector_spectrum`), never from the structured blocks that
-    `spectra._gram_spectrum` would pick for them, so the comparison does not
-    rest on the structure it is about.
+    column and the atoms, and each matrix is profiled once.  Both sides are
+    solved from the cyclic sector blocks (`spectra._sector_spectrum`), never
+    from the structured blocks that `spectra._gram_spectra` would pick for
+    them, so the comparison does not rest on the structure it is about.
     """
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
     matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
     h = matrices.dita(m, n, q)
-    ht = matrices.transpose(h)
     size = h.n
     check_cap(size**r_max, cap)
+    profiles = spectra.profile(h), spectra.profile(matrices.transpose(h))
     norms = np.array([float(size**p) for p in range(1, p_max + 1)])
     grid = np.empty((p_max, r_max))
     atoms_ok = True
     for r in range(1, r_max + 1):
-        vals_h = spectra._sector_spectrum(h, r)
-        vals_t = spectra._sector_spectrum(ht, r)
+        vals_h, vals_t = (spectra._sector_spectrum(prof, r) for prof in profiles)
         c_h, c_t = (spectra._power_sums(vals, p_max) / size**r for vals in (vals_h, vals_t))
         grid[:, r - 1] = np.abs(c_h - c_t) / norms
         atoms_ok &= atoms_agree(spectra._law_from_spectrum(vals_h, size, r),

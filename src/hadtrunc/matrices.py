@@ -245,22 +245,17 @@ def matrix_from_dict(data):
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
     n = data["n"]
-    entries = data["entries"]
     if not isinstance(n, int) or n < 1:
         raise ValueError("'n' must be a positive integer")
-    if len(entries) != n:
-        raise ValueError(f"expected {n} rows, got {len(entries)}")
-    arr = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(entries):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for j, pair in enumerate(row):
-            if len(pair) != 2:
-                raise ValueError(f"entry ({i},{j}) is not a [re, im] pair")
-            arr[i, j] = complex(pair[0], pair[1])
-    if not np.isfinite(arr.view(float)).all():
+    try:
+        pairs = np.asarray(data["entries"], dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or a member that is no number
+        raise ValueError(f"'entries' is not an n x n array of [re, im] pairs: {exc}") from None
+    if pairs.shape != (n, n, 2):
+        raise ValueError(f"'entries' has shape {pairs.shape}, expected {(n, n, 2)}")
+    if not np.isfinite(pairs).all():
         raise ValueError("matrix contains non-finite entries")
-    return arr
+    return pairs.view(complex)[..., 0]
 
 
 def save_matrix(h, path):

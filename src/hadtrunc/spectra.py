@@ -16,10 +16,10 @@ tensors of the magic grid, which gives a fully independent cross-check.
 
 Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
-moments all reduce one checked Gram spectrum (`_gram_spectrum`), the last two
-that of H^t; the grid-product T_p stays their oracle (`moments_via_T`).
-`_gram_spectrum` is the one dispatch point, between two routes whose
-spectra pass the same contract, computed from the profile of the input alone
+moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
+of H^t, with the grid-product T_p as their oracle.  That one dispatch point
+decides the route once per matrix per call, for all its depths; the spectra
+of both routes pass one contract, computed from the profile of the input
 (`_certified_spectrum`): N^r eigenvalues that reproduce Tr X and ||X||_F^2.
 
 - Sector blocks (`_sector_spectrum`), for any input.  Rotating a multi-index
@@ -30,7 +30,7 @@ spectra pass the same contract, computed from the profile of the input alone
   itself, so each is solved as a real symmetric matrix.  The blocks are built
   from the profile, from the rows of one orbit in each reversed pair (somewhat
   over half the rows), without forming X, and checked to be Hermitian.
-- Structured blocks, for a deformed Fourier matrix
+- Structured blocks (`_structured_spectrum`), for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
   the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
   keeps A - B in the diagonal subgroup Z_N (1, ..., 1), and a Fourier
@@ -273,39 +273,44 @@ def _dita_factors(arr):
     return None
 
 
-def _gram_spectrum(h, r, cap=DEFAULT_CAP):
-    """Ascending eigenvalues of the depth-r Gram matrix X, under `_certified_spectrum`.
+def _gram_spectra(h, depths, cap=DEFAULT_CAP):
+    """Ascending eigenvalues of the depth-r Gram matrix X of h for each r in
+    depths, in order and one at a time, under `_certified_spectrum`: the one
+    dispatch point, which decides the route once per matrix.  Each depth is
+    checked (r >= 1, then the cap N^r) before any work for it; the first
+    admitted one computes `profile(h)` and `_dita_factors(h.array)` for all.
+    A recognized dita goes to `_structured_spectrum`, all else to sectors."""
+    q = None
+    for r in depths:
+        if r < 1:
+            raise ValueError("depth r must be >= 1")
+        check_cap(h.n**r, cap)
+        if q is None:
+            q, factors = profile(h), _dita_factors(h.array)
+        yield _sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
 
-    The one dispatch point of every spectrum.  After the depth and the cap
-    N^r are checked, an input that `_dita_factors` recognizes entry by entry
-    as dita(M, N, Q), up to row and column phases and digit shuffles, is
-    solved from the factors V of `_structured_factors`: one `eigvalsh` of
-    the batch of M x M Gram matrices V^*V when M <= N, else of the N x N
-    V V^*, and the (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros appended.
-    Permuting the rows of h or multiplying them by phases leaves its profile
-    unchanged, column phases cancel around each cycle of X, and permuting the
-    columns only permutes X, so these blocks have the spectrum of X.  Q is
-    unimodular (`_dita_factors` checks it), so V is finite and V^*V Hermitian:
-    the contract, against the profile of h itself, is the whole check.  Any
-    other input is solved from the cyclic sector blocks of `_sector_spectrum`.
-    """
-    if r < 1:
-        raise ValueError("depth r must be >= 1")
-    check_cap(h.n**r, cap)
-    factors = _dita_factors(h.array)
-    if factors is None:
-        return _sector_spectrum(h, r)
-    m, n, q = factors
-    v = _structured_factors(q, r)
+
+def _structured_spectrum(factors, q, r):
+    """Ascending eigenvalues of the depth-r Gram matrix X of an input with
+    profile q that `_dita_factors` rebuilt as dita(M, N, Q), factors =
+    (M, N, Q), under `_certified_spectrum`: one `eigvalsh` of the batch of
+    M x M Gram matrices V^*V of `_structured_factors` when M <= N, else of the
+    N x N V V^*, and the (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros.  Row
+    phases and permutations keep the profile, column phases cancel around
+    each cycle of X and column permutations only permute it, so these blocks
+    have the spectrum of X.  `_dita_factors` checks that Q is unimodular, so
+    V is finite and V^*V Hermitian: the contract, against q, is the check."""
+    m, n, phases = factors
+    v = _structured_factors(phases, r)
     gram = v.swapaxes(-1, -2).conj() @ v if m <= n else v @ v.swapaxes(-1, -2).conj()
     vals = np.linalg.eigvalsh(gram).ravel()  # then the zeros of the vanishing blocks
-    return _certified_spectrum(np.append(vals, np.zeros((m * n) ** r - len(vals))), profile(h), r)
+    return _certified_spectrum(np.append(vals, np.zeros((m * n) ** r - len(vals))), q, r)
 
 
-def _sector_spectrum(h, r):
-    """Ascending eigenvalues of the depth-r Gram matrix X from its cyclic
-    sector blocks, under `_certified_spectrum`; the route that assumes no
-    structure of h beyond that of every X.
+def _sector_spectrum(q, r):
+    """Ascending eigenvalues of the depth-r Gram matrix X of the profile q
+    from its cyclic sector blocks, under `_certified_spectrum`; the route that
+    assumes no structure of the input beyond that of every X.
 
     Every entry of X is a cyclic word, so X commutes with the cyclic shift P
     and splits into r Hermitian blocks, one per eigenvalue w^k of P
@@ -344,12 +349,12 @@ def _sector_spectrum(h, r):
     completed by the reversal symmetry) plus the squared norm `dropped` of
     those imaginary parts must be <= (1e-9 N)^2, else `MomentImagError`.
     """
-    q = profile(h)
-    digits = multi_indices(h.n, r)
-    rots, reps, sizes = _cyclic_orbits(h.n, r)
-    orbit = np.full(h.n**r, -1)  # the orbit of each flat index, as a position in reps
+    n = q.shape[0]
+    digits = multi_indices(n, r)
+    rots, reps, sizes = _cyclic_orbits(n, r)
+    orbit = np.full(n**r, -1)  # the orbit of each flat index, as a position in reps
     orbit[rots[:, reps]] = np.arange(len(reps))
-    reversed_reps = digits[reps] @ h.n ** np.arange(r)
+    reversed_reps = digits[reps] @ n ** np.arange(r)
     sigma = orbit[reversed_reps]
     shift = (rots[:, reps[sigma]] == reversed_reps).argmax(axis=0)  # j_alpha
     rows = np.flatnonzero(sigma >= np.arange(len(reps)))
@@ -375,7 +380,7 @@ def _sector_spectrum(h, r):
         blocks.append(np.block([[g.real[:, :c], -g.imag[:, c:]],
                                 [g.imag[:p, :c], g.real[:p, c:]]]))
         dropped += np.linalg.norm(g.imag[p:, :c]) ** 2 + np.linalg.norm(g.real[p:, c:]) ** 2
-    tol = EIGEN_RESIDUAL_TOL * h.n
+    tol = EIGEN_RESIDUAL_TOL * n
     skew_sq = dropped + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
@@ -393,7 +398,8 @@ def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
     """
     if p < 1:
         raise ValueError("word length p must be >= 1")
-    return _gram_spectrum(matrices.transpose(h), p, cap=cap) / h.n
+    [vals] = _gram_spectra(matrices.transpose(h), [p], cap)
+    return vals / h.n
 
 
 @dataclass(frozen=True)
@@ -455,11 +461,11 @@ def truncated_law(h, r, cap=DEFAULT_CAP):
     """Truncated measure at depth r, from the Hermitian eigenvalues of X.
 
     Depth 0 is the point mass at N.  The eigenvalues come from
-    `_gram_spectrum`, so the law is trusted only once they pass its checks.
+    `_gram_spectra`, so the law is trusted only once they pass its checks.
     """
     if r < 0:
         raise ValueError("depth r must be >= 0")
-    vals = _gram_spectrum(h, r, cap=cap) if r else np.array([float(h.n)])
+    [vals] = _gram_spectra(h, [r], cap) if r else [np.array([float(h.n)])]
     return _law_from_spectrum(vals, h.n, r)
 
 
@@ -522,16 +528,16 @@ class MomentTable:
 def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     """Fill the (p, r) moment grid through the Gram-matrix route.
 
-    For each depth r the Hermitian spectrum of X is computed once and powers
-    of the eigenvalues give every p at that depth.
+    One `_gram_spectra` over depths 1..r_max gives the spectra of X one at a
+    time, and powers of the eigenvalues give every p at each depth.
     """
     if p_max < 1 or r_max < 0:
         raise ValueError("p_max must be >= 1 and r_max >= 0")
     n = h.n
     c = np.empty((p_max, r_max + 1))
     c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
-    for r in range(1, r_max + 1):
-        c[:, r] = _power_sums(_gram_spectrum(h, r, cap=cap), p_max) / n**r
+    for r, vals in enumerate(_gram_spectra(h, range(1, r_max + 1), cap), start=1):
+        c[:, r] = _power_sums(vals, p_max) / n**r
     gamma = c / np.array([float(n**p) for p in range(1, p_max + 1)])[:, None]
     return MomentTable(n, p_max, r_max, c, gamma)
 

@@ -41,6 +41,18 @@ def test_validate_fail_exit_one(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"n": 2, "entries": [[1, 2], [3, 4]]}, id="numbers-not-pairs"),
+    pytest.param({"n": 1, "entries": [[["a", "b"]]]}, id="strings"),
+])
+def test_malformed_matrix_json_exit_two(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", f"file={path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     pytest.param(["duality", "fourier:2", "--p-max", "1", "--r-max", "1", "--tol"],
                  id="duality-tol"),

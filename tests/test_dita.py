@@ -232,7 +232,7 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    vals = spectra._gram_spectrum(ht.dita(m, n, q), r)
+    [vals] = spectra._gram_spectra(ht.dita(m, n, q), [r])
     blocks, k = (m * n) ** (r - 1), min(m, n)
     assert shapes == [(blocks, k, k)]  # one batch; the zeros are appended, not solved
     assert len(vals) == (m * n) ** r
@@ -265,7 +265,7 @@ def test_factor_blocks_match_fft_blocks(m, n, seed, r):
 @pytest.mark.parametrize("m,n,seed,r", [(2, 3, 7, 6), (3, 2, 1, 5), (3, 3, 1, 4)])
 def test_factor_spectrum_beyond_cap_matches_fft_blocks(m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
-    vals = spectra._gram_spectrum(ht.dita(m, n, q), r, cap=(m * n) ** r)
+    [vals] = spectra._gram_spectra(ht.dita(m, n, q), [r], cap=(m * n) ** r)
     oracle = np.sort(np.linalg.eigvalsh(fft_blocks(q, r)).ravel())
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
 
@@ -281,7 +281,7 @@ def test_factor_spectrum_peak_memory():
         h = ht.build_matrix(spec)
         tracemalloc.start()
         try:
-            spectra._gram_spectrum(h, r, cap=h.n**r)
+            [_] = spectra._gram_spectra(h, [r], cap=h.n**r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

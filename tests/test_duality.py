@@ -33,27 +33,28 @@ def test_duality_rectangular_grid():
 @pytest.fixture
 def solves(monkeypatch):
     """(matrix provenance, depth) of every Gram spectrum solved, in order."""
-    exact = spectra._gram_spectrum
+    exact = spectra._gram_spectra
     calls = []
 
-    def spy(h, r, **kwargs):
-        calls.append((h.provenance, r))
-        return exact(h, r, **kwargs)
+    def spy(h, depths, cap):
+        for r, vals in zip(depths, exact(h, depths, cap)):
+            calls.append((h.provenance, r))
+            yield vals
 
-    monkeypatch.setattr(spectra, "_gram_spectrum", spy)
+    monkeypatch.setattr(spectra, "_gram_spectra", spy)
     return calls
 
 
 @pytest.fixture
 def sector_solves(monkeypatch):
-    """(matrix provenance, depth) of every sector-route spectrum solved, in
-    order, plus None for every structured factor build."""
+    """(profile bytes, depth) of every sector-route spectrum solved, in order,
+    plus None for every structured factor build."""
     calls = []
     exact_sector, exact_factors = spectra._sector_spectrum, spectra._structured_factors
 
-    def sector(h, r):
-        calls.append((h.provenance, r))
-        return exact_sector(h, r)
+    def sector(q, r):
+        calls.append((q.tobytes(), r))
+        return exact_sector(q, r)
 
     def factors(q, r):
         calls.append(None)
@@ -170,7 +171,7 @@ def test_fourier_finite_check_rejects_zero_depth():
     # depth 0 is the point mass at N, not 1/N; the spectra start at depth 1
     assert ht.measure_top_mass(ht.truncated_law(ht.fourier(3), 0)) == 1.0
     with pytest.raises(ValueError, match="depth r must be >= 1"):
-        spectra._gram_spectrum(ht.fourier(3), 0)
+        list(spectra._gram_spectra(ht.fourier(3), [0]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import hadtrunc as ht
 from hadtrunc.dita import structured_gram_matrix
 from hadtrunc.errors import HadamardValidationError
-from hadtrunc.matrices import matrix_from_dict, matrix_to_dict, splitmix64
+from hadtrunc.matrices import (equivalence_fingerprint, matrix_from_dict, matrix_to_dict,
+                               splitmix64)
 
 KLEIN = np.array([
     [1, 1, 1, 1],
@@ -198,20 +199,20 @@ def test_dephase_dita_block():
 
 
 def test_fingerprint_dephase_invariant(small_matrix):
-    assert ht.equivalence_fingerprint(small_matrix) == \
-        ht.equivalence_fingerprint(ht.dephase(small_matrix))
+    assert equivalence_fingerprint(small_matrix) == \
+        equivalence_fingerprint(ht.dephase(small_matrix))
 
 
 def test_fingerprint_separates_f4_from_klein():
-    assert ht.equivalence_fingerprint(ht.fourier(4)) != \
-        ht.equivalence_fingerprint(ht.fourier_group([2, 2]))
+    assert equivalence_fingerprint(ht.fourier(4)) != \
+        equivalence_fingerprint(ht.fourier_group([2, 2]))
 
 
 def test_fingerprint_permutation_invariant():
     h = ht.build_matrix("dita(2,2;seed=7)")
     perm = [2, 0, 3, 1]
     permuted = ht.hadamard(h.array[perm][:, [1, 3, 0, 2]])
-    assert ht.equivalence_fingerprint(h) == ht.equivalence_fingerprint(permuted)
+    assert equivalence_fingerprint(h) == equivalence_fingerprint(permuted)
 
 
 def test_fingerprint_phase_invariant():
@@ -219,7 +220,7 @@ def test_fingerprint_phase_invariant():
     row = np.exp(1j * np.array([0.3, 1.1, -2.0]))
     col = np.exp(1j * np.array([0.0, 0.5, 2.5]))
     twisted = ht.hadamard(row[:, None] * h.array * col[None, :])
-    assert ht.equivalence_fingerprint(h) == ht.equivalence_fingerprint(twisted)
+    assert equivalence_fingerprint(h) == equivalence_fingerprint(twisted)
 
 
 def test_splitmix64_reference_vector():
@@ -254,6 +255,10 @@ def test_matrix_json_rejects_bad_shapes():
         matrix_from_dict({"n": 2, "entries": [good["entries"][0], [[1, 0]]]})
     with pytest.raises(ValueError):
         matrix_from_dict({"entries": good["entries"]})
+    # rows of numbers instead of [re, im] pairs, and members that are no numbers
+    for entries in ([[1, 2], [3, 4]], [[["a", "b"]]], [[[{}, 0]]]):
+        with pytest.raises(ValueError, match="'entries'"):
+            matrix_from_dict({"n": len(entries), "entries": entries})
 
 
 def test_phase_matrix_file(tmp_path):

@@ -22,6 +22,17 @@ def tao6():
     return tao6_matrix()
 
 
+def routed(h, r):
+    """The spectrum of h at the one depth r, on the route `_gram_spectra` picks."""
+    [vals] = spectra._gram_spectra(h, [r])
+    return vals
+
+
+def sector_route(h, r):
+    """The spectrum of h at depth r from the cyclic sector blocks of its profile."""
+    return spectra._sector_spectrum(spectra.profile(h), r)
+
+
 def grid_multiplicity_and_gap(h, p, tol=1e-8):
     """Eigenvalue-1 multiplicity and gap of the grid-product T_p."""
     lam = np.linalg.eigvalsh(ht.truncation_tensor(ht.magic_grid(h), p))
@@ -162,9 +173,9 @@ def test_certificate_matches_dense_gram_complex(h):
 
 def test_spectrum_argument_checks():
     with pytest.raises(ValueError, match="depth r"):
-        spectra._gram_spectrum(ht.fourier(2), 0)
+        list(spectra._gram_spectra(ht.fourier(2), [0]))
     with pytest.raises(CapExceededError):
-        spectra._gram_spectrum(ht.fourier(6), 5)
+        list(spectra._gram_spectra(ht.fourier(6), [5]))
     for call in (lambda h: ht.cesaro_moments(h, 0, 3), lambda h: ht.haar_moment_estimate(h, 0)):
         with pytest.raises(ValueError, match="word length p"):
             call(ht.fourier(2))
@@ -237,14 +248,20 @@ def test_cluster_atoms_empty():
 
 
 def test_moment_table_peak_is_one_spectrum(monkeypatch):
-    vals = np.random.default_rng(0).uniform(0, 4, size=10**6)
-    monkeypatch.setattr(spectra, "_gram_spectrum", lambda h, r, cap: vals)
+    # a fresh spectrum of 10^6 values at each of three depths: a table that
+    # kept them all would hold three of them next to the power-sum copy
+    def fresh(h, depths, cap):
+        for r in depths:
+            yield np.random.default_rng(r).uniform(0, 4, size=10**6)
+
+    monkeypatch.setattr(spectra, "_gram_spectra", fresh)
     tracemalloc.start()
     try:
-        table = ht.moment_table(ht.fourier(4), 8, 1)
+        table = ht.moment_table(ht.fourier(4), 8, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    vals = np.random.default_rng(1).uniform(0, 4, size=10**6)
     assert table.c[7, 1] == pytest.approx((vals**8).sum() / 4, rel=1e-12)
     assert peak <= 3 * vals.nbytes
 
@@ -516,7 +533,7 @@ def structured_calls(monkeypatch):
 @pytest.mark.parametrize("spec", ["dita(3,3;seed=1)", "dita(2,3;seed=7)",
                                   "transpose(dita(2,3;seed=7))"])
 def test_truncation_spectrum_takes_structured_route(monkeypatch, structured_calls, spec):
-    def forbidden(h, r):
+    def forbidden(q, r):
         raise AssertionError("T_p was solved from the sector blocks")
 
     monkeypatch.setattr(spectra, "_sector_spectrum", forbidden)
@@ -533,7 +550,7 @@ def test_truncation_spectrum_takes_structured_route(monkeypatch, structured_call
     pytest.param(lambda: ht.truncated_law(_build("phased"), 4), id="law-phased-dita23-r4"),
 ])
 def test_equivalent_dita_takes_structured_route(monkeypatch, structured_calls, consumer):
-    def forbidden(h, r):
+    def forbidden(q, r):
         raise AssertionError("an equivalent dita was solved from the sector blocks")
 
     monkeypatch.setattr(spectra, "_sector_spectrum", forbidden)
@@ -591,6 +608,53 @@ def test_non_cyclic_gram_rejected(monkeypatch, consumer):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
+@pytest.fixture
+def route_work(monkeypatch):
+    """Calls of `profile` and of `_dita_factors`, by name."""
+    calls = {"profile": 0, "_dita_factors": 0}
+    for name in calls:
+        def spy(arg, name=name, exact=getattr(spectra, name)):
+            calls[name] += 1
+            return exact(arg)
+
+        monkeypatch.setattr(spectra, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("consumer, profiles, recognitions", [
+    pytest.param(lambda: ht.duality_residual(ht.fourier(6), 3, 3), 2, 2, id="duality-fourier6"),
+    pytest.param(lambda: ht.moment_table(ht.fourier(6), 4, 4), 1, 1, id="moments-fourier6"),
+    pytest.param(lambda: ht.moment_table(tao6_matrix(), 4, 3), 1, 1, id="moments-tao6"),
+    pytest.param(lambda: ht.dita_selfduality_residual(2, 3, ht.seeded_phase_matrix(2, 3, 7),
+                                                      3, 3), 2, 0, id="selfduality-dita23"),
+])
+def test_route_decided_once_per_matrix(route_work, consumer, profiles, recognitions):
+    # one profile and one recognition per matrix (H, then H^t), not per depth;
+    # the self-duality check forces the sector route and recognizes nothing
+    consumer()
+    assert route_work == {"profile": profiles, "_dita_factors": recognitions}
+
+
+def test_refusals_precede_route_work(monkeypatch):
+    def forbidden(arg):
+        raise AssertionError("the route was decided before a refusal")
+
+    monkeypatch.setattr(spectra, "profile", forbidden)
+    monkeypatch.setattr(spectra, "_dita_factors", forbidden)
+    f6, q = ht.fourier(6), ht.seeded_phase_matrix(2, 3, 7)
+    with pytest.raises(ValueError, match="depth r must be >= 1"):
+        list(spectra._gram_spectra(f6, [0, 1]))
+    for refused in (lambda: list(spectra._gram_spectra(f6, [5, 1])),
+                    lambda: ht.truncated_law(f6, 5),
+                    lambda: ht.moment_table(f6, 2, 3, cap=5),
+                    lambda: ht.cesaro_moments(f6, 5, 3),
+                    lambda: ht.duality_residual(f6, 2, 2, cap=5),
+                    lambda: ht.structured_moments(q, 2, 5),
+                    lambda: ht.dita_selfduality_residual(2, 3, q, 2, 5)):
+        with pytest.raises(CapExceededError):
+            refused()
+
+
 def test_gram_spectrum_never_builds_x(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the dense Gram matrix was built")
@@ -603,7 +667,7 @@ def test_gram_spectrum_never_builds_x(monkeypatch):
     h = ht.build_matrix("transpose(dita(2,3;seed=7))")
     tracemalloc.start()
     try:
-        spectra._sector_spectrum(h, 4)
+        sector_route(h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -638,7 +702,7 @@ def _necklaces(n, r):
     pytest.param(ht.build_matrix("transpose(dita(2,3;seed=7))"), 3, id="transpose-dita23-r3"),
 ])
 def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
-    vals = spectra._sector_spectrum(h, r)
+    vals = sector_route(h, r)
     oracle = np.sort(np.linalg.svd(spectra.gram_vectors(h, r), compute_uv=False) ** 2)
     assert np.abs(vals - oracle).max() <= 1e-12 * h.n
     assert len(sectors) == r and sum(sectors) == h.n**r
@@ -646,7 +710,7 @@ def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
 
 
 def test_cyclic_sector_sizes_depth_four(sectors, tao6):
-    spectra._sector_spectrum(tao6, 4)
+    sector_route(tao6, 4)
     # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4}, d = 4
     assert sectors == [336, 315, 330, 315]
     assert _necklaces(6, 4) == 336
@@ -693,23 +757,20 @@ def gram_vector_oracle(spec, r):
 # transposed dita, cannot hide behind a real X.  The routed cases take the
 # structured route.
 @pytest.mark.parametrize("spec, r, spectrum", [
-    pytest.param("tao6", 4, spectra._sector_spectrum, id="tao6-r4"),
-    pytest.param("dita(3,3;seed=1)", 3, spectra._sector_spectrum, id="dita33-r3"),
-    pytest.param("transpose(dita(2,3;seed=7))", 4, spectra._sector_spectrum,
-                 id="transpose-dita23-r4"),
-    pytest.param("dita(3,3;seed=1)", 3, spectra._gram_spectrum, id="dita33-r3-routed"),
-    pytest.param("transpose(dita(2,3;seed=7))", 4, spectra._gram_spectrum,
-                 id="transpose-dita23-r4-routed"),
+    pytest.param("tao6", 4, sector_route, id="tao6-r4"),
+    pytest.param("dita(3,3;seed=1)", 3, sector_route, id="dita33-r3"),
+    pytest.param("transpose(dita(2,3;seed=7))", 4, sector_route, id="transpose-dita23-r4"),
+    pytest.param("dita(3,3;seed=1)", 3, routed, id="dita33-r3-routed"),
+    pytest.param("transpose(dita(2,3;seed=7))", 4, routed, id="transpose-dita23-r4-routed"),
     # the same complex X as dita33-r3, recognized only once dephased
-    pytest.param("row-phased-dita33", 3, spectra._gram_spectrum,
-                 id="row-phased-dita33-r3-routed"),
+    pytest.param("row-phased-dita33", 3, routed, id="row-phased-dita33-r3-routed"),
 ])
 def test_real_sector_blocks_match_gram_vector_oracle(structured_calls, spec, r, spectrum):
     h = _build(spec)
     vals = spectrum(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-2
-    assert len(structured_calls) == (spectrum is spectra._gram_spectrum)
+    assert len(structured_calls) == (spectrum is routed)
 
 
 DITA_SPECS = [spec for spec in CORPUS_SPECS if spec.startswith("dita")]
@@ -726,7 +787,7 @@ DITA_SPECS = [spec for spec in CORPUS_SPECS if spec.startswith("dita")]
 ] + [("fouriergroup:2x3", 3), ("tensor(fourier:2,fourier:3)", 2)])
 def test_routed_spectrum_matches_gram_vector_oracle(structured_calls, spec, r):
     h = _build(spec)
-    vals = spectra._gram_spectrum(h, r)
+    vals = routed(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert len(structured_calls) == 1
 
@@ -773,9 +834,9 @@ def test_dita_factors_recognize_fourier_group(spec):
 def test_dita_factors_recognize_equivalent(structured_calls, spec, m, n):
     h = _build(spec)
     assert spectra._dita_factors(h.array)[:2] == (m, n)
-    vals = spectra._gram_spectrum(h, 2)
+    vals = routed(h, 2)
     assert structured_calls == [(m, n, 2)]
-    assert np.abs(vals - spectra._sector_spectrum(h, 2)).max() <= 1e-12 * h.n
+    assert np.abs(vals - sector_route(h, 2)).max() <= 1e-12 * h.n
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -803,7 +864,7 @@ def test_dita_factors_reject(monkeypatch, spec):
         return exact(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    spectra._gram_spectrum(h, 2)
+    routed(h, 2)
     assert solved == [(2, np.dtype(np.float64))] * 2  # the two real sector blocks
 
 
@@ -820,7 +881,7 @@ def test_sector_blocks_are_real(monkeypatch, tao6, spec, r, sizes):
         return exact(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    spectra._sector_spectrum(tao6 if spec == "tao6" else ht.build_matrix(spec), r)
+    sector_route(tao6 if spec == "tao6" else ht.build_matrix(spec), r)
     assert blocks == [(np.dtype(np.float64), size) for size in sizes]
 
 
@@ -847,7 +908,7 @@ def test_gram_spectrum_gathers_only_rows_reversal_keeps():
     h = ht.build_matrix("transpose(dita(2,3;seed=7))")
     tracemalloc.start()
     try:
-        spectra._sector_spectrum(h, 4)
+        sector_route(h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
