@@ -241,18 +241,35 @@ def matrix_to_dict(h):
     }
 
 
+def _positive_int(data, key):
+    value = data[key]
+    if type(value) is not int or value < 1:  # a bool is no count
+        raise ValueError(f"'{key}' must be a positive integer")
+    return value
+
+
+def _json_numbers(value, shape, what):
+    """value, nested lists of JSON numbers of this shape, as a float array;
+    a string, a bool or any other member that is no number is a ValueError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, or a member that is no number
+        raise ValueError(f"{what} is not an array of numbers: {exc}") from None
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    members = value
+    for _ in shape[1:]:
+        members = [x for row in members for x in row]
+    if not all(type(x) in (int, float) for x in members):  # np.asarray reads "1" and true
+        raise ValueError(f"{what} has a member that is no number")
+    return arr
+
+
 def matrix_from_dict(data):
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("'n' must be a positive integer")
-    try:
-        pairs = np.asarray(data["entries"], dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged, or a member that is no number
-        raise ValueError(f"'entries' is not an n x n array of [re, im] pairs: {exc}") from None
-    if pairs.shape != (n, n, 2):
-        raise ValueError(f"'entries' has shape {pairs.shape}, expected {(n, n, 2)}")
+    n = _positive_int(data, "n")
+    pairs = _json_numbers(data["entries"], (n, n, 2), "'entries' (n x n [re, im] pairs)")
     if not np.isfinite(pairs).all():
         raise ValueError("matrix contains non-finite entries")
     return pairs.view(complex)[..., 0]
@@ -275,8 +292,5 @@ def load_phase_matrix(path):
         data = json.load(fh)
     if not isinstance(data, dict) or not {"m", "n", "angles"} <= set(data):
         raise ValueError("phase matrix JSON must be an object with 'm', 'n', 'angles'")
-    m, n = data["m"], data["n"]
-    angles = np.asarray(data["angles"], dtype=float)
-    if angles.shape != (m, n):
-        raise ValueError(f"angle array has shape {angles.shape}, expected {(m, n)}")
-    return phase_matrix_from_angles(angles)
+    shape = _positive_int(data, "m"), _positive_int(data, "n")
+    return phase_matrix_from_angles(_json_numbers(data["angles"], shape, "angle array"))

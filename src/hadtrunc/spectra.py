@@ -47,12 +47,25 @@ of both routes pass one contract, computed from the profile of the input
   and D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or
   provenance string is read.
 
+Each route is split into a plan and a numeric step.  The plans
+(`_sector_plan(n, r)`, `_structured_plan(m, n, r)`, `_recognition_plan(size)`)
+hold the index work that depends only on the shape: the shift orbits, the
+reversal pairing, the sector selections and phase roots; the kappa/mu and
+coset tables of dita(M, N) at depth r; the factorizations, shuffle maps and
+F_M (x) F_N waves of one size.  They are keyed on those integers alone, hold
+nothing computed from a matrix's entries, and are memoized in caches of at
+most _PLAN_CACHE_SIZE shapes each, as read-only arrays; H and H^t, and every
+call of the same shape, share them.  At the cap of 4096 a sector plan takes
+under 0.5 MB, and the profile (N^4 entries) keeps N small enough that a
+recognition plan (d(N) N^2 complex waves) does too.
+
 `gram_matrix` stays the dense oracle.  Every power sum of a spectrum comes
 from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +83,14 @@ EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace ide
 _DITA_MATCH_TOL = 1e-14
 CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
+_PLAN_CACHE_SIZE = 32  # shapes each plan cache keeps, least recently used dropped
+_CHUNK_ENTRIES = 1 << 16  # output entries `_product_over_cycle` fills per chunk
+
+
+def _read_only(arr):
+    """arr, made read-only: plans are shared by every call of their shape."""
+    arr.setflags(write=False)
+    return arr
 
 
 def profile(h):
@@ -83,12 +104,23 @@ def profile(h):
 
 def _product_over_cycle(tensor, rows, cols, r):
     """prod_s tensor[rows_s, cols_s, rows_{s+1}, cols_{s+1}] over the cyclic
-    word, for all (row, col) multi-index pairs at once."""
+    word, for all (row, col) multi-index pairs at once.
+
+    Each factor is two `take`s on the N^2 x N^2 pair matrix
+    Q[(a, c), (b, d)] = tensor[a, b, c, d], and the factors are multiplied
+    into the output in chunks of about _CHUNK_ENTRIES entries, so the peak is
+    the output plus one chunk."""
+    n = tensor.shape[0]
+    pairs = tensor.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    nxt = np.arange(1, r + 1) % r
+    row_pairs = rows * n + rows[:, nxt]  # (a_s, a_{s+1})
+    col_pairs = cols * n + cols[:, nxt]
     out = np.ones((rows.shape[0], cols.shape[0]), dtype=complex)
-    for s in range(r):
-        sp = (s + 1) % r
-        out *= tensor[rows[:, s][:, None], cols[:, s][None, :],
-                      rows[:, sp][:, None], cols[:, sp][None, :]]
+    step = max(1, _CHUNK_ENTRIES // max(1, cols.shape[0]))
+    for lo in range(0, rows.shape[0], step):
+        chunk = out[lo:lo + step]
+        for s in range(r):
+            chunk *= pairs.take(row_pairs[lo:lo + step, s], axis=0).take(col_pairs[:, s], axis=1)
     return out
 
 
@@ -204,21 +236,33 @@ def _structured_factors(q, r):
     over the M-part of the column multi-indices takes X to blocks, one per
     frequency and coset, and V V^* is the block at (kappa, C); the blocks with
     sum kappa != 0 (mod M) vanish.  Shape (M^{r-1} N^{r-1}, N, M), kappa major
-    and both in the row-major order of `multi_indices`.
+    and both in the row-major order of `multi_indices`; the index tables come
+    from `_structured_plan`.
     """
     q = matrices._check_phase_matrix(q)
     m, n = q.shape
+    mu, steps = _structured_plan(m, n, r)
+    ratio = (q[:, :, None] / q[:, None, :]).reshape(m, n * n)  # Q[m, a] / Q[m, b] at (m, a n + b)
+    out = np.ones((len(mu), steps.shape[1], n, m), dtype=complex)
+    for s in range(r):
+        # ratio[mu_s, a_s, a_{s+1}] as [kappa, m0, C, t], laid out as out
+        out *= ratio.take(steps[s], axis=1).take(mu[:, s], axis=0).transpose(0, 2, 3, 1)
+    return out.reshape(-1, n, m)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _structured_plan(m, n, r):
+    """The index tables of `_structured_factors` for dita(M, N) at depth r:
+    mu[kappa, s, m0] = m0 + kappa_1 + ... + kappa_s (mod M) over the kappa with
+    sum kappa = 0 (mod M), and steps[s, C, t] = a_s N + a_{s+1} for
+    a = A_C + t (1, ..., 1).  Read-only arrays."""
     kappa = multi_indices(m, r)
     kappa = kappa[kappa.sum(axis=1) % m == 0]
     mu = (np.cumsum(kappa, axis=1)[:, :, None] + np.arange(m)) % m  # mu[kappa, s, m0]
     reps = multi_indices(n, r)[: n ** (r - 1)]  # the A_C: first digit 0
     a = (reps[:, None, :] + np.arange(n)[:, None]) % n  # a[C, t, s]
-    ratio = q[:, :, None] / q[:, None, :]  # Q[m, a] / Q[m, b]
-    out = np.ones((len(kappa), len(reps), n, m), dtype=complex)
-    for s in range(r):
-        sp = (s + 1) % r
-        out *= ratio[mu[:, None, None, s, :], a[None, :, :, s, None], a[None, :, :, sp, None]]
-    return out.reshape(-1, n, m)
+    steps = (a * n + np.roll(a, -1, axis=2)).transpose(2, 0, 1)
+    return _read_only(mu), _read_only(np.ascontiguousarray(steps))
 
 
 def _dita_factors(arr):
@@ -239,21 +283,12 @@ def _dita_factors(arr):
     matches for any factorization wins.  The entries as given are tried
     first, so a plain dita returns its own Q, then the dephased entries
     (first row and column 1), which absorb row and column phases
-    D1 dita(M, N, Q) D2.
+    D1 dita(M, N, Q) D2.  The maps and waves come from `_recognition_plan`.
     """
-    size = arr.shape[0]
-    orders = [(m, size // m) for m in range(2, size // 2 + 1) if size % m == 0]
+    maps = _recognition_plan(arr.shape[0])
     # entries off the unit circle (or NaN) match no dita, and dephasing divides by them
-    if not orders or not np.abs(np.abs(arr) - 1.0).max() <= 1e-12:
+    if not maps or not np.abs(np.abs(arr) - 1.0).max() <= 1e-12:
         return None
-    same = np.arange(size)
-    maps = []
-    for m, n in orders:
-        shuffle = same.reshape(n, m).T.ravel()
-        rows = np.array([same, shuffle, shuffle, same])[:, :, None]
-        cols = np.array([same, shuffle, same, shuffle])[:, None, :]
-        waves = np.einsum("ij,ab->iajb", matrices.fourier(m).array, matrices.fourier(n).array)
-        maps.append((m, n, rows, cols, waves))
     dephased = arr / arr[0]
     dephased /= dephased[:, :1]
     for entries in (arr, dephased):
@@ -271,6 +306,25 @@ def _dita_factors(arr):
                     except ValueError:  # Q is not unimodular
                         pass
     return None
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _recognition_plan(size):
+    """The shape-only part of `_dita_factors` for a matrix of this size: per
+    factorization size = M N with M, N >= 2, (M, N), the row and column index
+    maps of the four shuffles and the waves (F_M)_ij (F_N)_ab as [i, a, j, b].
+    Read-only arrays, d(size) size^2 complex entries in all."""
+    same = np.arange(size)
+    maps = []
+    for m in range(2, size // 2 + 1):
+        if size % m == 0:
+            n = size // m
+            shuffle = same.reshape(n, m).T.ravel()
+            rows = np.array([same, shuffle, shuffle, same])[:, :, None]
+            cols = np.array([same, shuffle, same, shuffle])[:, None, :]
+            waves = np.einsum("ij,ab->iajb", matrices.fourier(m).array, matrices.fourier(n).array)
+            maps.append((m, n, _read_only(rows), _read_only(cols), _read_only(waves)))
+    return tuple(maps)
 
 
 def _gram_spectra(h, depths, cap=DEFAULT_CAP):
@@ -349,7 +403,42 @@ def _sector_spectrum(q, r):
     completed by the reversal symmetry) plus the squared norm `dropped` of
     those imaginary parts must be <= (1e-9 N)^2, else `MomentImagError`.
     """
-    n = q.shape[0]
+    rows, reps, sectors = _sector_plan(q.shape[0], r)
+    gathered = _product_over_cycle(q, rows, reps, r).reshape(r, -1, len(reps))
+    np.fft.ifft(gathered, axis=0, out=gathered)  # (1/r) sum_m w^{km}
+    blocks, dropped = [], 0.0
+    for block, (at, cols, p, c, left, right) in zip(gathered, sectors):
+        g = block.take(at, axis=0).take(cols, axis=1)  # X_k[alpha, (classes, sigma(pairs))]
+        g *= left[:, None] * right[None, :]
+        t = g[:, :p] - g[:, c:]
+        g[:, :p] += g[:, c:]
+        g[:, c:] = t  # g = [s | t]
+        real = np.empty((c + p, c + p))
+        real[:c, :c] = g.real[:, :c]
+        np.negative(g.imag[:, c:], out=real[:c, c:])
+        real[c:, :c] = g.imag[:p, :c]
+        real[c:, c:] = g.real[:p, c:]
+        blocks.append(real)
+        dropped += np.linalg.norm(g.imag[p:, :c]) ** 2 + np.linalg.norm(g.real[p:, c:]) ** 2
+    tol = EIGEN_RESIDUAL_TOL * q.shape[0]
+    skew_sq = dropped + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
+    if not skew_sq <= tol**2:  # also rejects NaN
+        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
+                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
+    return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), q, r)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _sector_plan(n, r):
+    """The shape-only part of `_sector_spectrum` for N = n at depth r, from
+    the shift orbits of `_cyclic_orbits`, their reversal pairing sigma and
+    shifts j_alpha: (rows, cols, sectors), the digits of the gathered rows
+    P^m A_alpha (m major, alpha among the rows that reversal keeps) and
+    columns A_beta, and per sector k (at, cols, p, c, left, right): the
+    gathered rows `at` and columns `cols` of its block, p reversed pairs and
+    c orbit classes, and the scale vectors left = conj(root[classes]) /
+    lift[:c] and right = root[cols] lift, root = c_alpha^{1/2} sqrt(d_alpha).
+    Read-only arrays."""
     digits = multi_indices(n, r)
     rots, reps, sizes = _cyclic_orbits(n, r)
     orbit = np.full(n**r, -1)  # the orbit of each flat index, as a position in reps
@@ -358,11 +447,8 @@ def _sector_spectrum(q, r):
     sigma = orbit[reversed_reps]
     shift = (rots[:, reps[sigma]] == reversed_reps).argmax(axis=0)  # j_alpha
     rows = np.flatnonzero(sigma >= np.arange(len(reps)))
-    gathered = _product_over_cycle(q, digits[rots[:, reps[rows]].ravel()], digits[reps], r)
-    gathered = gathered.reshape(r, len(rows), -1)
-    np.fft.ifft(gathered, axis=0, out=gathered)  # (1/r) sum_m w^{km}
-    blocks, dropped = [], 0.0
-    for k, block in enumerate(gathered):
+    sectors = []
+    for k in range(r):
         keep = k * sizes[rows] % r == 0
         pairs = np.flatnonzero(keep & (sigma[rows] > rows))  # positions in rows
         at = np.concatenate([pairs, np.flatnonzero(keep & (sigma[rows] == rows))])
@@ -372,20 +458,11 @@ def _sector_spectrum(q, r):
         root = np.exp(1j * np.pi * k * shift / r) * np.sqrt(sizes)  # c^{1/2} sqrt(d)
         lift = np.ones(len(cols))
         lift[p:c] = np.sqrt(2)  # the palindromic orbits
-        g = block[at[:, None], cols]  # X_k[alpha, (classes, sigma(pairs))]
-        g *= (root[classes].conj() / lift[:c])[:, None] * (root[cols] * lift)[None, :]
-        t = g[:, :p] - g[:, c:]
-        g[:, :p] += g[:, c:]
-        g[:, c:] = t  # g = [s | t]
-        blocks.append(np.block([[g.real[:, :c], -g.imag[:, c:]],
-                                [g.imag[:p, :c], g.real[:p, c:]]]))
-        dropped += np.linalg.norm(g.imag[p:, :c]) ** 2 + np.linalg.norm(g.real[p:, c:]) ** 2
-    tol = EIGEN_RESIDUAL_TOL * n
-    skew_sq = dropped + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
-    if not skew_sq <= tol**2:  # also rejects NaN
-        raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
-                              f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), q, r)
+        sectors.append((_read_only(at), _read_only(cols), p, c,
+                        _read_only(root[classes].conj() / lift[:c]),
+                        _read_only(root[cols] * lift)))
+    return (_read_only(digits[rots[:, reps[rows]].ravel()]), _read_only(digits[reps]),
+            tuple(sectors))
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):

@@ -42,6 +42,21 @@ def tao6_matrix():
     return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
 
 
+PLAN_CACHES = (spectra._sector_plan, spectra._structured_plan, spectra._recognition_plan)
+
+
+@pytest.fixture(autouse=True)
+def cold_plans():
+    """Every test starts and ends with empty plan caches: a patched
+    `_cyclic_orbits` is reached, and a plan built under an injected fault
+    never serves a later test."""
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {spec: ht.build_matrix(spec) for spec in CORPUS_SPECS}

@@ -44,6 +44,8 @@ def test_validate_fail_exit_one(capsys, tmp_path):
 @pytest.mark.parametrize("doc", [
     pytest.param({"n": 2, "entries": [[1, 2], [3, 4]]}, id="numbers-not-pairs"),
     pytest.param({"n": 1, "entries": [[["a", "b"]]]}, id="strings"),
+    pytest.param({"n": 1, "entries": [[["1", "0"]]]}, id="numeric-strings"),
+    pytest.param({"n": True, "entries": [[[1, 0]]]}, id="n-bool"),
 ])
 def test_malformed_matrix_json_exit_two(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -262,6 +264,26 @@ def test_non_finite_angles_exit_two(capsys, tmp_path, angle):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("doc, argv", [
+    pytest.param({"m": 2, "n": 2, "angles": [[{}, 0], [0, 0]]}, None, id="dict-angle"),
+    pytest.param({"m": 2, "n": 2, "angles": [["0.5", 0], [0, 0]]}, None,
+                 id="numeric-string-angle"),
+    pytest.param({"m": 2, "n": 2.0, "angles": [[0, 0], [0, 0]]}, None, id="n-float"),
+    # a bool m would match the shape (1, 2) of its angles as 1
+    pytest.param({"m": True, "n": 2, "angles": [[0, 0]]}, ["gen", "dita(1,2;file={})"],
+                 id="m-bool"),
+])
+def test_malformed_phase_json_exit_two(capsys, tmp_path, doc, argv):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    if argv is None:
+        argv = ["dita-check", "--m", "2", "--n", "2", "--qfile", "{}", "--p-max", "1",
+                "--r-max", "1"]
+    code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bench_command(capsys):

@@ -270,3 +270,28 @@ def test_phase_matrix_file(tmp_path):
     path.write_text(json.dumps({"m": 3, "n": 2, "angles": angles}))
     with pytest.raises(ValueError):
         ht.matrices.load_phase_matrix(path)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"m": True, "n": 2, "angles": [[0.0, 1.0]]}, "'m' must be a positive integer"),
+    ({"m": 1, "n": 2.0, "angles": [[0.0, 1.0]]}, "'n' must be a positive integer"),
+    ({"m": 1, "n": 2, "angles": [[{}, 1.0]]}, "not an array of numbers"),
+    ({"m": 1, "n": 2, "angles": [["0", 1.0]]}, "no number"),
+    ({"m": 1, "n": 2, "angles": [[False, 1.0]]}, "no number"),
+])
+def test_phase_matrix_file_rejects_members(tmp_path, doc, match):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        ht.matrices.load_phase_matrix(path)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"n": True, "entries": [[[1, 0]]]}, "'n' must be a positive integer"),
+    ({"n": 1, "entries": [[["1", 0]]]}, "no number"),
+    ({"n": 1, "entries": [[[1, True]]]}, "no number"),
+    ({"n": 1, "entries": [[[10**400, 0]]]}, "not an array of numbers"),
+])
+def test_matrix_json_rejects_members(doc, match):
+    with pytest.raises(ValueError, match=match):
+        matrix_from_dict(doc)

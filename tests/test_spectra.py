@@ -14,7 +14,8 @@ from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
-from conftest import CORPUS_SPECS, SMALL_SPECS, STRUCTURED_FAULTS, tao6_matrix
+from conftest import (CORPUS_SPECS, PLAN_CACHES, SMALL_SPECS, STRUCTURED_FAULTS,
+                      tao6_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -993,3 +994,92 @@ def test_measure_json_schema():
     assert set(data) == {"N", "r", "atoms", "cluster_tol"}
     assert data["N"] == 3 and data["r"] == 2
     assert all(set(a) == {"x", "w"} for a in data["atoms"])
+
+
+# -- plans ---------------------------------------------------------------------
+
+def _plan_arrays(plan):
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for part in plan:
+            yield from _plan_arrays(part)
+
+
+def test_plans_built_once_per_shape(monkeypatch):
+    exact = spectra._cyclic_orbits
+    orbits = []
+
+    def spy(n, r):
+        orbits.append((n, r))
+        return exact(n, r)
+
+    monkeypatch.setattr(spectra, "_cyclic_orbits", spy)
+    q = ht.seeded_phase_matrix(2, 3, 7)
+    h = ht.dita(2, 3, q)
+    for _ in range(2):  # H and H^t share the sector plan of each depth
+        ht.dita_selfduality_residual(2, 3, q, 3, 3)
+        ht.duality_residual(h, 3, 3)
+        ht.structured_moments(q, 2, 3)
+    assert orbits == [(6, 1), (6, 2), (6, 3)]
+    # dita(2, 3) and its transpose, recognized as dita(3, 2) shuffled, at depths 1..3
+    structured = spectra._structured_plan.cache_info()
+    recognition = spectra._recognition_plan.cache_info()
+    assert (structured.misses, structured.currsize, structured.hits) == (6, 6, 8)
+    assert (recognition.misses, recognition.currsize) == (1, 1) and recognition.hits > 0
+
+
+def test_plans_are_read_only_and_bounded():
+    plans = [spectra._sector_plan(4, 3), spectra._sector_plan(1, 2),
+             spectra._structured_plan(2, 3, 3), spectra._recognition_plan(12)]
+    arrays = [arr for plan in plans for arr in _plan_arrays(plan)]
+    assert len(arrays) >= 4 * 3 + 2 + 2 + 3 * 4
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[:1] = 0
+    for cache in PLAN_CACHES:
+        assert cache.cache_info().maxsize == spectra._PLAN_CACHE_SIZE
+
+
+PLAN_INPUTS = [
+    ("transpose(dita(2,3;seed=7))", 4), ("dita(2,3;seed=7)", 4), ("dita(3,3;seed=1)", 3),
+    ("fourier:8", 3), ("fourier:6", 3), ("fouriergroup:2x3", 3), ("dita(2,2;seed=7)", 4),
+    ("tao6", 3),
+]
+
+
+def _plan_spectra(cold):
+    """Routed and sector spectra of H and H^t at every depth of PLAN_INPUTS,
+    each from empty plan caches when cold."""
+    out = []
+    for spec, depth in PLAN_INPUTS:
+        h = _build(spec)
+        for side in (h, ht.transpose(h)):
+            for r in range(1, depth + 1):
+                for solve in (routed, sector_route):
+                    for cache in PLAN_CACHES if cold else ():
+                        cache.cache_clear()
+                    out.append(solve(side, r))
+    return out
+
+
+def test_cold_and_warm_plans_agree():
+    cold = _plan_spectra(cold=True)
+    _plan_spectra(cold=False)  # fills the caches
+    misses = [cache.cache_info().misses for cache in PLAN_CACHES]
+    warm = _plan_spectra(cold=False)
+    assert [cache.cache_info().misses for cache in PLAN_CACHES] == misses
+    assert len(cold) == len(warm) == 2 * 2 * sum(depth for _, depth in PLAN_INPUTS)
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+
+
+def test_gram_matrix_peak_is_x_plus_one_chunk():
+    h = ht.build_matrix("dita(2,3;seed=7)")
+    tracemalloc.start()
+    try:
+        x = spectra.gram_matrix(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 26.9 MB of X; holding a full-size gathered factor next to it peaked at 52 MB
+    assert peak <= x.nbytes + 4e6
