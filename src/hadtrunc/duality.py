@@ -54,6 +54,7 @@ def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
         raise ValueError("p_max and r_max must be >= 1")
     matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
+    check_cap(h.n ** max(p_max, r_max), cap)  # both tables' depths, before either is solved
     table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
     table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
     grid = np.abs(table_h.gamma[:, 1:] - table_t.gamma[:, 1:].T)

@@ -35,10 +35,8 @@ def multi_indices(n, length):
     """All multi-indices in [0,n)^length, row-major, first digit most significant.
 
     Returned as an (n^length, length) integer array whose k-th row is the
-    digit expansion of k.
+    digit expansion of k; length >= 1.
     """
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.intp)
     return np.indices((n,) * length).reshape(length, -1).T
 
 

@@ -18,7 +18,8 @@ from .errors import HadamardValidationError
 UNIMODULARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8  # multiplied by N
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64  # phase seeds are 64-bit: 0 <= seed < _SEED_LIMIT
+_MASK64 = _SEED_LIMIT - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -40,21 +41,15 @@ def seeded_phase_matrix(m, n, seed):
     """M x N unimodular phase matrix from a seed.
 
     Each 64-bit word u maps to the angle 2*pi*u/2^64; entries are filled
-    row-major, so the result is bit-reproducible for a given seed.
+    row-major, so the result is bit-reproducible for a given seed.  The seed
+    is an integer in [0, 2^64), so that no two seeds give the same matrix.
     """
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and 0 <= seed < _SEED_LIMIT):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     words = splitmix64(seed, m * n)
     angles = 2.0 * np.pi * np.array([u / 2.0**64 for u in words])
     return np.exp(1j * angles).reshape(m, n)
-
-
-def phase_matrix_from_angles(angles):
-    """Unimodular matrix exp(i*theta) from a real angle array."""
-    theta = np.asarray(angles, dtype=float)
-    if theta.ndim != 2:
-        raise ValueError("angle array must be two-dimensional")
-    if not np.isfinite(theta).all():
-        raise ValueError("angle array has non-finite entries")
-    return np.exp(1j * theta)
 
 
 def _check_phase_matrix(q):
@@ -216,21 +211,6 @@ def dephase(h):
     return HadamardMatrix(np.ascontiguousarray(arr), f"dephase({h.provenance})")
 
 
-def equivalence_fingerprint(h):
-    """Sorted multiset of the entry phase quadruples H_ia H_jb / (H_ib H_ja).
-
-    Row/column permutations permute the quadruples and row/column phase
-    multiplications cancel exactly, so equal fingerprints are a necessary
-    (not sufficient) condition for equivalence.  Values are rounded to 9
-    decimals before sorting so the result is deterministic.
-    """
-    arr = h.array
-    vals = np.einsum("ia,jb,ib,ja->ijab", arr, arr, arr.conj(), arr.conj())
-    vals = np.round(vals.ravel(), 9) + 0.0  # normalize -0.0
-    order = np.lexsort((vals.imag, vals.real))
-    return tuple(complex(v) for v in vals[order])
-
-
 # -- JSON serialization -------------------------------------------------------
 
 def matrix_to_dict(h):
@@ -293,4 +273,7 @@ def load_phase_matrix(path):
     if not isinstance(data, dict) or not {"m", "n", "angles"} <= set(data):
         raise ValueError("phase matrix JSON must be an object with 'm', 'n', 'angles'")
     shape = _positive_int(data, "m"), _positive_int(data, "n")
-    return phase_matrix_from_angles(_json_numbers(data["angles"], shape, "angle array"))
+    theta = _json_numbers(data["angles"], shape, "angle array")
+    if not np.isfinite(theta).all():
+        raise ValueError("angle array has non-finite entries")
+    return np.exp(1j * theta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import matrices
 from .errors import SpecSyntaxError
 
-SEED_LIMIT = 1 << 64  # phase seeds are 64-bit: 0 <= seed < SEED_LIMIT
+SEED_LIMIT = matrices._SEED_LIMIT  # phase seeds are 64-bit: 0 <= seed < SEED_LIMIT
 
 _CONSTRUCTORS = ("fourier", "fouriergroup", "tensor", "dita", "conj", "transpose",
                  "adjoint", "file")

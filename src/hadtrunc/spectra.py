@@ -18,7 +18,8 @@ Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
 moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
 of H^t, with the grid-product T_p as their oracle.  That one dispatch point
-decides the route once per matrix per call, for all its depths; the spectra
+admits every depth of a call against the cap before any work, then decides
+the route once per matrix per call, for all its depths; the spectra
 of both routes pass one contract, computed from the profile of the input
 (`_certified_spectrum`): N^r eigenvalues that reproduce Tr X and ||X||_F^2.
 
@@ -330,17 +331,17 @@ def _recognition_plan(size):
 def _gram_spectra(h, depths, cap=DEFAULT_CAP):
     """Ascending eigenvalues of the depth-r Gram matrix X of h for each r in
     depths, in order and one at a time, under `_certified_spectrum`: the one
-    dispatch point, which decides the route once per matrix.  Each depth is
-    checked (r >= 1, then the cap N^r) before any work for it; the first
-    admitted one computes `profile(h)` and `_dita_factors(h.array)` for all.
+    dispatch point, which decides the route once per matrix.  Every depth is
+    admitted (r >= 1, then the cap on the deepest N^r) before any work; then
+    `profile(h)` and `_dita_factors(h.array)` are computed once for all.
     A recognized dita goes to `_structured_spectrum`, all else to sectors."""
-    q = None
+    depths = list(depths)
+    if min(depths, default=1) < 1:
+        raise ValueError("depth r must be >= 1")
+    if depths:
+        check_cap(h.n ** max(depths), cap)
+        q, factors = profile(h), _dita_factors(h.array)
     for r in depths:
-        if r < 1:
-            raise ValueError("depth r must be >= 1")
-        check_cap(h.n**r, cap)
-        if q is None:
-            q, factors = profile(h), _dita_factors(h.array)
         yield _sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
 
 
@@ -390,18 +391,19 @@ def _sector_spectrum(q, r):
     symmetric on g_alpha for each palindromic orbit (sigma alpha = alpha) and
     u = (g_alpha + g_sigma alpha)/sqrt 2, v = i (g_alpha - g_sigma alpha)/sqrt 2
     for each pair alpha < sigma(alpha).  With s and t the sum and difference
-    of X'_k[alpha, beta] and X'_k[alpha, sigma beta], the entries are Re s
-    (u, u), -Im t (u, v), Im s (v, u) and Re t (v, v).  A palindromic orbit
-    has no v: its row is scaled by 1/sqrt 2, and in its column s is
-    X'_k[alpha, beta] alone, scaled by sqrt 2.  Only rows with
+    of X'_k[alpha, beta] and X'_k[alpha, sigma beta] and G = [s | i t] on the
+    columns (beta, sigma beta), the block is Re G on the rows u and the
+    palindromic g_alpha, stacked on Im G on the rows v, one per pair.  A
+    palindromic orbit has no v: its row is scaled by 1/sqrt 2, and in its
+    column s is X'_k[alpha, beta] alone, scaled by sqrt 2.  Only rows with
     sigma(alpha) >= alpha enter, so of the N^{2r}/r entries of X that the
     sectors need, the share (1 + f)/2 is built from the profile, f being the
-    share of palindromic orbits.  The imaginary parts that the palindromic
-    rows drop (their Im s and Re t) vanish for the true X.  These are the
-    only blocks that can fail to be Hermitian: before any is solved,
-    sum ||B - B^T||_F^2 (that is ||X~ - X~^*||_F^2, X~ the gathered rows
-    completed by the reversal symmetry) plus the squared norm `dropped` of
-    those imaginary parts must be <= (1e-9 N)^2, else `MomentImagError`.
+    share of palindromic orbits.  The imaginary parts of G that the
+    palindromic rows drop vanish for the true X.  These are the only blocks
+    that can fail to be Hermitian: before any is solved, sum ||B - B^T||_F^2
+    (that is ||X~ - X~^*||_F^2, X~ the gathered rows completed by the
+    reversal symmetry) plus the squared norm `dropped` of those imaginary
+    parts must be <= (1e-9 N)^2, else `MomentImagError`.
     """
     rows, reps, sectors = _sector_plan(q.shape[0], r)
     gathered = _product_over_cycle(q, rows, reps, r).reshape(r, -1, len(reps))
@@ -412,14 +414,9 @@ def _sector_spectrum(q, r):
         g *= left[:, None] * right[None, :]
         t = g[:, :p] - g[:, c:]
         g[:, :p] += g[:, c:]
-        g[:, c:] = t  # g = [s | t]
-        real = np.empty((c + p, c + p))
-        real[:c, :c] = g.real[:, :c]
-        np.negative(g.imag[:, c:], out=real[:c, c:])
-        real[c:, :c] = g.imag[:p, :c]
-        real[c:, c:] = g.real[:p, c:]
-        blocks.append(real)
-        dropped += np.linalg.norm(g.imag[p:, :c]) ** 2 + np.linalg.norm(g.real[p:, c:]) ** 2
+        g.real[:, c:], g.imag[:, c:] = -t.imag, t.real  # g = [s | i t]
+        blocks.append(np.concatenate([g.real, g.imag[:p]]))
+        dropped += np.linalg.norm(g.imag[p:]) ** 2
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
     skew_sq = dropped + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
     if not skew_sq <= tol**2:  # also rejects NaN

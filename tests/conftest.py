@@ -42,7 +42,11 @@ def tao6_matrix():
     return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
 
 
-PLAN_CACHES = (spectra._sector_plan, spectra._structured_plan, spectra._recognition_plan)
+# every memoized function of `spectra`, so that no cache, present or later,
+# carries state from one test to the next
+PLAN_CACHES = tuple(obj for obj in vars(spectra).values() if hasattr(obj, "cache_clear"))
+assert {spectra._sector_plan, spectra._structured_plan,
+        spectra._recognition_plan} <= set(PLAN_CACHES)
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ def test_validate_fail_exit_one(capsys, tmp_path):
     pytest.param({"n": 1, "entries": [[["a", "b"]]]}, id="strings"),
     pytest.param({"n": 1, "entries": [[["1", "0"]]]}, id="numeric-strings"),
     pytest.param({"n": True, "entries": [[[1, 0]]]}, id="n-bool"),
+    pytest.param({"n": 1, "entries": [[[float("nan"), 0]]]}, id="nan-entry"),  # a NaN literal
 ])
 def test_malformed_matrix_json_exit_two(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -274,6 +276,7 @@ def test_non_finite_angles_exit_two(capsys, tmp_path, angle):
     # a bool m would match the shape (1, 2) of its angles as 1
     pytest.param({"m": True, "n": 2, "angles": [[0, 0]]}, ["gen", "dita(1,2;file={})"],
                  id="m-bool"),
+    pytest.param({"m": 2, "n": 2}, None, id="missing-key"),
 ])
 def test_malformed_phase_json_exit_two(capsys, tmp_path, doc, argv):
     path = tmp_path / "q.json"
@@ -284,6 +287,15 @@ def test_malformed_phase_json_exit_two(capsys, tmp_path, doc, argv):
     code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_phase_file_shape_mismatch_exit_two(capsys, tmp_path):
+    # refused when the file is read, before `dita` could check the shape again
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "angles": [[0, 0], [0, 0]]}))
+    code, out, err = run_cli(capsys, "gen", f"dita(2,3;file={path})")
+    assert code == 2
+    assert out == "" and "phase matrix file has shape (2, 2), expected (2, 3)" in err
 
 
 def test_bench_command(capsys):
@@ -301,6 +313,18 @@ def test_bench_degenerate_factor_exit_two(capsys, m, n):
                              "--p", "2", "--r", "2", "--reps", "1")
     assert code == 2
     assert out == "" and "M, N >= 2" in err
+
+
+def test_bench_disagreement_exit_one(capsys, monkeypatch):
+    # the structured path made wrong: the bench raises before it times anything
+    dita_mod = sys.modules["hadtrunc.dita"]
+    exact = dita_mod.structured_moments
+    monkeypatch.setattr(dita_mod, "structured_moments", lambda *args, **kwargs:
+                        exact(*args, **kwargs) + 1e-6)
+    code, out, err = run_cli(capsys, "bench", "--m", "2", "--n", "2",
+                             "--seed", "7", "--p", "2", "--r", "2", "--reps", "1")
+    assert code == 1
+    assert out == "" and "disagrees with dense" in err
 
 
 def test_missing_file_exit_two(capsys, tmp_path):

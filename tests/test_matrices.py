@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import hadtrunc as ht
 from hadtrunc.dita import structured_gram_matrix
 from hadtrunc.errors import HadamardValidationError
-from hadtrunc.matrices import (equivalence_fingerprint, matrix_from_dict, matrix_to_dict,
-                               splitmix64)
+from hadtrunc.matrices import matrix_from_dict, matrix_to_dict, splitmix64
+from hadtrunc.specs import SEED_LIMIT
 
 KLEIN = np.array([
     [1, 1, 1, 1],
@@ -198,31 +198,6 @@ def test_dephase_dita_block():
     assert np.abs(d.array[:2, :2] - np.array([[1, 1], [1, -1]])).max() < 1e-12
 
 
-def test_fingerprint_dephase_invariant(small_matrix):
-    assert equivalence_fingerprint(small_matrix) == \
-        equivalence_fingerprint(ht.dephase(small_matrix))
-
-
-def test_fingerprint_separates_f4_from_klein():
-    assert equivalence_fingerprint(ht.fourier(4)) != \
-        equivalence_fingerprint(ht.fourier_group([2, 2]))
-
-
-def test_fingerprint_permutation_invariant():
-    h = ht.build_matrix("dita(2,2;seed=7)")
-    perm = [2, 0, 3, 1]
-    permuted = ht.hadamard(h.array[perm][:, [1, 3, 0, 2]])
-    assert equivalence_fingerprint(h) == equivalence_fingerprint(permuted)
-
-
-def test_fingerprint_phase_invariant():
-    h = ht.fourier(3)
-    row = np.exp(1j * np.array([0.3, 1.1, -2.0]))
-    col = np.exp(1j * np.array([0.0, 0.5, 2.5]))
-    twisted = ht.hadamard(row[:, None] * h.array * col[None, :])
-    assert equivalence_fingerprint(h) == equivalence_fingerprint(twisted)
-
-
 def test_splitmix64_reference_vector():
     # standard test vector for seed 0
     assert splitmix64(0, 3) == [
@@ -295,3 +270,24 @@ def test_phase_matrix_file_rejects_members(tmp_path, doc, match):
 def test_matrix_json_rejects_members(doc, match):
     with pytest.raises(ValueError, match=match):
         matrix_from_dict(doc)
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(2**64, id="too-large"),
+    pytest.param(-1, id="negative"),
+    pytest.param(7.9, id="float"),
+    pytest.param(7.0, id="integral-float"),
+    pytest.param(True, id="bool"),
+    pytest.param("7", id="string"),
+])
+def test_seeded_phase_matrix_rejects_aliasing_seeds(seed):
+    # masked, 2^64 would give the matrix of 0, -1 that of 2^64 - 1, 7.9 that of 7
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        ht.seeded_phase_matrix(2, 2, seed)
+
+
+def test_seeded_phase_matrix_seed_bounds():
+    assert SEED_LIMIT == 2**64
+    ht.seeded_phase_matrix(2, 2, 0)
+    last = ht.seeded_phase_matrix(2, 2, SEED_LIMIT - 1)
+    assert np.array_equal(last, ht.seeded_phase_matrix(2, 2, np.uint64(SEED_LIMIT - 1)))

@@ -50,6 +50,8 @@ def test_parse_file_inside_tensor():
     ("tensor(fourier:2fourier:3)", 16),
     ("dita(2,2;sod=7)", 9),
     ("fourier:3trailing", 9),
+    ("file=", 5),
+    ("dita(2,2;file=)", 14),
 ])
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(SpecSyntaxError) as exc:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadtrunc as ht
-from hadtrunc import spectra
+from hadtrunc import magic, spectra
+from hadtrunc.cli import main
 from hadtrunc.duality import atoms_agree
 from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
@@ -352,6 +353,23 @@ def test_moment_oracles_check_arguments(oracle, p, r, match):
         oracle(ht.fourier(2), p, r)
 
 
+@pytest.mark.parametrize("oracle, module, dense, match", [
+    (ht.moments_via_X, spectra, "gram_matrix", r"tr\(X_2\^2\) has imaginary part"),
+    (ht.moments_via_T, magic, "truncation_tensor", r"Tr\(T_2\^2\) has imaginary part"),
+], ids=["X", "T"])
+def test_moment_oracles_reject_imaginary_traces(monkeypatch, oracle, module, dense, match):
+    # a fault that makes the dense matrix non-Hermitian: i/2 added on its diagonal
+    exact = getattr(module, dense)
+
+    def skewed(*args, **kwargs):
+        a = exact(*args, **kwargs)
+        return a + 0.5j * np.eye(len(a))
+
+    monkeypatch.setattr(module, dense, skewed)
+    with pytest.raises(MomentImagError, match=match):
+        oracle(ht.fourier(3), 2, 2)
+
+
 def test_moment_closed_forms(corpus_matrix):
     n = corpus_matrix.n
     for p in (1, 2, 3):
@@ -636,7 +654,7 @@ def test_route_decided_once_per_matrix(route_work, consumer, profiles, recogniti
     assert route_work == {"profile": profiles, "_dita_factors": recognitions}
 
 
-def test_refusals_precede_route_work(monkeypatch):
+def test_refusals_precede_route_work(monkeypatch, capsys):
     def forbidden(arg):
         raise AssertionError("the route was decided before a refusal")
 
@@ -645,7 +663,14 @@ def test_refusals_precede_route_work(monkeypatch):
     f6, q = ht.fourier(6), ht.seeded_phase_matrix(2, 3, 7)
     with pytest.raises(ValueError, match="depth r must be >= 1"):
         list(spectra._gram_spectra(f6, [0, 1]))
+    with pytest.raises(ValueError, match="depth r must be >= 1"):
+        list(spectra._gram_spectra(f6, [1, 0]))
+    # every depth is admitted before the first is solved
     for refused in (lambda: list(spectra._gram_spectra(f6, [5, 1])),
+                    lambda: list(spectra._gram_spectra(f6, [1, 5])),
+                    lambda: ht.moment_table(f6, 2, 5),
+                    lambda: ht.duality_residual(f6, 5, 1),
+                    lambda: ht.duality_residual(f6, 1, 5),
                     lambda: ht.truncated_law(f6, 5),
                     lambda: ht.moment_table(f6, 2, 3, cap=5),
                     lambda: ht.cesaro_moments(f6, 5, 3),
@@ -654,6 +679,10 @@ def test_refusals_precede_route_work(monkeypatch):
                     lambda: ht.dita_selfduality_residual(2, 3, q, 2, 5)):
         with pytest.raises(CapExceededError):
             refused()
+    for argv in (["moments", "fourier:6", "--p-max", "2", "--r-max", "5"],
+                 ["duality", "fourier:6", "--p-max", "5", "--r-max", "1"]):
+        assert main(argv) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_gram_spectrum_never_builds_x(monkeypatch):
