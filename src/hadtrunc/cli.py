@@ -4,6 +4,9 @@ Subcommands: validate, gen, measure, moments, cesaro, duality, dita-check,
 bench.  Exit codes: 0 pass, 1 mathematical check failed, 2 usage or parse
 error, 3 size cap exceeded.  All output is deterministic given the spec
 string and flags.
+
+Each command builds its matrix first and only then imports the layer that it
+runs, so `validate` and `gen` never load `spectra`, `magic` or `duality`.
 """
 
 from __future__ import annotations
@@ -13,12 +16,10 @@ import json
 import math
 import sys
 
-from . import duality as duality_mod
-from . import matrices, specs, spectra
-from .dita import bench_structured_vs_dense
-from .errors import (CapExceededError, EigensolverError, HadamardValidationError,
-                     MagicGridError, MomentImagError, SpecSyntaxError)
-from .magic import DEFAULT_CAP
+from . import matrices, specs
+from .errors import (DEFAULT_CAP, PASS_TOL, CapExceededError, EigensolverError,
+                     HadamardValidationError, MagicGridError, MomentImagError,
+                     SpecSyntaxError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,13 +43,14 @@ def _jsonify(obj):
 
 
 def _emit(text, out_path):
+    """Write text, ending in one newline, to out_path or else to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _emit_json(data, out_path):
@@ -109,7 +111,9 @@ def _cmd_gen(args):
 
 def _cmd_measure(args):
     h = specs.build_matrix(args.spec)
-    measure = spectra.truncated_law(h, args.r, cap=args.cap)
+    from .spectra import truncated_law
+
+    measure = truncated_law(h, args.r, cap=args.cap)
     if args.format == "json":
         _emit_json(measure.to_dict(), args.out)
     elif args.format == "csv":
@@ -122,7 +126,9 @@ def _cmd_measure(args):
 
 def _cmd_moments(args):
     h = specs.build_matrix(args.spec)
-    table = spectra.moment_table(h, args.p_max, args.r_max, cap=args.cap)
+    from .spectra import moment_table
+
+    table = moment_table(h, args.p_max, args.r_max, cap=args.cap)
     if args.format == "csv":
         rows = ["p,r,c,gamma"]
         for p in range(1, table.p_max + 1):
@@ -137,7 +143,9 @@ def _cmd_moments(args):
 
 def _cmd_cesaro(args):
     h = specs.build_matrix(args.spec)
-    seq = spectra.cesaro_moments(h, args.p, args.k_max, cap=args.cap)
+    from .spectra import cesaro_moments
+
+    seq = cesaro_moments(h, args.p, args.k_max, cap=args.cap)
     if args.format == "csv":
         rows = ["k,s_k"] + [f"{k + 1},{s:.15g}"
                             for k, s in enumerate(seq.partial_averages)]
@@ -149,8 +157,9 @@ def _cmd_cesaro(args):
 
 def _cmd_duality(args):
     h = specs.build_matrix(args.spec)
-    report = duality_mod.duality_residual(h, args.p_max, args.r_max,
-                                          tol=args.tol, cap=args.cap)
+    from .duality import duality_residual
+
+    report = duality_residual(h, args.p_max, args.r_max, tol=args.tol, cap=args.cap)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -171,15 +180,18 @@ def _add_phase_source(sub):
 
 def _cmd_dita_check(args):
     q = specs.resolve_phase_matrix(args.m, args.n, _qsource(args))
-    report = duality_mod.dita_selfduality_residual(
-        args.m, args.n, q, args.p_max, args.r_max, tol=args.tol, cap=args.cap
-    )
+    from .duality import dita_selfduality_residual
+
+    report = dita_selfduality_residual(args.m, args.n, q, args.p_max, args.r_max,
+                                       tol=args.tol, cap=args.cap)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_bench(args):
     q = specs.resolve_phase_matrix(args.m, args.n, _qsource(args))
+    from .dita import bench_structured_vs_dense
+
     report = bench_structured_vs_dense(args.m, args.n, q, args.p, args.r,
                                        repetitions=args.reps, cap=args.cap)
     _emit_json(report.to_dict(), args.out)
@@ -261,7 +273,7 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=duality_mod.PASS_TOL)
+    p.add_argument("--tol", type=_positive_float, default=PASS_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_duality)
 
@@ -269,7 +281,7 @@ def build_parser():
     _add_phase_source(p)
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=duality_mod.PASS_TOL)
+    p.add_argument("--tol", type=_positive_float, default=PASS_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_dita_check)
 
@@ -309,3 +321,7 @@ def main(argv=None):
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -19,12 +19,12 @@ is reported.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import matrices, spectra
-from .magic import DEFAULT_CAP, check_cap, multi_indices
+from . import matrices
+from .errors import DEFAULT_CAP, check_cap
 
 
 def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
@@ -37,6 +37,9 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     A = A_C + t (1, ..., 1), B = A_C + t' (1, ..., 1); the pairs whose N-parts
     lie in different cosets are zero.
     """
+    from . import spectra
+    from .magic import multi_indices
+
     if r < 1:
         raise ValueError("depth r must be >= 1")
     m, n = np.shape(q)
@@ -65,6 +68,8 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     spectrum that `spectra._gram_spectra` solves from the structured blocks;
     never materializes the (MN)^r dense X.  M, N < 2 is rejected, since no
     such matrix has the structure and it would take the sector route."""
+    from . import spectra
+
     if p < 1 or r < 1:
         raise ValueError("p and r must be >= 1")
     m, n = np.shape(q)
@@ -74,8 +79,7 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     return float(spectra._power_sums(vals, p)[p - 1] / (m * n) ** r)
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     m: int
     n: int
     p: int
@@ -97,6 +101,8 @@ def bench_structured_vs_dense(m, n, q, p, r, repetitions=3, cap=DEFAULT_CAP):
     Correctness is asserted before any timing: if the two paths disagree the
     benchmark raises instead of reporting numbers.
     """
+    from . import spectra
+
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     h = matrices.dita(m, n, q)

@@ -10,18 +10,15 @@ checks use a uniform pass tolerance with plenty of headroom.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matrices, spectra
-from .magic import DEFAULT_CAP, check_cap
-
-PASS_TOL = 1e-8
+from .errors import DEFAULT_CAP, PASS_TOL, check_cap
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     matrix: str
     p_max: int
     r_max: int

@@ -1,4 +1,13 @@
-"""Shared exception types."""
+"""Shared exception types, and the bounds they enforce: the dense size cap
+and the pass tolerance of the duality checks."""
+
+DEFAULT_CAP = 4096
+PASS_TOL = 1e-8
+
+
+def check_cap(dim, cap):
+    if dim > cap:
+        raise CapExceededError(dim, cap)
 
 
 class SpecSyntaxError(ValueError):

@@ -17,18 +17,13 @@ the profile and Gram routes in `spectra`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, MagicGridError
+from .errors import DEFAULT_CAP, MagicGridError, check_cap
 
-DEFAULT_CAP = 4096
 MAGIC_TOL = 1e-9
-
-
-def check_cap(dim, cap):
-    if dim > cap:
-        raise CapExceededError(dim, cap)
 
 
 def multi_indices(n, length):
@@ -51,8 +46,7 @@ class MagicGrid:
         self.projections.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class MagicReport:
+class MagicReport(NamedTuple):
     idempotency_dev: float
     self_adjointness_dev: float
     row_sum_dev: float

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ def _check_tolerance(name, value):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     n: int
     unimodularity_dev: float
     orthogonality_dev: float

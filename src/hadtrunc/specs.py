@@ -13,7 +13,7 @@ Grammar (ASCII, no whitespace):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import matrices
 from .errors import SpecSyntaxError
@@ -24,37 +24,31 @@ _CONSTRUCTORS = ("fourier", "fouriergroup", "tensor", "dita", "conj", "transpose
                  "adjoint", "file")
 
 
-@dataclass(frozen=True)
-class FourierSpec:
+class FourierSpec(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class FourierGroupSpec:
+class FourierGroupSpec(NamedTuple):
     orders: tuple
 
 
-@dataclass(frozen=True)
-class TensorSpec:
+class TensorSpec(NamedTuple):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class DitaSpec:
+class DitaSpec(NamedTuple):
     m: int
     n: int
     qsource: tuple  # ("seed", int) or ("file", path)
 
 
-@dataclass(frozen=True)
-class UnarySpec:
+class UnarySpec(NamedTuple):
     op: str  # conj | transpose | adjoint
     inner: object
 
 
-@dataclass(frozen=True)
-class FileSpec:
+class FileSpec(NamedTuple):
     path: str
 
 

@@ -67,14 +67,14 @@ from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import magic as magic_mod
 from . import matrices
-from .errors import EigensolverError, MomentImagError
-from .magic import DEFAULT_CAP, check_cap, multi_indices
+from .errors import DEFAULT_CAP, EigensolverError, MomentImagError, check_cap
+from .magic import multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
 # Largest entrywise difference between an input and the dita rebuilt from its
@@ -476,8 +476,7 @@ def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
     return vals / h.n
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
+class SpectralMeasure(NamedTuple):
     """Atomic probability measure on [0, N]: sorted atoms (location, weight)."""
 
     n: int
@@ -578,8 +577,7 @@ def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     return _real_trace(trace / n**r, n**p, f"tr(X_{r}^{p})")
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Grid of moments c_p^r (1 <= p <= p_max, 0 <= r <= r_max) and their
     normalizations gamma_p^r = c_p^r / N^p."""
 
@@ -616,8 +614,7 @@ def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     return MomentTable(n, p_max, r_max, c, gamma)
 
 
-@dataclass(frozen=True)
-class CesaroSequence:
+class CesaroSequence(NamedTuple):
     p: int
     partial_averages: np.ndarray  # s_k = (1/k) sum_{r<=k} c_p^r, k = 1..k_max
     last_increment: float
@@ -653,8 +650,7 @@ def cesaro_moments(h, p, k_max, cap=DEFAULT_CAP):
     return _cesaro_sequence(_truncation_spectrum(h, p, cap=cap), p, k_max)
 
 
-@dataclass(frozen=True)
-class HaarMomentEstimate:
+class HaarMomentEstimate(NamedTuple):
     estimate: float
     rounded: int
     converged: bool

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,13 @@ TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
                   [0, 1, 2, 0, 1, 2],
                   [0, 2, 2, 1, 0, 1],
                   [0, 2, 1, 2, 1, 0]]
+
+
+# A fresh interpreter imports hadtrunc from this src/ tree and writes no
+# bytecode into it.
+FRESH_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def tao6_matrix():

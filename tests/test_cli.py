@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import hadtrunc as ht
 from hadtrunc import spectra
 from hadtrunc.cli import _jsonify, main
 
-from conftest import STRUCTURED_FAULTS
+from conftest import FRESH_ENV, STRUCTURED_FAULTS
 
 
 def _reject_constant(name):
@@ -174,8 +175,21 @@ def test_measure_svg(capsys, tmp_path):
                          "--format", "svg", "--out", str(path))
     assert code == 0
     text = path.read_text()
-    assert text.startswith("<svg") and text.endswith("</svg>")
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
     assert "rect" in text
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["validate", "fourier:3"], id="json"),
+    pytest.param(["measure", "fourier:3", "--r", "1", "--format", "csv"], id="csv"),
+    pytest.param(["measure", "fourier:3", "--r", "2", "--format", "svg"], id="svg"),
+])
+def test_out_file_matches_stdout(capsys, tmp_path, command):
+    code, out, _ = run_cli(capsys, *command)
+    path = tmp_path / "out"
+    code_file, out_file, _ = run_cli(capsys, *command, "--out", str(path))
+    assert code == code_file == 0 and out_file == ""
+    assert path.read_bytes() == out.encode() and out.endswith("\n")
 
 
 def test_gen_then_file_spec_round_trip(capsys, tmp_path):
@@ -357,3 +371,16 @@ def test_seed_largest_accepted(capsys):
     code, out, _ = run_cli(capsys, "dita-check", "--m", "2", "--n", "2",
                            "--seed", str(2**64 - 1), "--p-max", "2", "--r-max", "2")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("module", ["hadtrunc", "hadtrunc.cli"])
+@pytest.mark.parametrize("command", [
+    pytest.param(["validate", "fourier:3"], id="pass"),
+    pytest.param(["measure", "dita(2,2;seed=", "--r", "1"], id="exit-two"),
+])
+def test_python_m_runs_main(capsys, module, command):
+    # `python -m hadtrunc` and `python -m hadtrunc.cli` answer as main() does
+    code, out, err = run_cli(capsys, *command)
+    proc = subprocess.run([sys.executable, "-m", module, *command], env=FRESH_ENV,
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
