@@ -30,7 +30,8 @@ of both routes pass one contract, computed from the profile of the input
   Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry maps each block to
   itself, so each is solved as a real symmetric matrix.  The blocks are built
   from the profile, from the rows of one orbit in each reversed pair (somewhat
-  over half the rows), without forming X, and checked to be Hermitian.
+  over half the rows), without forming X, one sector at a time by a product
+  with one row of the r x r DFT matrix, and checked to be Hermitian.
 - Structured blocks (`_structured_spectrum`), for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
   the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
@@ -39,10 +40,12 @@ of both routes pass one contract, computed from the profile of the input
   at frequencies with nonzero digit sum vanish and every other one is V V^*,
   for the closed-form unimodular N x M factors V of `_structured_factors`, so
   the spectrum is that of M^{r-1} N^{r-1} Gram matrices of size min(M, N),
-  plus exact zeros.  An input takes this route only when `_dita_factors`
-  rebuilds it, entry by entry within 1e-14, as such a matrix after row and
-  column phases and the digit shuffle (j, b) -> (b, j) on its rows, its
-  columns or both.  That covers
+  plus exact zeros.  When min(M, N) = 2 their eigenvalues come in closed form
+  from the norms and the inner product of the two columns (rows) of V
+  (`_block_eigenvalues`), else from one batched `eigvalsh`.  An input takes
+  this route only when `_dita_factors` rebuilds it, entry by entry within
+  1e-14, as such a matrix after row and column phases and the digit shuffle
+  (j, b) -> (b, j) on its rows, its columns or both.  That covers
   transpose(dita(M, N, Q)), which is dita(N, M, Q^T) shuffled on both sides,
   F_MN, which by Cooley-Tukey is dita(M, N, (w_MN^{ib})) with shuffled rows,
   and D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or
@@ -51,7 +54,8 @@ of both routes pass one contract, computed from the profile of the input
 Each route is split into a plan and a numeric step.  The plans
 (`_sector_plan(n, r)`, `_structured_plan(m, n, r)`, `_recognition_plan(size)`)
 hold the index work that depends only on the shape: the shift orbits, the
-reversal pairing, the sector selections and phase roots; the kappa/mu and
+reversal pairing, the sector selections and phase roots, the DFT matrix over
+the rotations; the kappa/mu and
 coset tables of dita(M, N) at depth r; the factorizations, shuffle maps and
 F_M (x) F_N waves of one size.  They are keyed on those integers alone, hold
 nothing computed from a matrix's entries, and are memoized in caches of at
@@ -348,18 +352,43 @@ def _gram_spectra(h, depths, cap=DEFAULT_CAP):
 def _structured_spectrum(factors, q, r):
     """Ascending eigenvalues of the depth-r Gram matrix X of an input with
     profile q that `_dita_factors` rebuilt as dita(M, N, Q), factors =
-    (M, N, Q), under `_certified_spectrum`: one `eigvalsh` of the batch of
-    M x M Gram matrices V^*V of `_structured_factors` when M <= N, else of the
-    N x N V V^*, and the (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros.  Row
-    phases and permutations keep the profile, column phases cancel around
-    each cycle of X and column permutations only permute it, so these blocks
-    have the spectrum of X.  `_dita_factors` checks that Q is unimodular, so
+    (M, N, Q), under `_certified_spectrum`: the eigenvalues
+    (`_block_eigenvalues`) of the M x M Gram matrices V^*V of the factors of
+    `_structured_factors` when M <= N, else of the N x N V V^*, and the
+    (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros.  Row phases and
+    permutations keep the profile, column phases cancel around each cycle of
+    X and column permutations only permute it, so these blocks have the
+    spectrum of X.  `_dita_factors` checks that Q is unimodular, so
     V is finite and V^*V Hermitian: the contract, against q, is the check."""
     m, n, phases = factors
-    v = _structured_factors(phases, r)
-    gram = v.swapaxes(-1, -2).conj() @ v if m <= n else v @ v.swapaxes(-1, -2).conj()
-    vals = np.linalg.eigvalsh(gram).ravel()  # then the zeros of the vanishing blocks
-    return _certified_spectrum(np.append(vals, np.zeros((m * n) ** r - len(vals))), q, r)
+    vals = _block_eigenvalues(_structured_factors(phases, r)).ravel()
+    zeros = np.zeros((m * n) ** r - len(vals))  # of the vanishing blocks
+    return _certified_spectrum(np.append(vals, zeros), q, r)
+
+
+def _block_eigenvalues(v):
+    """Eigenvalues of the Gram matrices of the batch v of factors V, as an
+    array of shape (blocks, k), ascending within each block: of the k x k V^*V
+    when V has no more columns than rows, else of V V^*, k = min(rows, columns).
+
+    For k = 2 in closed form, with no product and no `eigvalsh`: with a and b
+    the squared norms of the two columns (rows) and c their inner product, the
+    block [[a, c], [conj c, b]] has the eigenvalues
+    ((a + b) -+ hypot(a - b, 2 |c|)) / 2.  No unimodularity of V is assumed.
+    Otherwise one batched `eigvalsh` of the Gram matrices."""
+    rows, cols = v.shape[1:]
+    if min(rows, cols) != 2:
+        gram = v.swapaxes(-1, -2).conj() @ v if cols <= rows else v @ v.swapaxes(-1, -2).conj()
+        return np.linalg.eigvalsh(gram)
+    if cols <= rows:
+        x, y, norms = v[:, :, 0], v[:, :, 1], "btj,btj->bj"
+    else:
+        x, y, norms = v[:, 0], v[:, 1], "bjt,bjt->bj"
+    vals = np.einsum(norms, v.real, v.real) + np.einsum(norms, v.imag, v.imag)  # (a, b)
+    a, b = vals.T
+    mid, rad = a + b, np.hypot(a - b, 2 * np.abs(np.einsum("bt,bt->b", x, y.conj())))
+    vals[:, 0], vals[:, 1] = mid - rad, mid + rad
+    return vals / 2
 
 
 def _sector_spectrum(q, r):
@@ -376,7 +405,10 @@ def _sector_spectrum(q, r):
 
     which is sqrt(d_beta/d_alpha) sum_{m<d_alpha} w^{km} X[P^m A_alpha, A_beta]
     since P^{d_alpha} A_alpha = A_alpha.  The sector sizes sum to N^r and
-    sector 0 has one row per necklace.
+    sector 0 has one row per necklace.  The sum over m is the product of the
+    gathered X[P^m A_alpha, A_beta] with row k of the planned DFT matrix
+    (1/r) w^{km}, taken one sector at a time (`_real_sector_block`), so the
+    gather is never copied whole.
 
     Q_{cd,ab} = conj(Q_{ab,cd}), so reversing both words conjugates X:
     X[RA, RB] = conj(X[A, B]) with R(a_1..a_r) = (a_r..a_1).  R maps orbit
@@ -405,38 +437,50 @@ def _sector_spectrum(q, r):
     reversal symmetry) plus the squared norm `dropped` of those imaginary
     parts must be <= (1e-9 N)^2, else `MomentImagError`.
     """
-    rows, reps, sectors = _sector_plan(q.shape[0], r)
+    rows, reps, dft, sectors = _sector_plan(q.shape[0], r)
     gathered = _product_over_cycle(q, rows, reps, r).reshape(r, -1, len(reps))
-    np.fft.ifft(gathered, axis=0, out=gathered)  # (1/r) sum_m w^{km}
-    blocks, dropped = [], 0.0
-    for block, (at, cols, p, c, left, right) in zip(gathered, sectors):
-        g = block.take(at, axis=0).take(cols, axis=1)  # X_k[alpha, (classes, sigma(pairs))]
-        g *= left[:, None] * right[None, :]
-        t = g[:, :p] - g[:, c:]
-        g[:, :p] += g[:, c:]
-        g.real[:, c:], g.imag[:, c:] = -t.imag, t.real  # g = [s | i t]
-        blocks.append(np.concatenate([g.real, g.imag[:p]]))
-        dropped += np.linalg.norm(g.imag[p:]) ** 2
+    blocks, dropped = zip(*(_real_sector_block(gathered, wave, *sector)
+                            for wave, sector in zip(dft, sectors)))
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
-    skew_sq = dropped + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
+    skew_sq = sum(dropped) + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
     return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), q, r)
 
 
+def _real_sector_block(gathered, wave, at, cols, p, c, left, right):
+    """The real block of sector k of `_sector_spectrum`, and the squared norm
+    of the imaginary parts that its palindromic rows drop, from the gather
+    and row k of the DFT, wave[m] = w^{km}/r; the other arguments are the
+    sector's entry in `_sector_plan`.  The DFT row of the gather lives only
+    until the block's rows are taken from it, and G until the return, so one
+    sector is built at a time."""
+    g = ((wave @ gathered.reshape(len(wave), -1)).reshape(gathered.shape[1:])
+         .take(at, axis=0).take(cols, axis=1))  # X_k[alpha, (classes, sigma(pairs))]
+    g *= left[:, None]
+    g *= right
+    t = g[:, :p] - g[:, c:]
+    g[:, :p] += g[:, c:]
+    g.real[:, c:], g.imag[:, c:] = -t.imag, t.real  # g = [s | i t]
+    return np.concatenate([g.real, g.imag[:p]]), np.linalg.norm(g.imag[p:]) ** 2
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sector_plan(n, r):
     """The shape-only part of `_sector_spectrum` for N = n at depth r, from
     the shift orbits of `_cyclic_orbits`, their reversal pairing sigma and
-    shifts j_alpha: (rows, cols, sectors), the digits of the gathered rows
-    P^m A_alpha (m major, alpha among the rows that reversal keeps) and
-    columns A_beta, and per sector k (at, cols, p, c, left, right): the
+    shifts j_alpha: (rows, cols, dft, sectors), the digits of the gathered
+    rows P^m A_alpha (m major, alpha among the rows that reversal keeps) and
+    columns A_beta, the r x r DFT matrix dft[k, m] = w^{km}/r over the
+    rotations, and per sector k (at, cols, p, c, left, right): the
     gathered rows `at` and columns `cols` of its block, p reversed pairs and
     c orbit classes, and the scale vectors left = conj(root[classes]) /
     lift[:c] and right = root[cols] lift, root = c_alpha^{1/2} sqrt(d_alpha).
     Read-only arrays."""
     digits = multi_indices(n, r)
+    km = np.outer(np.arange(r), np.arange(r)) % r
+    dft = np.exp(2j * np.pi * km / r) / r  # (1/r) w^{km}, row k for sector k
     rots, reps, sizes = _cyclic_orbits(n, r)
     orbit = np.full(n**r, -1)  # the orbit of each flat index, as a position in reps
     orbit[rots[:, reps]] = np.arange(len(reps))
@@ -459,7 +503,7 @@ def _sector_plan(n, r):
                         _read_only(root[classes].conj() / lift[:c]),
                         _read_only(root[cols] * lift)))
     return (_read_only(digits[rots[:, reps[rows]].ravel()]), _read_only(digits[reps]),
-            tuple(sectors))
+            _read_only(dft), tuple(sectors))
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):

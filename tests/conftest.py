@@ -101,15 +101,16 @@ def _skew_factors(monkeypatch):
 
 
 def _replace_top_eigenvalue(monkeypatch, replacement):
-    exact = np.linalg.eigvalsh
+    # every structured block eigenvalue, closed-form or batched, comes from here
+    exact = spectra._block_eigenvalues
 
-    def faulty(a):
-        vals = exact(a)
+    def faulty(v):
+        vals = exact(v)
         top = np.unravel_index(np.argmax(vals), vals.shape)
         vals[top] = replacement(vals, top)
         return vals
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+    monkeypatch.setattr(spectra, "_block_eigenvalues", faulty)
 
 
 STRUCTURED_FAULTS = {

@@ -234,7 +234,9 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     [vals] = spectra._gram_spectra(ht.dita(m, n, q), [r])
     blocks, k = (m * n) ** (r - 1), min(m, n)
-    assert shapes == [(blocks, k, k)]  # one batch; the zeros are appended, not solved
+    # 2 x 2 blocks in closed form, larger ones as one batch; the zeros are
+    # appended, not solved
+    assert shapes == ([] if k == 2 else [(blocks, k, k)])
     assert len(vals) == (m * n) ** r
     assert (vals == 0.0).sum() >= (m * n) ** r - blocks * k
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
@@ -275,8 +277,10 @@ def test_factor_spectrum_peak_memory():
     # Fourier blocks are built from; the Fourier-block route peaked at 6.9 MB
     # at dita(2,3;seed=7), r = 6.  The zeros are appended, not solved as 1 x 1
     # blocks, and the Gram batch gets no Hermiticity temporary: with both, the
-    # peaks were 2.64 and 4.33 MB at the last two cases.
-    for spec, r, bound in [("dita(2,3;seed=7)", 6, 4e6), ("dita(2,3;seed=7)", 6, 2.4e6),
+    # peaks were 2.64 and 4.33 MB at the last two cases.  The 2 x 2 blocks
+    # are solved in closed form, with no Gram batch: with one and eigvalsh,
+    # the peak was 2.06 MB at the second case.
+    for spec, r, bound in [("dita(2,3;seed=7)", 6, 4e6), ("dita(2,3;seed=7)", 6, 1.8e6),
                            ("dita(3,3;seed=1)", 5, 3.8e6)]:
         h = ht.build_matrix(spec)
         tracemalloc.start()
@@ -303,17 +307,70 @@ def test_structured_skewed_kernel_rejected(monkeypatch):
         structured_moments(ht.seeded_phase_matrix(2, 3, 7), 2, 3)
 
 
-def test_structured_lost_eigenvalue_rejected(monkeypatch):
-    exact = np.linalg.eigvalsh
-
+def _losing_top_eigenvalue(exact):
     def losing(a):
         vals = exact(a)
         vals[np.unravel_index(np.argmax(vals), vals.shape)] = 0.0
         return vals
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", losing)
+    return losing
+
+
+def test_structured_lost_eigenvalue_rejected(monkeypatch):
+    # dita(2, 3): 2 x 2 blocks, solved in closed form
+    monkeypatch.setattr(spectra, "_block_eigenvalues",
+                        _losing_top_eigenvalue(spectra._block_eigenvalues))
     with pytest.raises(EigensolverError, match="trace identity"):
         structured_moments(ht.seeded_phase_matrix(2, 3, 7), 2, 3)
+
+
+def test_structured_batched_lost_eigenvalue_rejected(monkeypatch):
+    # dita(3, 3): 3 x 3 blocks, solved by one batched eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", _losing_top_eigenvalue(np.linalg.eigvalsh))
+    with pytest.raises(EigensolverError, match="trace identity"):
+        structured_moments(ht.seeded_phase_matrix(3, 3, 1), 2, 3)
+
+
+def _two_by_two_factors():
+    """Batches of factors V whose Gram matrices are 2 x 2, by name: N x 2
+    factors with the named block V^*V, and the depth-3 factors of dita(M, N),
+    which have two columns when M = 2 and two rows when N = 2."""
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 50, 3, 2)) @ np.array([1, 1j])
+    cases = {
+        "random": np.stack([x, y], axis=-1),
+        "rank-one": np.stack([x, (0.3 - 1.7j) * x], axis=-1),  # |c|^2 = a b
+        "a=b": np.stack([x, x[:, ::-1] * 1j], axis=-1),
+        "c=0": np.stack([x, np.cross(x.conj(), rng.normal(size=(50, 3)))], axis=-1),
+    }
+    for m, n in [(2, 3), (3, 2), (4, 2)]:
+        cases[f"dita({m},{n})"] = spectra._structured_factors(ht.seeded_phase_matrix(m, n, 7), 3)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["random", "rank-one", "a=b", "c=0", "dita(2,3)",
+                                  "dita(3,2)", "dita(4,2)"])
+def test_closed_form_blocks_match_eigvalsh(case):
+    v = _two_by_two_factors()[case]
+    for factors in (v, v.swapaxes(1, 2)):  # and the transposes, two rows <-> two columns
+        rows, cols = factors.shape[1:]
+        gram = (factors.swapaxes(1, 2).conj() @ factors if cols <= rows
+                else factors @ factors.swapaxes(1, 2).conj())
+        want = np.linalg.eigvalsh(gram)
+        got = spectra._block_eigenvalues(factors)
+        assert got.shape == want.shape == (len(v), 2)
+        assert (np.diff(got, axis=1) >= 0).all()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if case == "rank-one":
+        assert np.abs(got[:, 0]).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_closed_form_haar_counts():
+    # T_p of dita(2,3;seed=7) is solved as the 2 x 2 closed-form blocks of its
+    # transpose; the multiplicities of the eigenvalue 1 are those eigvalsh gave
+    h = ht.build_matrix("dita(2,3;seed=7)")
+    counts = [ht.haar_moment_estimate(h, p, cap=10**6).rounded for p in range(1, 6)]
+    assert counts == [1, 4, 18, 86, 426]
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 2, 1), (2, 2, 7), (2, 3, 5),

@@ -934,6 +934,44 @@ def test_imaginary_palindromic_row_rejected(monkeypatch, consumer):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
+@pytest.mark.usefixtures("generic_route")
+def test_sector_route_peak_is_gather_and_one_sector():
+    # The DFT over the rotations is applied one row at a time, so the peak is
+    # the gather, one sector of its DFT with the block taken from it, and the
+    # solved blocks.  A DFT of the whole gather out of place would add 4.97 MB.
+    h = ht.build_matrix("transpose(dita(2,3;seed=7))")
+    r = 4
+    rows, reps, _, sectors = spectra._sector_plan(h.n, r)
+    sector = len(rows) // r * len(reps) * 16
+    taken = max(len(at) * len(cols) for at, cols, *_ in sectors) * 16
+    solved = sum(len(cols) ** 2 for _, cols, *_ in sectors) * 8
+    tracemalloc.start()
+    try:
+        [_] = spectra._gram_spectra(h, [r])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= r * sector + sector + taken + solved
+
+
+def test_no_fft_on_any_route(monkeypatch):
+    # the sector DFT is a product with the planned r x r matrix, and the
+    # structured blocks come from the closed-form factors
+    inputs = [ht.build_matrix(spec) for spec in ("dita(2,3;seed=7)", "dita(3,3;seed=1)")]
+    q = ht.seeded_phase_matrix(2, 3, 7)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.fft was called")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, forbidden)
+    for recognize in (spectra._dita_factors, lambda arr: None):  # structured, then sectors
+        monkeypatch.setattr(spectra, "_dita_factors", recognize)
+        for h in inputs:
+            assert len(list(spectra._gram_spectra(h, [1, 2, 3]))) == 3
+    assert ht.dita_selfduality_residual(2, 3, q, 3, 3).passed
+
+
 def test_gram_spectrum_gathers_only_rows_reversal_keeps():
     h = ht.build_matrix("transpose(dita(2,3;seed=7))")
     tracemalloc.start()
@@ -1068,6 +1106,11 @@ def test_plans_are_read_only_and_bounded():
             arr.flat[:1] = 0
     for cache in PLAN_CACHES:
         assert cache.cache_info().maxsize == spectra._PLAN_CACHE_SIZE
+    # the DFT over the rotations: r x r, (1/r) w^{km}
+    for (n, r), plan in zip([(4, 3), (1, 2)], plans):
+        dft = plan[2]
+        assert dft.shape == (r, r) and not dft.flags.writeable
+        assert np.abs(dft - np.fft.ifft(np.eye(r), axis=0)).max() <= 1e-15
 
 
 PLAN_INPUTS = [
