@@ -15,7 +15,7 @@ a later first import of `hadtrunc.dita` would make `hadtrunc.dita` the module
 instead of the constructor.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 from .dita import bench_structured_vs_dense, structured_moments
 from .errors import (DEFAULT_CAP, CapExceededError, EigensolverError,
@@ -40,7 +40,7 @@ _HOME = {name: module for module, names in {
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__():

@@ -3,7 +3,8 @@
 Subcommands: validate, gen, measure, moments, cesaro, duality, dita-check,
 bench.  Exit codes: 0 pass, 1 mathematical check failed, 2 usage or parse
 error, 3 size cap exceeded.  All output is deterministic given the spec
-string and flags.
+string and flags, except the timings: `elapsed_s` of duality and dita-check,
+and `dense_ms`, `structured_ms` and `speedup` of bench.
 
 Each command builds its matrix first and only then imports the layer that it
 runs, so `validate` and `gen` never load `spectra`, `magic` or `duality`.
@@ -179,12 +180,13 @@ def _add_phase_source(sub):
 
 
 def _cmd_dita_check(args):
-    q = specs.resolve_phase_matrix(args.m, args.n, _qsource(args))
+    spec = specs.DitaSpec(args.m, args.n, _qsource(args))
+    q = specs.resolve_phase_matrix(*spec)
     from .duality import dita_selfduality_residual
 
     report = dita_selfduality_residual(args.m, args.n, q, args.p_max, args.r_max,
                                        tol=args.tol, cap=args.cap)
-    _emit_json(report.to_dict(), args.out)
+    _emit_json(report._replace(matrix=specs.unparse(spec)).to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

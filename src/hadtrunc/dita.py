@@ -1,19 +1,12 @@
 """Entry points for deformed Fourier matrices dita(M, N, Q), on the phase matrix Q.
 
-For H built from F_M, F_N and a phase parameter matrix Q, the depth-r Gram
-matrix is a convolution operator over Z_M^r whose support keeps A - B in the
-diagonal subgroup Z_N (1, ..., 1).  A discrete Fourier transform over the
-M-part thus leaves one N x N block per frequency kappa in Z_M^r and coset:
-V V^* when sum kappa = 0 (mod M), for the closed-form unimodular N x M
-factors V of `spectra._structured_factors`, and zero otherwise.  Only
-`spectra._gram_spectra`, the one dispatch point of every spectrum, solves
-them: it recognizes dita(M, N, Q) from its entries, once per matrix per call,
-up to row and column phases and digit shuffles (which cover its transpose and
-F_MN), and `structured_moments` hands it the matrix built from Q.
-`structured_gram_matrix` undoes the transform to lay the factors out as the
-dense X, which the dense pipeline checks entry by entry: every structured
-result is validated against it in the tests and before any benchmark timing
-is reported.
+The depth-r Gram matrix of dita(M, N, Q) splits into one Gram block of
+closed-form factors per frequency and coset, plus exact zeros; the derivation
+and the recognition rule are in `hadtrunc.spectra`, whose one dispatch point
+solves those blocks.  `structured_moments` hands it the matrix built from Q.
+`structured_gram_matrix` lays the blocks out as the dense X, which the dense
+pipeline checks entry by entry: every structured result is validated against
+it in the tests and before any benchmark timing is reported.
 """
 
 from __future__ import annotations
@@ -31,26 +24,30 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     """Full depth-r Gram matrix rebuilt from `spectra._structured_factors` (dense
     layout, same index flattening as the generic pipeline).
 
-    The blocks V V^* at the frequencies kappa with sum kappa = 0 (mod M), and
-    zero blocks elsewhere, go through one inverse Fourier transform over the r
-    kappa-axes, which gives k[U, C, t, t'] = X_{IA,JB} for U = I - J and
-    A = A_C + t (1, ..., 1), B = A_C + t' (1, ..., 1); the pairs whose N-parts
-    lie in different cosets are zero.
+    With U = I - J the difference of the M-parts, A = A_C + t (1, ..., 1) and
+    B = A_C + t' (1, ..., 1), the entry X_{IA,JB} is
+
+        k[U, C, t, t'] = M^{-r} sum_kappa w_M^{U . kappa} (V V^*)[kappa, C, t, t'],
+
+    summed over the frequencies kappa with sum kappa = 0 (mod M), the only
+    ones whose blocks are nonzero: one product of the M^r x M^{r-1} character
+    table with the blocks V V^*.  The pairs whose N-parts lie in different
+    cosets are zero.
     """
     from . import spectra
     from .magic import multi_indices
 
     if r < 1:
         raise ValueError("depth r must be >= 1")
-    m, n = np.shape(q)
+    q = matrices._check_phase_matrix(q)
+    m, n = q.shape
     check_cap((m * n) ** r, cap)
     v = spectra._structured_factors(q, r)
     udig = multi_indices(m, r)
-    blocks = np.zeros((m**r, n ** (r - 1), n, n), dtype=complex)
-    blocks[udig.sum(axis=1) % m == 0] = (
-        v @ v.swapaxes(-1, -2).conj()).reshape(-1, n ** (r - 1), n, n)
-    kernel = np.fft.ifftn(blocks.reshape((m,) * r + (-1, n, n)), axes=tuple(range(r)))
-    kernel = kernel.reshape(m**r, -1, n, n)
+    kappa = udig[udig.sum(axis=1) % m == 0]
+    chars = np.exp(2j * np.pi * (udig @ kappa.T % m) / m) / m**r  # w_M^{U . kappa} / M^r
+    blocks = (v @ v.swapaxes(-1, -2).conj()).reshape(len(kappa), -1)
+    kernel = (chars @ blocks).reshape(m**r, -1, n, n)
     place = np.arange(r - 1, -1, -1)
     digits = multi_indices(m * n, r)
     ipart = digits // n @ m**place

@@ -18,6 +18,7 @@ from .errors import HadamardValidationError
 
 UNIMODULARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8  # multiplied by N
+_PHASE_TOL = 1e-12  # largest ||z| - 1| of a phase parameter, or of an entry dephased to find one
 
 _SEED_LIMIT = 1 << 64  # phase seeds are 64-bit: 0 <= seed < _SEED_LIMIT
 _MASK64 = _SEED_LIMIT - 1
@@ -58,7 +59,7 @@ def _check_phase_matrix(q):
     if q.ndim != 2:
         raise ValueError("phase parameter matrix must be two-dimensional")
     dev = np.abs(np.abs(q) - 1.0).max()
-    if not dev <= 1e-12:  # also rejects NaN
+    if not dev <= _PHASE_TOL:  # also rejects NaN
         raise ValueError(f"phase parameter matrix is not unimodular (deviation {dev:.3e})")
     return q
 

@@ -41,15 +41,12 @@ of both routes pass one contract, computed from the profile of the input
   for the closed-form unimodular N x M factors V of `_structured_factors`, so
   the spectrum is that of M^{r-1} N^{r-1} Gram matrices of size min(M, N),
   plus exact zeros.  When min(M, N) = 2 their eigenvalues come in closed form
-  from the norms and the inner product of the two columns (rows) of V
   (`_block_eigenvalues`), else from one batched `eigvalsh`.  An input takes
-  this route only when `_dita_factors` rebuilds it, entry by entry within
-  1e-14, as such a matrix after row and column phases and the digit shuffle
-  (j, b) -> (b, j) on its rows, its columns or both.  That covers
-  transpose(dita(M, N, Q)), which is dita(N, M, Q^T) shuffled on both sides,
-  F_MN, which by Cooley-Tukey is dita(M, N, (w_MN^{ib})) with shuffled rows,
-  and D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or
-  provenance string is read.
+  this route only when `_dita_factors` rebuilds its dephased entries, entry
+  by entry, as such a matrix after a digit shuffle of its rows, its columns
+  or both.  That covers transpose(dita(M, N, Q)), F_MN and
+  D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or provenance
+  string is read.
 
 Each route is split into a plan and a numeric step.  The plans
 (`_sector_plan(n, r)`, `_structured_plan(m, n, r)`, `_recognition_plan(size)`)
@@ -81,10 +78,10 @@ from .errors import DEFAULT_CAP, EigensolverError, MomentImagError, check_cap
 from .magic import multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
-# Largest entrywise difference between an input and the dita rebuilt from its
-# entries.  For M, N <= 5 and seeds 1, 7, 13, dita(M, N, Q) and its shuffled
-# transpose come within 3.6e-16, and both with random row and column phases,
-# dephased, within 8.1e-16; row-shuffled F_4 ... F_64 come within 2.1e-15.
+# Largest entrywise difference between the dephased entries of an input and the
+# dita rebuilt from them.  For M, N <= 5 and seeds 1, 7, 13, dita(M, N, Q) and
+# its shuffled transpose come within 6.0e-16, and both with random row and
+# column phases within 9.4e-16; row-shuffled F_k, k <= 64 composite, within 2.3e-15.
 _DITA_MATCH_TOL = 1e-14
 CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
@@ -242,9 +239,9 @@ def _structured_factors(q, r):
     frequency and coset, and V V^* is the block at (kappa, C); the blocks with
     sum kappa != 0 (mod M) vanish.  Shape (M^{r-1} N^{r-1}, N, M), kappa major
     and both in the row-major order of `multi_indices`; the index tables come
-    from `_structured_plan`.
+    from `_structured_plan`.  Q is an M x N array that its callers have checked
+    with `matrices._check_phase_matrix`.
     """
-    q = matrices._check_phase_matrix(q)
     m, n = q.shape
     mu, steps = _structured_plan(m, n, r)
     ratio = (q[:, :, None] / q[:, None, :]).reshape(m, n * n)  # Q[m, a] / Q[m, b] at (m, a n + b)
@@ -275,41 +272,43 @@ def _dita_factors(arr):
     column phases and digit shuffles that leave the Gram spectrum unchanged;
     None when there is none.
 
-    For each factorization len(arr) = M N, with s the shuffle (b, j) -> (j, b)
+    The entries are dephased first (first row and column 1), which absorbs
+    the row and column phases of D1 dita(M, N, Q) D2; a dita dephases to
+    dita(M, N, Q') with Q'_ib = Q_ib Q_00 / (Q_i0 Q_0b), the Q returned.  For
+    each factorization len(arr) = M N, with s the shuffle (b, j) -> (j, b)
     from Z_N x Z_M onto Z_M x Z_N, four index maps are tried: none, s on rows
     and columns (transpose(dita(N, M, Q^T)) is dita(M, N, Q) shuffled so), s
     on rows only (F_MN, by Cooley-Tukey, is dita(M, N, (w_MN^{ib})) with rows
-    i + M a reordered to i N + a), and s on columns only.  Q is read off the
-    entries at rows (i, 0) and columns (0, b), and a candidate is accepted only
-    when dita(M, N, Q), rebuilt from Q and the Fourier matrices of
+    i + M a reordered to i N + a), and s on columns only.  Every shuffle fixes
+    index 0, so dephasing commutes with them.  Q is read off the entries at
+    rows (i, 0) and columns (0, b), and a candidate is accepted only when
+    dita(M, N, Q), rebuilt from Q and the Fourier matrices of
     `matrices.fourier`, matches it in every entry within _DITA_MATCH_TOL and
-    Q is unimodular (as `matrices.dita` requires).  The four maps of one
-    factorization are checked as one batch; the first map in that order that
-    matches for any factorization wins.  The entries as given are tried
-    first, so a plain dita returns its own Q, then the dephased entries
-    (first row and column 1), which absorb row and column phases
-    D1 dita(M, N, Q) D2.  The maps and waves come from `_recognition_plan`.
+    Q passes `matrices._check_phase_matrix`, as in `matrices.dita`.  The four
+    maps of one factorization are checked as one batch; the first map in
+    that order that matches for any factorization wins.  The maps and waves
+    come from `_recognition_plan`.
     """
     maps = _recognition_plan(arr.shape[0])
     # entries off the unit circle (or NaN) match no dita, and dephasing divides by them
-    if not maps or not np.abs(np.abs(arr) - 1.0).max() <= 1e-12:
+    if not maps or not np.abs(np.abs(arr) - 1.0).max() <= matrices._PHASE_TOL:
         return None
-    dephased = arr / arr[0]
-    dephased /= dephased[:, :1]
-    for entries in (arr, dephased):
-        found = []
-        for m, n, rows, cols, waves in maps:
-            cands = entries[rows, cols].reshape(4, m, n, m, n)  # [map, i, a, j, b]
-            q = cands[:, :, 0, 0, :]
-            dev = np.abs(q[:, :, None, None, :] * waves - cands).max(axis=(1, 2, 3, 4))
-            found.append((m, n, q, dev))
-        for k in range(4):
-            for m, n, q, dev in found:
-                if dev[k] <= _DITA_MATCH_TOL:
-                    try:
-                        return m, n, matrices._check_phase_matrix(q[k])
-                    except ValueError:  # Q is not unimodular
-                        pass
+    entries = arr / arr[0]
+    entries /= entries[:, :1]
+    entries[0] = entries[:, 0] = 1.0  # exactly: x / x can miss 1 by a rounding error
+    found = []
+    for m, n, rows, cols, waves in maps:
+        cands = entries[rows, cols].reshape(4, m, n, m, n)  # [map, i, a, j, b]
+        q = cands[:, :, 0, 0, :]
+        dev = np.abs(q[:, :, None, None, :] * waves - cands).max(axis=(1, 2, 3, 4))
+        found.append((m, n, q, dev))
+    for k in range(4):
+        for m, n, q, dev in found:
+            if dev[k] <= _DITA_MATCH_TOL:
+                try:
+                    return m, n, matrices._check_phase_matrix(q[k])
+                except ValueError:  # Q is not unimodular
+                    pass
     return None
 
 
@@ -352,14 +351,14 @@ def _gram_spectra(h, depths, cap=DEFAULT_CAP):
 def _structured_spectrum(factors, q, r):
     """Ascending eigenvalues of the depth-r Gram matrix X of an input with
     profile q that `_dita_factors` rebuilt as dita(M, N, Q), factors =
-    (M, N, Q), under `_certified_spectrum`: the eigenvalues
-    (`_block_eigenvalues`) of the M x M Gram matrices V^*V of the factors of
-    `_structured_factors` when M <= N, else of the N x N V V^*, and the
-    (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros.  Row phases and
-    permutations keep the profile, column phases cancel around each cycle of
-    X and column permutations only permute it, so these blocks have the
-    spectrum of X.  `_dita_factors` checks that Q is unimodular, so
-    V is finite and V^*V Hermitian: the contract, against q, is the check."""
+    (M, N, Q), under `_certified_spectrum`: the eigenvalues of the Gram
+    matrices of size min(M, N) of the factors V of `_structured_factors`
+    (`_block_eigenvalues`), and the (MN)^r - M^{r-1} N^{r-1} min(M, N) exact
+    zeros.  Row phases and permutations keep the profile, column phases cancel
+    around each cycle of X and column permutations only permute it, so these
+    blocks have the spectrum of X.  `_dita_factors` checks that Q is
+    unimodular, so V is finite and its Gram matrices Hermitian: the contract,
+    against q, is the check."""
     m, n, phases = factors
     vals = _block_eigenvalues(_structured_factors(phases, r)).ravel()
     zeros = np.zeros((m * n) ** r - len(vals))  # of the vanishing blocks
@@ -367,26 +366,24 @@ def _structured_spectrum(factors, q, r):
 
 
 def _block_eigenvalues(v):
-    """Eigenvalues of the Gram matrices of the batch v of factors V, as an
-    array of shape (blocks, k), ascending within each block: of the k x k V^*V
-    when V has no more columns than rows, else of V V^*, k = min(rows, columns).
+    """Eigenvalues of the k x k Gram matrices W^*W of the batch v of factors V,
+    k = min(rows, columns), as an array of shape (blocks, k), ascending within
+    each block: W = V, or V^T when V has more columns than rows, since
+    V V^* = conj((V^T)^* V^T) has the same eigenvalues.
 
     For k = 2 in closed form, with no product and no `eigvalsh`: with a and b
-    the squared norms of the two columns (rows) and c their inner product, the
+    the squared norms of the two columns of W and c their inner product, the
     block [[a, c], [conj c, b]] has the eigenvalues
     ((a + b) -+ hypot(a - b, 2 |c|)) / 2.  No unimodularity of V is assumed.
     Otherwise one batched `eigvalsh` of the Gram matrices."""
-    rows, cols = v.shape[1:]
-    if min(rows, cols) != 2:
-        gram = v.swapaxes(-1, -2).conj() @ v if cols <= rows else v @ v.swapaxes(-1, -2).conj()
-        return np.linalg.eigvalsh(gram)
-    if cols <= rows:
-        x, y, norms = v[:, :, 0], v[:, :, 1], "btj,btj->bj"
-    else:
-        x, y, norms = v[:, 0], v[:, 1], "bjt,bjt->bj"
-    vals = np.einsum(norms, v.real, v.real) + np.einsum(norms, v.imag, v.imag)  # (a, b)
+    if v.shape[2] > v.shape[1]:
+        v = v.swapaxes(1, 2)
+    if v.shape[2] != 2:
+        return np.linalg.eigvalsh(v.swapaxes(1, 2).conj() @ v)
+    vals = np.einsum("btj,btj->bj", v.real, v.real) + np.einsum("btj,btj->bj", v.imag, v.imag)
     a, b = vals.T
-    mid, rad = a + b, np.hypot(a - b, 2 * np.abs(np.einsum("bt,bt->b", x, y.conj())))
+    c = np.einsum("bt,bt->b", v[:, :, 0], v[:, :, 1].conj())
+    mid, rad = a + b, np.hypot(a - b, 2 * np.abs(c))
     vals[:, 0], vals[:, 1] = mid - rad, mid + rad
     return vals / 2
 
@@ -479,8 +476,7 @@ def _sector_plan(n, r):
     lift[:c] and right = root[cols] lift, root = c_alpha^{1/2} sqrt(d_alpha).
     Read-only arrays."""
     digits = multi_indices(n, r)
-    km = np.outer(np.arange(r), np.arange(r)) % r
-    dft = np.exp(2j * np.pi * km / r) / r  # (1/r) w^{km}, row k for sector k
+    dft = matrices.fourier(r).array / r  # (1/r) w^{km}, row k for sector k
     rots, reps, sizes = _cyclic_orbits(n, r)
     orbit = np.full(n**r, -1)  # the orbit of each flat index, as a position in reps
     orbit[rots[:, reps]] = np.arange(len(reps))

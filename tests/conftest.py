@@ -1,3 +1,4 @@
+import functools
 import os
 from pathlib import Path
 
@@ -50,6 +51,46 @@ FRESH_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.
 
 def tao6_matrix():
     return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+
+
+def _phased(h, cols=True):
+    """D1 h D2 with random unimodular diagonals; D2 = 1 unless cols."""
+    d1, d2 = np.exp(2j * np.pi * np.random.default_rng(3).random((2, h.n)))
+    return ht.hadamard(d1[:, None] * h.array * (d2 if cols else 1.0))
+
+
+def _moved(h):
+    """h with one entry turned by 1e-10 rad."""
+    arr = h.array.copy()
+    arr[-1, -2] *= np.exp(1e-10j)
+    return ht.hadamard(arr)
+
+
+# Inputs that no spec string builds: a dita with phases on its rows and
+# columns, and near-misses one entry away from the dita structure.
+NAMED_INPUTS = {
+    "tao6": tao6_matrix,
+    "phased": lambda: _phased(ht.build_matrix("dita(2,3;seed=7)")),
+    "phased-transpose": lambda: _phased(ht.build_matrix("transpose(dita(2,3;seed=7))")),
+    "row-phased-dita33": lambda: _phased(ht.build_matrix("dita(3,3;seed=1)"), cols=False),
+    "moved": lambda: _moved(ht.build_matrix("dita(2,3;seed=7)")),
+    "moved-fourier:8": lambda: _moved(ht.fourier(8)),
+    "moved-phased": lambda: _moved(NAMED_INPUTS["phased"]()),
+}
+
+
+def build_input(spec):
+    """The matrix of a spec string, or of a name in NAMED_INPUTS."""
+    return NAMED_INPUTS[spec]() if spec in NAMED_INPUTS else ht.build_matrix(spec)
+
+
+# One SVD per input and depth for the whole run, however many tests compare
+# against it.
+@functools.cache
+def gram_vector_oracle(spec, r):
+    """Ascending squared singular values of `gram_vectors`: the spectrum of X."""
+    return np.sort(np.linalg.svd(spectra.gram_vectors(build_input(spec), r),
+                                 compute_uv=False) ** 2)
 
 
 # every memoized function of `spectra`, so that no cache, present or later,

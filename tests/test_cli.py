@@ -251,12 +251,27 @@ def test_duality_command(capsys):
     assert data["max_residual"] < 1e-10
 
 
+def test_duality_output_is_deterministic_but_for_elapsed(capsys):
+    runs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "duality", "dita(2,3;seed=7)",
+                               "--p-max", "3", "--r-max", "3")
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("elapsed_s") >= 0
+        runs.append(json.dumps(data))
+    assert runs[0] == runs[1]
+
+
 def test_dita_check_seed(capsys):
     code, out, _ = run_cli(capsys, "dita-check", "--m", "2", "--n", "2",
                            "--seed", "7", "--p-max", "3", "--r-max", "3")
     assert code == 0
     data = json.loads(out)
     assert data["pass"] is True and data["atoms_match"] is True
+    # named as `duality` names the same matrix
+    _, out, _ = run_cli(capsys, "duality", "dita(2,2;seed=7)", "--p-max", "1", "--r-max", "1")
+    assert data["matrix"] == json.loads(out)["matrix"] == "dita(2,2;seed=7)"
 
 
 def test_dita_check_qfile(capsys, tmp_path):
@@ -266,7 +281,8 @@ def test_dita_check_qfile(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "dita-check", "--m", "2", "--n", "2",
                            "--qfile", str(path), "--p-max", "2", "--r-max", "2")
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    data = json.loads(out)
+    assert data["pass"] is True and data["matrix"] == f"dita(2,2;file={path})"
 
 
 @pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity"])

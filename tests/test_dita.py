@@ -11,6 +11,8 @@ from hadtrunc.errors import CapExceededError, EigensolverError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import gram_vectors
 
+from conftest import gram_vector_oracle
+
 
 # References used only here: entrywise kernel formulas, which the dense layouts
 # are checked against, the Fourier-transformed kernel blocks, which the factor
@@ -223,7 +225,7 @@ def test_structured_gram_matrix_rejects_depth_below_one(r):
 def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
     vecs = gram_vectors(ht.dita(m, n, q), r)
-    oracle = np.sort(np.linalg.svd(vecs, compute_uv=False) ** 2)
+    oracle = gram_vector_oracle(f"dita({m},{n};seed={seed})", r)
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 

@@ -34,6 +34,10 @@ def test_public_names_are_pinned():
              if not name.startswith("_") and not inspect.ismodule(getattr(ht, name))}
     assert names == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 47
+    # every module attribute is a submodule of hadtrunc, bound by its import
+    modules = {name: getattr(ht, name) for name in dir(ht) if inspect.ismodule(getattr(ht, name))}
+    assert modules and all(module.__name__ == f"hadtrunc.{name}"
+                           for name, module in modules.items())
 
 
 def test_on_demand_exports_are_their_home_objects():

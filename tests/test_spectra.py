@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 from math import gcd
 
@@ -10,13 +9,14 @@ from hypothesis import strategies as st
 import hadtrunc as ht
 from hadtrunc import magic, spectra
 from hadtrunc.cli import main
+from hadtrunc.dita import structured_gram_matrix
 from hadtrunc.duality import atoms_agree
 from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
 from conftest import (CORPUS_SPECS, PLAN_CACHES, SMALL_SPECS, STRUCTURED_FAULTS,
-                      tao6_matrix)
+                      build_input, gram_vector_oracle, tao6_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -566,7 +566,7 @@ def test_truncation_spectrum_takes_structured_route(monkeypatch, structured_call
 @pytest.mark.parametrize("consumer", [
     pytest.param(lambda: ht.truncated_law(ht.fourier(8), 3), id="law-fourier8-r3"),
     pytest.param(lambda: ht.duality_residual(ht.fourier(6), 3, 3), id="duality-fourier6"),
-    pytest.param(lambda: ht.truncated_law(_build("phased"), 4), id="law-phased-dita23-r4"),
+    pytest.param(lambda: ht.truncated_law(build_input("phased"), 4), id="law-phased-dita23-r4"),
 ])
 def test_equivalent_dita_takes_structured_route(monkeypatch, structured_calls, consumer):
     def forbidden(q, r):
@@ -724,17 +724,17 @@ def _necklaces(n, r):
     return sum(phi[d] * n ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
 
 
-@pytest.mark.parametrize("h, r", [
-    pytest.param(ht.fourier(2), r, id=f"fourier2-r{r}") for r in range(1, 7)
+@pytest.mark.parametrize("spec, r", [
+    pytest.param("fourier:2", r, id=f"fourier2-r{r}") for r in range(1, 7)
 ] + [
-    pytest.param(tao6_matrix(), r, id=f"tao6-r{r}") for r in (2, 3)
+    pytest.param("tao6", r, id=f"tao6-r{r}") for r in (2, 3)
 ] + [
-    pytest.param(ht.build_matrix("transpose(dita(2,3;seed=7))"), 3, id="transpose-dita23-r3"),
+    pytest.param("transpose(dita(2,3;seed=7))", 3, id="transpose-dita23-r3"),
 ])
-def test_cyclic_blocks_match_gram_vector_oracle(sectors, h, r):
+def test_cyclic_blocks_match_gram_vector_oracle(sectors, spec, r):
+    h = build_input(spec)
     vals = sector_route(h, r)
-    oracle = np.sort(np.linalg.svd(spectra.gram_vectors(h, r), compute_uv=False) ** 2)
-    assert np.abs(vals - oracle).max() <= 1e-12 * h.n
+    assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert len(sectors) == r and sum(sectors) == h.n**r
     assert sectors[0] == _necklaces(h.n, r)
 
@@ -744,42 +744,6 @@ def test_cyclic_sector_sizes_depth_four(sectors, tao6):
     # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4}, d = 4
     assert sectors == [336, 315, 330, 315]
     assert _necklaces(6, 4) == 336
-
-
-def _phased(h, cols=True):
-    """D1 h D2 with random unimodular diagonals; D2 = 1 unless cols."""
-    d1, d2 = np.exp(2j * np.pi * np.random.default_rng(3).random((2, h.n)))
-    return ht.hadamard(d1[:, None] * h.array * (d2 if cols else 1.0))
-
-
-def _moved(h):
-    """h with one entry turned by 1e-10 rad."""
-    arr = h.array.copy()
-    arr[-1, -2] *= np.exp(1e-10j)
-    return ht.hadamard(arr)
-
-
-# Inputs that no spec string builds: a dita with phases on its rows and
-# columns, and near-misses one entry away from the dita structure.
-NAMED_INPUTS = {
-    "tao6": tao6_matrix,
-    "phased": lambda: _phased(ht.build_matrix("dita(2,3;seed=7)")),
-    "phased-transpose": lambda: _phased(ht.build_matrix("transpose(dita(2,3;seed=7))")),
-    "row-phased-dita33": lambda: _phased(ht.build_matrix("dita(3,3;seed=1)"), cols=False),
-    "moved": lambda: _moved(ht.build_matrix("dita(2,3;seed=7)")),
-    "moved-fourier:8": lambda: _moved(ht.fourier(8)),
-    "moved-phased": lambda: _moved(NAMED_INPUTS["phased"]()),
-}
-
-
-def _build(spec):
-    return NAMED_INPUTS[spec]() if spec in NAMED_INPUTS else ht.build_matrix(spec)
-
-
-@functools.cache
-def gram_vector_oracle(spec, r):
-    """Ascending squared singular values of `gram_vectors`: the spectrum of X."""
-    return np.sort(np.linalg.svd(spectra.gram_vectors(_build(spec), r), compute_uv=False) ** 2)
 
 
 # Complex X at the inputs and depths the oracle test above does not reach: a
@@ -796,7 +760,7 @@ def gram_vector_oracle(spec, r):
     pytest.param("row-phased-dita33", 3, routed, id="row-phased-dita33-r3-routed"),
 ])
 def test_real_sector_blocks_match_gram_vector_oracle(structured_calls, spec, r, spectrum):
-    h = _build(spec)
+    h = build_input(spec)
     vals = spectrum(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-2
@@ -813,10 +777,10 @@ DITA_SPECS = [spec for spec in CORPUS_SPECS if spec.startswith("dita")]
 @pytest.mark.parametrize("spec, r", [
     (spec, r) for spec in DITA_SPECS + [f"transpose({s})" for s in DITA_SPECS]
     + ["fourier:4", "fourier:6", "fourier:8", "phased", "phased-transpose"]
-    for r in range(1, 5) if _build(spec).n ** r <= 256
+    for r in range(1, 5) if build_input(spec).n ** r <= 256
 ] + [("fouriergroup:2x3", 3), ("tensor(fourier:2,fourier:3)", 2)])
 def test_routed_spectrum_matches_gram_vector_oracle(structured_calls, spec, r):
-    h = _build(spec)
+    h = build_input(spec)
     vals = routed(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert len(structured_calls) == 1
@@ -838,14 +802,20 @@ def test_transpose_is_shuffled_dita(m, n):
         assert np.abs(shuffled - ht.dita(n, m, q.T).array).max() <= spectra._DITA_MATCH_TOL
 
 
+def _dephased(q):
+    """Q'_ib = Q_ib Q_00 / (Q_i0 Q_0b): dita(M, N, Q) dephased is dita(M, N, Q')."""
+    return q * q[0, 0] / (q[:, :1] * q[:1, :])
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 3)])
 def test_dita_factors_recognize_dita_and_transpose(m, n):
     q = ht.seeded_phase_matrix(m, n, 7)
     h = ht.dita(m, n, q)
-    got_m, got_n, got_q = spectra._dita_factors(h.array)
-    assert (got_m, got_n) == (m, n) and np.array_equal(got_q, q)
-    got_m, got_n, got_q = spectra._dita_factors(ht.transpose(h).array)
-    assert (got_m, got_n) == (n, m) and np.array_equal(got_q, q.T)
+    for arr, shape, want in ((h.array, (m, n), q), (ht.transpose(h).array, (n, m), q.T)):
+        got_m, got_n, got_q = spectra._dita_factors(arr)
+        assert (got_m, got_n) == shape
+        assert (got_q[0] == 1).all() and (got_q[:, 0] == 1).all()
+        assert np.abs(got_q - _dephased(want)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("spec", ["fouriergroup:2x3", "tensor(fourier:2,fourier:3)"])
@@ -862,7 +832,7 @@ def test_dita_factors_recognize_fourier_group(spec):
                        ("phased", 2, 3))
 ])
 def test_dita_factors_recognize_equivalent(structured_calls, spec, m, n):
-    h = _build(spec)
+    h = build_input(spec)
     assert spectra._dita_factors(h.array)[:2] == (m, n)
     vals = routed(h, 2)
     assert structured_calls == [(m, n, 2)]
@@ -884,7 +854,7 @@ def test_dita_factors_reject_off_unit_circle():
 @pytest.mark.parametrize("spec", ["tao6", "fourier:2", "fourier:3", "fourier:5", "fourier:7",
                                   "moved", "moved-fourier:8", "moved-phased"])
 def test_dita_factors_reject(monkeypatch, spec):
-    h = _build(spec)
+    h = build_input(spec)
     assert spectra._dita_factors(h.array) is None
     exact = np.linalg.eigvalsh
     solved = []
@@ -955,8 +925,9 @@ def test_sector_route_peak_is_gather_and_one_sector():
 
 
 def test_no_fft_on_any_route(monkeypatch):
-    # the sector DFT is a product with the planned r x r matrix, and the
-    # structured blocks come from the closed-form factors
+    # the sector DFT is a product with the planned r x r matrix, the structured
+    # blocks come from the closed-form factors, and the dense layout of the
+    # structured route is one product with a character table
     inputs = [ht.build_matrix(spec) for spec in ("dita(2,3;seed=7)", "dita(3,3;seed=1)")]
     q = ht.seeded_phase_matrix(2, 3, 7)
 
@@ -965,6 +936,8 @@ def test_no_fft_on_any_route(monkeypatch):
 
     for name in np.fft.__all__:
         monkeypatch.setattr(np.fft, name, forbidden)
+    assert ht.structured_moments(q, 2, 3) > 0
+    assert structured_gram_matrix(q, 3).shape == (216, 216)
     for recognize in (spectra._dita_factors, lambda arr: None):  # structured, then sectors
         monkeypatch.setattr(spectra, "_dita_factors", recognize)
         for h in inputs:
@@ -1125,7 +1098,7 @@ def _plan_spectra(cold):
     each from empty plan caches when cold."""
     out = []
     for spec, depth in PLAN_INPUTS:
-        h = _build(spec)
+        h = build_input(spec)
         for side in (h, ht.transpose(h)):
             for r in range(1, depth + 1):
                 for solve in (routed, sector_route):
