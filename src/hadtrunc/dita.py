@@ -41,7 +41,7 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
         raise ValueError("depth r must be >= 1")
     q = matrices._check_phase_matrix(q)
     m, n = q.shape
-    check_cap((m * n) ** r, cap)
+    check_cap(m * n, r, cap)
     v = spectra._structured_factors(q, r)
     udig = multi_indices(m, r)
     kappa = udig[udig.sum(axis=1) % m == 0]

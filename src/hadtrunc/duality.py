@@ -51,7 +51,7 @@ def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
         raise ValueError("p_max and r_max must be >= 1")
     matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
-    check_cap(h.n ** max(p_max, r_max), cap)  # both tables' depths, before either is solved
+    check_cap(h.n, max(p_max, r_max), cap)  # both tables' depths, before either is solved
     table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
     table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
     grid = np.abs(table_h.gamma[:, 1:] - table_t.gamma[:, 1:].T)
@@ -88,7 +88,7 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     start = time.perf_counter()
     h = matrices.dita(m, n, q)
     size = h.n
-    check_cap(size**r_max, cap)
+    check_cap(size, r_max, cap)
     profiles = spectra.profile(h), spectra.profile(matrices.transpose(h))
     norms = np.array([float(size**p) for p in range(1, p_max + 1)])
     grid = np.empty((p_max, r_max))

@@ -5,16 +5,27 @@ DEFAULT_CAP = 4096
 PASS_TOL = 1e-8
 
 
-def check_cap(dim, cap):
+def check_cap(base, exponent, cap):
+    """base**exponent, the size of a dense object, once it fits the cap, else
+    CapExceededError naming the power.  The product stops at the first
+    factor that passes the cap, so an exponent of any size is refused in at
+    most log2(cap) + 1 multiplications and the power is never formed."""
+    dim = 1
+    for _ in range(exponent if base > 1 else 0):
+        dim *= base
+        if dim > cap:
+            break
     if dim > cap:
-        raise CapExceededError(dim, cap)
+        raise CapExceededError(f"{base}^{exponent}", cap)
+    return dim
 
 
 class SpecSyntaxError(ValueError):
-    """Malformed matrix spec string.  Carries the byte offset of the failure."""
+    """Malformed matrix spec string.  Carries the character offset of the
+    failure (a `file=` path may hold non-ASCII characters)."""
 
     def __init__(self, message, offset):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at character {offset})")
         self.offset = offset
 
 
@@ -27,7 +38,8 @@ class MagicGridError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A requested dense object would exceed the configured size cap."""
+    """A requested dense object would exceed the configured size cap.
+    `requested` names its dimension as a power, such as "3^100000"."""
 
     def __init__(self, requested, cap):
         super().__init__(f"requested dimension {requested} exceeds size cap {cap}")

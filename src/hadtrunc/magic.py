@@ -11,7 +11,10 @@ p-fold products of grid entries and drives the truncated integration
 functional: the (a, b) entry of T_p^r integrates the word u_{a1 b1}...u_{ap bp}
 at truncation depth r.  T_p is built from the products of the two half-words
 and multiplies grid projections only, so it stays an oracle independent of
-the profile and Gram routes in `spectra`.
+the profile and Gram routes in `spectra`.  Its moments Tr(T_p^r) are taken by
+`spectra.moments_via_T` as a contraction of two half powers, which forms no
+second N^p x N^p array, so the oracle's peak at r <= 2 is that of
+`truncation_tensor`.
 """
 
 from __future__ import annotations
@@ -127,8 +130,7 @@ def truncation_tensor(grid, p, cap=DEFAULT_CAP):
     if p < 1:
         raise ValueError("word length p must be >= 1")
     n = grid.n
-    dim = n**p
-    check_cap(dim, cap)
+    dim = check_cap(n, p, cap)
     words = [np.eye(n, dtype=complex)[None, None]]  # words[k] is W_k
     for k in range(1, (p + 1) // 2 + 1):
         words.append((words[-1][:, None, :, None] @ grid.projections[None, :, None, :])

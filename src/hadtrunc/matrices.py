@@ -123,8 +123,9 @@ class HadamardMatrix:
 
 
 def hadamard(matrix, provenance="unknown", check=True):
-    """Wrap a raw array as a HadamardMatrix, validating unless told otherwise."""
-    arr = np.ascontiguousarray(matrix, dtype=complex)
+    """Wrap a copy of a raw array as a HadamardMatrix, validating unless told
+    otherwise; the copy is made read-only, the caller's array is left as it was."""
+    arr = np.array(matrix, dtype=complex, order="C")
     if check:
         report = validate(arr)
         if not report.passed:

@@ -67,11 +67,15 @@ class _Cursor:
 
     def integer(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise SpecSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos]), start
+        try:
+            return int(self.text[start:self.pos]), start
+        except ValueError:  # more digits than the interpreter converts
+            raise SpecSyntaxError(f"integer of {self.pos - start} digits is too long",
+                                  start) from None
 
     def path(self):
         start = self.pos
@@ -152,7 +156,7 @@ def _parse_spec(cur):
 
 def parse_matrix_spec(text):
     """Parse a spec string into its tree form.  Deterministic and total on
-    valid inputs; raises SpecSyntaxError with a byte offset otherwise."""
+    valid inputs; raises SpecSyntaxError with a character offset otherwise."""
     cur = _Cursor(text)
     spec = _parse_spec(cur)
     if cur.pos != len(text):

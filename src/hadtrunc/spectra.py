@@ -135,8 +135,7 @@ def gram_vectors(h, r, cap=DEFAULT_CAP):
     if r < 1:
         raise ValueError("depth r must be >= 1")
     n = h.n
-    dim = n**r
-    check_cap(dim, cap)
+    dim = check_cap(n, r, cap)
     arr = h.array
     ratios = np.einsum("ia,ib->abi", arr, arr.conj()) / np.sqrt(n)
     digits = multi_indices(n, r)
@@ -156,7 +155,7 @@ def gram_matrix(h, r, cap=DEFAULT_CAP):
     """
     if r < 1:
         raise ValueError("depth r must be >= 1")
-    check_cap(h.n**r, cap)
+    check_cap(h.n, r, cap)
     digits = multi_indices(h.n, r)
     return _product_over_cycle(profile(h), digits, digits, r)
 
@@ -179,12 +178,14 @@ def _cyclic_orbits(n, r):
 
 
 def _trace_power(a, k):
-    """Tr(A^k) for k >= 1, as sum A^{ceil(k/2)} * (A^{floor(k/2)})^T, so only
-    half powers are multiplied out; A need not be Hermitian."""
+    """Tr(A^k) for k >= 1, as a contraction of A^{ceil(k/2)} with
+    A^{floor(k/2)}, sum_ij A^{ceil(k/2)}_ij A^{floor(k/2)}_ji, so only half
+    powers are multiplied out and no full-size temporary is formed; A need
+    not be Hermitian."""
     if k == 1:
         return np.trace(a)
     half = np.linalg.matrix_power(a, k // 2)
-    return np.sum((half @ a if k % 2 else half) * half.T)
+    return np.einsum("ij,ji->", half @ a if k % 2 else half, half)
 
 
 def _power_sums(vals, k):
@@ -342,7 +343,7 @@ def _gram_spectra(h, depths, cap=DEFAULT_CAP):
     if min(depths, default=1) < 1:
         raise ValueError("depth r must be >= 1")
     if depths:
-        check_cap(h.n ** max(depths), cap)
+        check_cap(h.n, max(depths), cap)
         q, factors = profile(h), _dita_factors(h.array)
     for r in depths:
         yield _sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
@@ -598,7 +599,12 @@ def _check_word_and_depth(p, r):
 
 
 def moments_via_T(h, p, r, cap=DEFAULT_CAP):
-    """c_p^r as Tr(T_p^r), with T_p from the magic grid."""
+    """c_p^r as Tr(T_p^r), with T_p from the magic grid.
+
+    The trace is a contraction (`_trace_power`), so at r <= 2 the peak is
+    T_p plus the half-word table W_{ceil(p/2)} that `truncation_tensor`
+    holds while building it; from r = 3 on, the powers of T_p multiplied out
+    add to that."""
     _check_word_and_depth(p, r)
     n = h.n
     if r == 0:
@@ -646,6 +652,7 @@ def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     if p_max < 1 or r_max < 0:
         raise ValueError("p_max must be >= 1 and r_max >= 0")
     n = h.n
+    check_cap(n, r_max, cap)  # before the table, or the depths, take any memory
     c = np.empty((p_max, r_max + 1))
     c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
     for r, vals in enumerate(_gram_spectra(h, range(1, r_max + 1), cap), start=1):

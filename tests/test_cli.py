@@ -112,6 +112,29 @@ def test_cap_exceeded_exit_three(capsys):
     assert "cap" in err.lower()
 
 
+# Each call runs in a fresh interpreter under a 2 GiB address-space limit, so a
+# refusal that forms the power (3^(10^11) is about 20 GB) fails and takes
+# nothing from the host.
+_LIMITED_CLI = ("import resource, runpy, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "sys.argv[0] = 'hadtrunc'; runpy.run_module('hadtrunc', run_name='__main__')")
+
+
+@pytest.mark.parametrize("command, power", [
+    (["measure", "fourier:3", "--r", "100000"], "3^100000"),
+    (["measure", "fourier:3", "--r", "99999999999"], "3^99999999999"),
+    (["cesaro", "fourier:3", "--p", "100000", "--k-max", "2"], "3^100000"),
+    (["duality", "fourier:3", "--p-max", "1", "--r-max", "100000"], "3^100000"),
+    (["moments", "fourier:3", "--p-max", "1", "--r-max", "99999999999"], "3^99999999999"),
+], ids=["measure", "measure-1e11", "cesaro", "duality", "moments-1e11"])
+def test_cap_refuses_huge_depths_at_once(command, power):
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *command], env=FRESH_ENV,
+                          capture_output=True, text=True, timeout=10, check=False)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: requested dimension {power} exceeds size cap 4096\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", [
     ["measure", "dita(2,2;seed=7)", "--r", "2"],
     ["moments", "dita(2,2;seed=7)", "--p-max", "2", "--r-max", "2"],

@@ -131,6 +131,8 @@ def test_truncation_tensor_cap():
     grid = ht.magic_grid(ht.fourier(6))
     with pytest.raises(CapExceededError):
         ht.truncation_tensor(grid, 5)  # 6^5 = 7776 > 4096
+    with pytest.raises(CapExceededError, match=r"6\^100000000000"):
+        ht.truncation_tensor(grid, 10**11)  # refused without forming the power
 
 
 def test_truncation_tensor_peak_is_one_output():

@@ -168,6 +168,14 @@ def test_validate_rejects_bad_tolerance(name, tol):
         ht.validate(ht.fourier(2).array, **{name: tol})
 
 
+def test_hadamard_wrapper_copies_its_input():
+    a = ht.fourier(3).array.copy()  # C-contiguous and complex: the case that was aliased
+    h = ht.hadamard(a)
+    assert a.flags.writeable and not h.array.flags.writeable
+    a[0, 0] = 1j
+    assert h.array[0, 0] == 1
+
+
 def test_hadamard_wrapper_rejects_bad_matrix():
     with pytest.raises(HadamardValidationError):
         ht.hadamard(np.ones((2, 2)))

@@ -52,11 +52,21 @@ def test_parse_file_inside_tensor():
     ("fourier:3trailing", 9),
     ("file=", 5),
     ("dita(2,2;file=)", 14),
+    ("fourier:\u0663", 8),  # an Arabic-Indic three: the grammar's digits are ASCII
+    ("fourier:\u00b2", 8),  # a superscript two
+    ("tensor(file=\u00fc.json,fourier:x)", 27),  # characters, not the 28 bytes of UTF-8
 ])
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(SpecSyntaxError) as exc:
         parse_matrix_spec(text)
     assert exc.value.offset == offset
+    assert str(exc.value).endswith(f"(at character {offset})")
+
+
+def test_parse_overlong_integer():
+    with pytest.raises(SpecSyntaxError, match="integer of 5000 digits is too long") as exc:
+        parse_matrix_spec("fourier:" + "1" * 5000)
+    assert exc.value.offset == 8
 
 
 def test_parse_unknown_constructor():

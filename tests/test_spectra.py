@@ -11,7 +11,7 @@ from hadtrunc import magic, spectra
 from hadtrunc.cli import main
 from hadtrunc.dita import structured_gram_matrix
 from hadtrunc.duality import atoms_agree
-from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError
+from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError, check_cap
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
@@ -150,6 +150,17 @@ def test_fourier_gram_is_difference_delta():
 def test_gram_cap():
     with pytest.raises(CapExceededError):
         ht.gram_matrix(ht.fourier(6), 5)
+
+
+def test_cap_refuses_a_power_without_forming_it():
+    # 3^(10^11) has 4.8e10 digits, about 20 GB, and no string of it fits a message
+    with pytest.raises(CapExceededError, match=r"3\^100000000000 exceeds size cap 4096") as exc:
+        ht.truncated_law(ht.fourier(3), 10**11)
+    assert (exc.value.requested, exc.value.cap) == ("3^100000000000", 4096)
+    assert check_cap(3, 7, 3**7) == 3**7
+    assert check_cap(1, 10**11, 1) == 1
+    with pytest.raises(CapExceededError, match=r"3\^8 exceeds"):
+        check_cap(3, 8, 3**8 - 1)
 
 
 def _assert_certificate_matches_dense(h, r):
@@ -337,9 +348,27 @@ def test_moment_pipelines_agree(spec, p, r, tao6):
 @pytest.mark.parametrize("k", range(1, 8))
 def test_trace_power_is_trace_of_power(k):
     rng = np.random.default_rng(k)
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    want = np.trace(np.linalg.matrix_power(a, k))
-    assert spectra._trace_power(a, k) == pytest.approx(want, rel=1e-12)
+    z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    for a in (z, z.T, z.real):  # complex, non-contiguous complex, real
+        want = np.trace(np.linalg.matrix_power(a, k))
+        assert spectra._trace_power(a, k) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("oracle, p, r, bound", [
+    (ht.moments_via_T, 4, 2, 1.2),  # T_4 and W_2
+    (ht.moments_via_X, 2, 4, 1.2),  # X_4 alone
+    (ht.moments_via_X, 4, 4, 2.2),  # X_4 and X_4^2
+], ids=["T-p4-r2", "X-p2-r4", "X-p4-r4"])
+def test_moment_oracle_peak_has_no_full_size_product(oracle, p, r, bound):
+    # T_4 and X_4 of F_6 are 1296 x 1296 complex, 26.9 MB; an elementwise
+    # product of the two half powers before the sum would add one more
+    tracemalloc.start()
+    try:
+        oracle(ht.fourier(6), p, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 6**8 * 16
 
 
 @pytest.mark.parametrize("oracle, p, r, match", [
