@@ -6,8 +6,15 @@ error, 3 size cap exceeded.  All output is deterministic given the spec
 string and flags, except the timings: `elapsed_s` of duality and dita-check,
 and `dense_ms`, `structured_ms` and `speedup` of bench.
 
-Each command builds its matrix first and only then imports the layer that it
-runs, so `validate` and `gen` never load `spectra`, `magic` or `duality`.
+Importing this module loads no numpy, and each command imports only the
+layers that it runs: `validate` and `gen` load `matrices` to build their
+matrix, and never `spectra`, `magic` or `duality`.  Each command that takes
+`--cap` admits its request before it builds anything: the size N of the
+matrix is read from the parsed spec, and the power of N that the library
+call will admit is checked against the cap, so a refusal loads no numpy.
+A `file=` matrix has no size until it is loaded, so a spec naming one is
+built first and admitted by the library call.  The library keeps its own
+admission either way.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ import json
 import math
 import sys
 
-from . import matrices, specs
-from .errors import (DEFAULT_CAP, PASS_TOL, CapExceededError, EigensolverError,
+from . import specs
+from .errors import (DEFAULT_CAP, ORTHOGONALITY_TOL, PASS_TOL, SEED_LIMIT,
+                     UNIMODULARITY_TOL, CapExceededError, EigensolverError,
                      HadamardValidationError, MagicGridError, MomentImagError,
-                     SpecSyntaxError)
+                     SpecSyntaxError, check_cap)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,7 +100,20 @@ def measure_svg(measure):
     return "\n".join(parts)
 
 
+def _admitted_matrix(args, exponent):
+    """The matrix of args.spec, built once N^exponent, the power that the
+    command's library call admits, fits args.cap; a spec that holds a
+    `file=` matrix is built first and left to that call."""
+    spec = specs.parse_matrix_spec(args.spec)
+    size = specs.spec_size(spec)
+    if size is not None:
+        check_cap(size, exponent, args.cap)
+    return specs.build_matrix(spec)
+
+
 def _cmd_validate(args):
+    from . import matrices
+
     spec = specs.parse_matrix_spec(args.spec)
     h = specs.build_matrix(spec, check=False)
     report = matrices.validate(h.array, uni_tol=args.uni_tol,
@@ -104,6 +125,8 @@ def _cmd_validate(args):
 
 
 def _cmd_gen(args):
+    from . import matrices
+
     h = specs.build_matrix(args.spec)
     # full precision here: generated matrices must round-trip exactly
     _emit(json.dumps(matrices.matrix_to_dict(h), indent=2), args.out)
@@ -111,7 +134,7 @@ def _cmd_gen(args):
 
 
 def _cmd_measure(args):
-    h = specs.build_matrix(args.spec)
+    h = _admitted_matrix(args, args.r)
     from .spectra import truncated_law
 
     measure = truncated_law(h, args.r, cap=args.cap)
@@ -126,7 +149,7 @@ def _cmd_measure(args):
 
 
 def _cmd_moments(args):
-    h = specs.build_matrix(args.spec)
+    h = _admitted_matrix(args, args.r_max)
     from .spectra import moment_table
 
     table = moment_table(h, args.p_max, args.r_max, cap=args.cap)
@@ -143,7 +166,7 @@ def _cmd_moments(args):
 
 
 def _cmd_cesaro(args):
-    h = specs.build_matrix(args.spec)
+    h = _admitted_matrix(args, args.p)
     from .spectra import cesaro_moments
 
     seq = cesaro_moments(h, args.p, args.k_max, cap=args.cap)
@@ -157,7 +180,7 @@ def _cmd_cesaro(args):
 
 
 def _cmd_duality(args):
-    h = specs.build_matrix(args.spec)
+    h = _admitted_matrix(args, max(args.p_max, args.r_max))
     from .duality import duality_residual
 
     report = duality_residual(h, args.p_max, args.r_max, tol=args.tol, cap=args.cap)
@@ -181,6 +204,7 @@ def _add_phase_source(sub):
 
 def _cmd_dita_check(args):
     spec = specs.DitaSpec(args.m, args.n, _qsource(args))
+    check_cap(args.m * args.n, args.r_max, args.cap)
     q = specs.resolve_phase_matrix(*spec)
     from .duality import dita_selfduality_residual
 
@@ -191,6 +215,7 @@ def _cmd_dita_check(args):
 
 
 def _cmd_bench(args):
+    check_cap(args.m * args.n, args.r, args.cap)
     q = specs.resolve_phase_matrix(args.m, args.n, _qsource(args))
     from .dita import bench_structured_vs_dense
 
@@ -200,8 +225,17 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+def _count(text):
+    """An integer flag, read as the spec grammar reads an integer: 1 to
+    MAX_DIGITS ASCII digits, with no sign, space, underscore or other digit."""
+    if not (text.isascii() and text.isdigit() and len(text) <= specs.MAX_DIGITS):
+        raise argparse.ArgumentTypeError(
+            f"must be 1 to {specs.MAX_DIGITS} ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text):
-    value = int(text)
+    value = _count(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -215,8 +249,8 @@ def _positive_float(text):
 
 
 def _seed(text):
-    value = int(text)
-    if not 0 <= value < specs.SEED_LIMIT:
+    value = _count(text)
+    if value >= SEED_LIMIT:
         raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
     return value
 
@@ -240,8 +274,8 @@ def build_parser():
 
     p = subs.add_parser("validate", help="check the Hadamard property of a spec'd matrix")
     p.add_argument("spec")
-    p.add_argument("--uni-tol", type=_positive_float, default=matrices.UNIMODULARITY_TOL)
-    p.add_argument("--orth-tol", type=_positive_float, default=matrices.ORTHOGONALITY_TOL)
+    p.add_argument("--uni-tol", type=_positive_float, default=UNIMODULARITY_TOL)
+    p.add_argument("--orth-tol", type=_positive_float, default=ORTHOGONALITY_TOL)
     p.add_argument("--dump", default=None, help="also write the matrix as JSON")
     _add_common(p, cap=False)
     p.set_defaults(func=_cmd_validate)
@@ -253,14 +287,14 @@ def build_parser():
 
     p = subs.add_parser("measure", help="truncated spectral measure at depth r")
     p.add_argument("spec")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_count, required=True)
     _add_common(p, formats=("json", "csv", "svg"))
     p.set_defaults(func=_cmd_measure)
 
     p = subs.add_parser("moments", help="moment table c_p^r and gamma_p^r")
     p.add_argument("spec")
     p.add_argument("--p-max", type=_positive_int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
+    p.add_argument("--r-max", type=_count, required=True)
     _add_common(p, formats=("json", "csv"))
     p.set_defaults(func=_cmd_moments)
 

@@ -7,6 +7,8 @@ solves those blocks.  `structured_moments` hands it the matrix built from Q.
 `structured_gram_matrix` lays the blocks out as the dense X, which the dense
 pipeline checks entry by entry: every structured result is validated against
 it in the tests and before any benchmark timing is reported.
+
+Importing this module loads no numpy; each entry point imports what it runs.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-import numpy as np
-
-from . import matrices
 from .errors import DEFAULT_CAP, check_cap
 
 
@@ -34,7 +33,9 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     table with the blocks V V^*.  The pairs whose N-parts lie in different
     cosets are zero.
     """
-    from . import spectra
+    import numpy as np
+
+    from . import matrices, spectra
     from .magic import multi_indices
 
     if r < 1:
@@ -65,7 +66,9 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     spectrum that `spectra._gram_spectra` solves from the structured blocks;
     never materializes the (MN)^r dense X.  M, N < 2 is rejected, since no
     such matrix has the structure and it would take the sector route."""
-    from . import spectra
+    import numpy as np
+
+    from . import matrices, spectra
 
     if p < 1 or r < 1:
         raise ValueError("p and r must be >= 1")
@@ -98,7 +101,7 @@ def bench_structured_vs_dense(m, n, q, p, r, repetitions=3, cap=DEFAULT_CAP):
     Correctness is asserted before any timing: if the two paths disagree the
     benchmark raises instead of reporting numbers.
     """
-    from . import spectra
+    from . import matrices, spectra
 
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

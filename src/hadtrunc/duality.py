@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices, spectra
-from .errors import DEFAULT_CAP, PASS_TOL, check_cap
+from .errors import DEFAULT_CAP, PASS_TOL, check_cap, float_power
 
 
 class DualityReport(NamedTuple):
@@ -89,6 +89,7 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     h = matrices.dita(m, n, q)
     size = h.n
     check_cap(size, r_max, cap)
+    float_power(size, p_max)  # the norms N^p below
     profiles = spectra.profile(h), spectra.profile(matrices.transpose(h))
     norms = np.array([float(size**p) for p in range(1, p_max + 1)])
     grid = np.empty((p_max, r_max))

@@ -1,23 +1,47 @@
-"""Shared exception types, and the bounds they enforce: the dense size cap
-and the pass tolerance of the duality checks."""
+"""Shared exception types, and the bounds they enforce: the dense size cap,
+the float range of a power, the seed range, and the tolerances of the
+Hadamard validation and of the duality checks.  Nothing here needs numpy, so
+a request can be refused before numpy is loaded."""
+
+import sys
 
 DEFAULT_CAP = 4096
 PASS_TOL = 1e-8
+SEED_LIMIT = 1 << 64  # phase seeds are 64-bit: 0 <= seed < SEED_LIMIT
+UNIMODULARITY_TOL = 1e-10
+ORTHOGONALITY_TOL = 1e-8  # multiplied by N
+
+
+def _bounded_power(base, exponent, limit):
+    """base**exponent if it is at most limit, else None.  The product stops at
+    the first factor that passes the limit, so an exponent of any size is
+    decided in at most log2(limit) + 1 multiplications and a power past the
+    limit is never formed."""
+    dim = 1
+    for _ in range(exponent if base > 1 else 0):
+        dim *= base
+        if dim > limit:
+            return None
+    return dim
 
 
 def check_cap(base, exponent, cap):
     """base**exponent, the size of a dense object, once it fits the cap, else
-    CapExceededError naming the power.  The product stops at the first
-    factor that passes the cap, so an exponent of any size is refused in at
-    most log2(cap) + 1 multiplications and the power is never formed."""
-    dim = 1
-    for _ in range(exponent if base > 1 else 0):
-        dim *= base
-        if dim > cap:
-            break
-    if dim > cap:
+    CapExceededError naming the power."""
+    dim = _bounded_power(base, exponent, cap)
+    if dim is None:
         raise CapExceededError(f"{base}^{exponent}", cap)
     return dim
+
+
+def float_power(base, exponent):
+    """base**exponent as a float once it is in the float range, else
+    ValueError naming the power; like `check_cap`, it never forms a power
+    past the range."""
+    dim = _bounded_power(base, exponent, sys.float_info.max)
+    if dim is None:
+        raise ValueError(f"{base}^{exponent} exceeds the float range")
+    return float(dim)
 
 
 class SpecSyntaxError(ValueError):

@@ -2,8 +2,8 @@
 
 A complex Hadamard matrix is a square matrix with unimodular entries and
 pairwise-orthogonal rows.  Everything here is double precision; the validation
-tolerances below are deliberately loose enough to absorb roundoff growth with
-the matrix size.
+tolerances, UNIMODULARITY_TOL and ORTHOGONALITY_TOL of `hadtrunc.errors`, are
+deliberately loose enough to absorb roundoff growth with the matrix size.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HadamardValidationError
+from .errors import ORTHOGONALITY_TOL, UNIMODULARITY_TOL, HadamardValidationError
+from .errors import SEED_LIMIT as _SEED_LIMIT
 
-UNIMODULARITY_TOL = 1e-10
-ORTHOGONALITY_TOL = 1e-8  # multiplied by N
 _PHASE_TOL = 1e-12  # largest ||z| - 1| of a phase parameter, or of an entry dephased to find one
 
-_SEED_LIMIT = 1 << 64  # phase seeds are 64-bit: 0 <= seed < _SEED_LIMIT
 _MASK64 = _SEED_LIMIT - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 

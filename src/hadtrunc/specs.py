@@ -9,16 +9,19 @@ Grammar (ASCII, no whitespace):
           | "conj(" spec ")" | "transpose(" spec ")" | "adjoint(" spec ")"
           | "file=" PATH
     qsrc := "seed=" UINT64 | "file=" PATH
+
+INT and UINT64 are runs of at most MAX_DIGITS ASCII digits.  Parsing and
+sizing a spec need no numpy: `hadtrunc.matrices` is imported only to build.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
-from . import matrices
-from .errors import SpecSyntaxError
+from .errors import SEED_LIMIT, SpecSyntaxError
 
-SEED_LIMIT = matrices._SEED_LIMIT  # phase seeds are 64-bit: 0 <= seed < SEED_LIMIT
+MAX_DIGITS = 20  # the digits of 2^64 - 1, the largest seed
 
 _CONSTRUCTORS = ("fourier", "fouriergroup", "tensor", "dita", "conj", "transpose",
                  "adjoint", "file")
@@ -71,11 +74,9 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise SpecSyntaxError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos]), start
-        except ValueError:  # more digits than the interpreter converts
-            raise SpecSyntaxError(f"integer of {self.pos - start} digits is too long",
-                                  start) from None
+        if self.pos - start > MAX_DIGITS:
+            raise SpecSyntaxError(f"integer of {self.pos - start} digits is too long", start)
+        return int(self.text[start:self.pos]), start
 
     def path(self):
         start = self.pos
@@ -182,7 +183,30 @@ def unparse(spec):
     raise TypeError(f"not a matrix spec: {spec!r}")
 
 
+def spec_size(spec):
+    """N of the N x N matrix that a parse tree describes, without building
+    it, or None if the tree holds a `file=` matrix, whose size is known only
+    once it is loaded.  A phase file does not count: dita(M, N; ...) has
+    size MN."""
+    if isinstance(spec, FourierSpec):
+        return spec.n
+    if isinstance(spec, FourierGroupSpec):
+        return prod(spec.orders)
+    if isinstance(spec, TensorSpec):
+        left, right = spec_size(spec.left), spec_size(spec.right)
+        return None if left is None or right is None else left * right
+    if isinstance(spec, DitaSpec):
+        return spec.m * spec.n
+    if isinstance(spec, UnarySpec):
+        return spec_size(spec.inner)
+    if isinstance(spec, FileSpec):
+        return None
+    raise TypeError(f"not a matrix spec: {spec!r}")
+
+
 def resolve_phase_matrix(m, n, qsource):
+    from . import matrices
+
     kind, value = qsource
     if kind == "seed":
         return matrices.seeded_phase_matrix(m, n, value)
@@ -198,6 +222,8 @@ def build_matrix(spec, check=True):
     With check=False, file-sourced matrices skip Hadamard validation so that
     a validation report can still be produced for bad inputs.
     """
+    from . import matrices
+
     if isinstance(spec, str):
         spec = parse_matrix_spec(spec)
     if isinstance(spec, FourierSpec):

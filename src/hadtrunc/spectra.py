@@ -74,7 +74,7 @@ import numpy as np
 
 from . import magic as magic_mod
 from . import matrices
-from .errors import DEFAULT_CAP, EigensolverError, MomentImagError, check_cap
+from .errors import DEFAULT_CAP, EigensolverError, MomentImagError, check_cap, float_power
 from .magic import multi_indices
 
 EIGEN_RESIDUAL_TOL = 1e-9  # scaled by N for Hermiticity, relative for trace identities
@@ -608,9 +608,9 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     _check_word_and_depth(p, r)
     n = h.n
     if r == 0:
-        return float(n**p)
+        return float_power(n, p)
     t = magic_mod.truncation_tensor(magic_mod.magic_grid(h), p, cap=cap)
-    return _real_trace(_trace_power(t, r), n**p, f"Tr(T_{p}^{r})")
+    return _real_trace(_trace_power(t, r), float_power(n, p), f"Tr(T_{p}^{r})")
 
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):
@@ -618,9 +618,9 @@ def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     _check_word_and_depth(p, r)
     n = h.n
     if r == 0:
-        return float(n**p)
+        return float_power(n, p)
     trace = _trace_power(gram_matrix(h, r, cap=cap), p)
-    return _real_trace(trace / n**r, n**p, f"tr(X_{r}^{p})")
+    return _real_trace(trace / n**r, float_power(n, p), f"tr(X_{r}^{p})")
 
 
 class MomentTable(NamedTuple):
@@ -653,11 +653,12 @@ def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
         raise ValueError("p_max must be >= 1 and r_max >= 0")
     n = h.n
     check_cap(n, r_max, cap)  # before the table, or the depths, take any memory
+    float_power(n, p_max)  # and so is a column c^0 = N^p past the float range
     c = np.empty((p_max, r_max + 1))
     c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
     for r, vals in enumerate(_gram_spectra(h, range(1, r_max + 1), cap), start=1):
         c[:, r] = _power_sums(vals, p_max) / n**r
-    gamma = c / np.array([float(n**p) for p in range(1, p_max + 1)])[:, None]
+    gamma = c / c[:, :1]
     return MomentTable(n, p_max, r_max, c, gamma)
 
 

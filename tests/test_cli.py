@@ -120,6 +120,11 @@ _LIMITED_CLI = ("import resource, runpy, sys; "
                 "sys.argv[0] = 'hadtrunc'; runpy.run_module('hadtrunc', run_name='__main__')")
 
 
+def _limited_cli(command):
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, *command], env=FRESH_ENV,
+                          capture_output=True, text=True, timeout=10, check=False)
+
+
 @pytest.mark.parametrize("command, power", [
     (["measure", "fourier:3", "--r", "100000"], "3^100000"),
     (["measure", "fourier:3", "--r", "99999999999"], "3^99999999999"),
@@ -128,10 +133,24 @@ _LIMITED_CLI = ("import resource, runpy, sys; "
     (["moments", "fourier:3", "--p-max", "1", "--r-max", "99999999999"], "3^99999999999"),
 ], ids=["measure", "measure-1e11", "cesaro", "duality", "moments-1e11"])
 def test_cap_refuses_huge_depths_at_once(command, power):
-    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *command], env=FRESH_ENV,
-                          capture_output=True, text=True, timeout=10, check=False)
+    proc = _limited_cli(command)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"error: requested dimension {power} exceeds size cap 4096\n"
+    assert proc.stdout == ""
+
+
+# N^p, a column of the moment table or the norm of the self-duality residuals,
+# is refused once it passes the float range, before any table is allocated
+@pytest.mark.parametrize("command, power", [
+    (["moments", "fourier:3", "--p-max", "700", "--r-max", "1"], "3^700"),
+    (["moments", "fourier:3", "--p-max", "99999999999", "--r-max", "1"], "3^99999999999"),
+    (["dita-check", "--m", "2", "--n", "2", "--seed", "1", "--p-max", "700",
+      "--r-max", "1"], "4^700"),
+], ids=["moments", "moments-1e11", "dita-check"])
+def test_float_range_refuses_huge_words_at_once(command, power):
+    proc = _limited_cli(command)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {power} exceeds the float range\n"
     assert proc.stdout == ""
 
 
@@ -404,6 +423,30 @@ def test_seed_out_of_range_exit_two(capsys, command, seed):
     code, out, err = run_cli(capsys, *command, "--seed", str(seed))
     assert code == 2
     assert out == "" and "--seed" in err
+
+
+_INTEGER_FLAG_COMMANDS = [
+    ["dita-check", "--m", "2", "--n", "2", "--seed", "1", "--p-max", "1", "--r-max", "1",
+     "--cap", "16"],
+    ["bench", "--m", "2", "--n", "2", "--seed", "1", "--p", "1", "--r", "1", "--reps", "1"],
+    ["measure", "fourier:2", "--r", "1"],
+    ["moments", "fourier:2", "--p-max", "1", "--r-max", "1"],
+    ["cesaro", "fourier:2", "--p", "1", "--k-max", "1"],
+]
+
+
+@pytest.mark.parametrize("command, at", [
+    pytest.param(command, at, id=f"{command[0]}{command[at]}")
+    for command in _INTEGER_FLAG_COMMANDS for at in range(1, len(command))
+    if command[at].startswith("--")])
+@pytest.mark.parametrize("value", ["\u0662", "1_000", "+1", "1" * 21],
+                         ids=["arabic-indic", "underscore", "sign", "21-digits"])
+def test_integer_flags_are_ascii_digits(capsys, command, at, value):
+    # read as a spec reads an integer: 1 to 20 ASCII digits and nothing else
+    argv = [*command[:at + 1], value, *command[at + 2:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {command[at]}: must be 1 to 20 ASCII digits" in err
 
 
 def test_seed_largest_accepted(capsys):

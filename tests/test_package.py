@@ -41,7 +41,9 @@ def test_public_names_are_pinned():
 
 
 def test_on_demand_exports_are_their_home_objects():
-    assert set(ht._HOME.values()) == {"duality", "magic", "spectra"}
+    assert set(ht._HOME) == PUBLIC_NAMES
+    assert set(ht._HOME.values()) == {"dita", "duality", "errors", "magic", "matrices",
+                                      "spectra", "specs"}
     for name, module in ht._HOME.items():
         assert getattr(ht, name) is getattr(importlib.import_module(f"hadtrunc.{module}"), name)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
@@ -49,21 +51,60 @@ def test_on_demand_exports_are_their_home_objects():
 
 
 # Run in a fresh interpreter: which hadtrunc layers are in sys.modules after
-# each step of a command-line session.
+# each step of a command-line session, whether numpy is, and what each refused
+# request answered (exit code, stderr).  Then, from a cold start, a bare
+# `import hadtrunc` and the attribute `hadtrunc.matrices`.
 LOADED_BY_COMMANDS = """
 import contextlib, io, json, sys
 
 def layers():
-    return sorted(m for m in sys.modules if m.startswith("hadtrunc."))
+    return sorted(m for m in sys.modules if m.startswith("hadtrunc.")), "numpy" in sys.modules
 
+import hadtrunc
+steps = {"package": layers()}
 from hadtrunc.cli import main
-steps = {"import": layers()}
+steps["import"] = layers()
+refusals = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        refusals.append([main(argv), err.getvalue(), *layers()])
+steps["refusals"] = refusals
 for argv in (["validate", "fourier:3"], ["measure", "fourier:3", "--r", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     steps[argv[0]] = layers()
+for name in [m for m in sys.modules if m == "hadtrunc" or m.startswith("hadtrunc.")]:
+    del sys.modules[name]
+import hadtrunc
+steps["hadtrunc.matrices"] = hadtrunc.matrices.__name__
 print(json.dumps(steps))
 """
+
+# Requests that the command line refuses from their arguments alone, with the
+# exit code and stderr of each: a parse error, a usage error (its last line,
+# below a usage that follows the terminal width), and an over-cap call of
+# every command that takes --cap, which is admitted from the spec.
+REFUSED = [
+    (["measure", "dita(2,2;seed=", "--r", "1"], 2,
+     "error: expected an integer (at character 14)\n"),
+    (["measure", "fourier:3"], 2,
+     "hadtrunc measure: error: the following arguments are required: --r\n"),
+    (["measure", "fourier:8", "--r", "3", "--cap", "100"], 3,
+     "error: requested dimension 8^3 exceeds size cap 100\n"),
+    (["measure", "transpose(fouriergroup:2x3x2)", "--r", "4"], 3,
+     "error: requested dimension 12^4 exceeds size cap 4096\n"),
+    (["moments", "fourier:3", "--p-max", "1", "--r-max", "100000"], 3,
+     "error: requested dimension 3^100000 exceeds size cap 4096\n"),
+    (["cesaro", "fourier:6", "--p", "4", "--k-max", "2", "--cap", "1000"], 3,
+     "error: requested dimension 6^4 exceeds size cap 1000\n"),
+    (["duality", "tensor(fourier:2,dita(2,2;seed=3))", "--p-max", "9", "--r-max", "2"], 3,
+     "error: requested dimension 8^9 exceeds size cap 4096\n"),
+    (["dita-check", "--m", "2", "--n", "3", "--seed", "1", "--p-max", "1", "--r-max", "9"], 3,
+     "error: requested dimension 6^9 exceeds size cap 4096\n"),
+    (["bench", "--m", "2", "--n", "3", "--seed", "1", "--p", "1", "--r", "9"], 3,
+     "error: requested dimension 6^9 exceeds size cap 4096\n"),
+]
 
 # From a cold start with each statement first, then all three: the package
 # attribute `dita` must stay the constructor of hadtrunc.matrices, whichever
@@ -88,19 +129,25 @@ print(json.dumps({first: cold(first) for first in STATEMENTS}))
 """
 
 
-def _fresh_python(code):
-    proc = subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, capture_output=True,
-                          text=True, check=True)
+def _fresh_python(code, *args):
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=FRESH_ENV,
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
 def test_commands_load_only_their_layers():
-    steps = _fresh_python(LOADED_BY_COMMANDS)
-    base = ["hadtrunc.cli", "hadtrunc.dita", "hadtrunc.errors", "hadtrunc.matrices",
-            "hadtrunc.specs"]
-    assert steps["import"] == base
-    assert steps["validate"] == base
-    assert steps["measure"] == sorted([*base, "hadtrunc.magic", "hadtrunc.spectra"])
+    steps = _fresh_python(LOADED_BY_COMMANDS, json.dumps([argv for argv, _, _ in REFUSED]))
+    base = ["hadtrunc.cli", "hadtrunc.dita", "hadtrunc.errors", "hadtrunc.specs"]
+    assert steps["package"] == [["hadtrunc.dita", "hadtrunc.errors"], False]
+    assert steps["import"] == [base, False]
+    for (argv, code, err), (got_code, got_err, loaded, numpy) in zip(REFUSED,
+                                                                     steps["refusals"]):
+        assert (got_code, numpy, loaded) == (code, False, base), argv
+        assert got_err == err or got_err.startswith("usage: ") and got_err.endswith("\n" + err)
+    assert steps["validate"] == [sorted([*base, "hadtrunc.matrices"]), True]
+    assert steps["measure"] == [sorted([*base, "hadtrunc.magic", "hadtrunc.matrices",
+                                        "hadtrunc.spectra"]), True]
+    assert steps["hadtrunc.matrices"] == "hadtrunc.matrices"
 
 
 def test_dita_is_the_constructor_in_every_import_order():

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 import hadtrunc as ht
 from hadtrunc.errors import SpecSyntaxError
 from hadtrunc.specs import (DitaSpec, FileSpec, FourierGroupSpec, FourierSpec,
-                            TensorSpec, UnarySpec, parse_matrix_spec, unparse)
+                            TensorSpec, UnarySpec, parse_matrix_spec, spec_size, unparse)
 
 
 def test_parse_fourier():
@@ -64,9 +66,36 @@ def test_parse_errors_carry_offsets(text, offset):
 
 
 def test_parse_overlong_integer():
-    with pytest.raises(SpecSyntaxError, match="integer of 5000 digits is too long") as exc:
-        parse_matrix_spec("fourier:" + "1" * 5000)
-    assert exc.value.offset == 8
+    # the grammar's own bound, also where the interpreter converts integer
+    # strings of any length (a limit of 0)
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit in (default, 0):
+            sys.set_int_max_str_digits(limit)
+            with pytest.raises(SpecSyntaxError, match="integer of 5000 digits is too long") as exc:
+                parse_matrix_spec("fourier:" + "1" * 5000)
+            assert exc.value.offset == 8
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert parse_matrix_spec("fourier:" + "1" * 20) == FourierSpec(int("1" * 20))
+    with pytest.raises(SpecSyntaxError, match="integer of 21 digits") as exc:
+        parse_matrix_spec("dita(2,2;seed=" + "0" * 21 + ")")
+    assert exc.value.offset == 14
+
+
+@pytest.mark.parametrize("text, size", [
+    ("fourier:5", 5),
+    ("fouriergroup:2x3x4", 24),
+    ("tensor(fourier:2,conj(dita(2,3;seed=7)))", 12),
+    ("transpose(dita(3,2;file=q.json))", 6),  # a phase file leaves the size known
+    ("tensor(fourier:2,file=h.json)", None),
+    ("adjoint(file=h.json)", None),
+])
+def test_spec_size_without_building(text, size):
+    spec = parse_matrix_spec(text)
+    assert spec_size(spec) == size
+    if size is not None and "file=" not in text:
+        assert ht.build_matrix(spec).n == size
 
 
 def test_parse_unknown_constructor():
