@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .errors import DEFAULT_CAP, check_cap
+from .errors import DEFAULT_CAP, check_cap, float_power
 
 
 def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
@@ -62,10 +62,12 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
 
 
 def structured_moments(q, p, r, cap=DEFAULT_CAP):
-    """c_p^r of the deformed Fourier matrix, as a power sum of the Gram
-    spectrum that `spectra._gram_spectra` solves from the structured blocks;
-    never materializes the (MN)^r dense X.  M, N < 2 is rejected, since no
-    such matrix has the structure and it would take the sector route."""
+    """c_p^r of the deformed Fourier matrix, as the p-th power sum of the
+    Gram spectrum that `spectra._gram_spectra` solves from the structured
+    blocks, whose exact zeros add nothing to it; never materializes the
+    (MN)^r dense X.  M, N < 2 is rejected, since no such matrix has the
+    structure and it would take the sector route, and so is a word whose
+    (MN)^p, the scale of c_p^r, passes the float range."""
     import numpy as np
 
     from . import matrices, spectra
@@ -75,8 +77,9 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     m, n = np.shape(q)
     if min(m, n) < 2:
         raise ValueError(f"dita(M, N) needs M, N >= 2, got M = {m}, N = {n}")
-    [vals] = spectra._gram_spectra(matrices.dita(m, n, q), [r], cap)
-    return float(spectra._power_sums(vals, p)[p - 1] / (m * n) ** r)
+    [(vals, _)] = spectra._gram_spectra(matrices.dita(m, n, q), [r], cap)
+    float_power(m * n, p)  # the scale of c_p^r, before the p-th powers
+    return float((vals**p).sum() / (m * n) ** r)
 
 
 class BenchReport(NamedTuple):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices, spectra
-from .errors import DEFAULT_CAP, PASS_TOL, check_cap, float_power
+from .errors import DEFAULT_CAP, PASS_TOL, check_cap
 
 
 class DualityReport(NamedTuple):
@@ -89,17 +89,16 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     h = matrices.dita(m, n, q)
     size = h.n
     check_cap(size, r_max, cap)
-    float_power(size, p_max)  # the norms N^p below
+    norms = spectra._word_norms(size, p_max)
     profiles = spectra.profile(h), spectra.profile(matrices.transpose(h))
-    norms = np.array([float(size**p) for p in range(1, p_max + 1)])
     grid = np.empty((p_max, r_max))
     atoms_ok = True
     for r in range(1, r_max + 1):
-        vals_h, vals_t = (spectra._sector_spectrum(prof, r) for prof in profiles)
-        c_h, c_t = (spectra._power_sums(vals, p_max) / size**r for vals in (vals_h, vals_t))
+        spec_h, spec_t = (spectra._sector_spectrum(prof, r) for prof in profiles)
+        c_h, c_t = (spectra._power_sums(vals, p_max) / size**r for vals, _ in (spec_h, spec_t))
         grid[:, r - 1] = np.abs(c_h - c_t) / norms
-        atoms_ok &= atoms_agree(spectra._law_from_spectrum(vals_h, size, r),
-                                spectra._law_from_spectrum(vals_t, size, r))
+        atoms_ok &= atoms_agree(spectra._law_from_spectrum(*spec_h, size, r),
+                                spectra._law_from_spectrum(*spec_t, size, r))
     max_res = float(grid.max())
     elapsed = time.perf_counter() - start
     return DualityReport(h.provenance, p_max, r_max, grid, max_res, tol,

@@ -72,9 +72,9 @@ class CapExceededError(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """A spectrum had not N^r eigenvalues, or missed sum(l) = Tr X = N^r or
-    sum(l^2) = ||X||_F^2 = Tr(K^r): an eigenvalue was lost, duplicated or
-    wrong, or the blocks are not X's."""
+    """A spectrum's values and exact zeros did not number N^r, or its values
+    missed sum(l) = Tr X = N^r or sum(l^2) = ||X||_F^2 = Tr(K^r): an
+    eigenvalue was lost, duplicated or wrong, or the blocks are not X's."""
 
 
 class MomentImagError(RuntimeError):

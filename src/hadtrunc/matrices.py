@@ -199,16 +199,20 @@ def adjoint(h):
     )
 
 
-def dephase(h):
-    """Equivalent matrix with first row and first column all equal to 1.
+def _dephased(arr):
+    """A new array: column j of arr divided by arr[0, j], then row i by the
+    resulting (i, 0) entry, so the first row and column are 1 up to rounding."""
+    out = arr / arr[0]
+    out /= out[:, :1]
+    return out
 
-    Column j is divided by H_{0j}, then row i by the resulting (i,0) entry.
-    Idempotent, and absorbs any row/column phase multiplications of the input.
+
+def dephase(h):
+    """Equivalent matrix with first row and first column all equal to 1
+    (`_dephased`).  Idempotent, and absorbs any row/column phase
+    multiplications of the input.
     """
-    arr = h.array.copy()
-    arr = arr / arr[0, :][None, :]
-    arr = arr / arr[:, 0][:, None]
-    return HadamardMatrix(np.ascontiguousarray(arr), f"dephase({h.provenance})")
+    return HadamardMatrix(np.ascontiguousarray(_dephased(h.array)), f"dephase({h.provenance})")
 
 
 # -- JSON serialization -------------------------------------------------------

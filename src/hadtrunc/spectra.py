@@ -18,10 +18,15 @@ Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
 moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
 of H^t, with the grid-product T_p as their oracle.  That one dispatch point
-admits every depth of a call against the cap before any work, then decides
-the route once per matrix per call, for all its depths; the spectra
-of both routes pass one contract, computed from the profile of the input
-(`_certified_spectrum`): N^r eigenvalues that reproduce Tr X and ||X||_F^2.
+admits every depth of a call against the cap when it is called, then decides
+the route once per matrix per call, for all its depths.  Each spectrum it
+hands over is a pair (values, zeros): the solved eigenvalues, ascending, and
+the number of exact zeros that no block solves, 0 on the sector route.  The
+spectra of both routes pass one contract, computed from the profile of the
+input (`_certified_spectrum`): len(values) + zeros = N^r, and the values
+reproduce Tr X and ||X||_F^2.  A power sum, the Haar count and the Haar gap
+read the values alone, since 0^j = 0 for j >= 1; only the law adds the zeros
+back, as one value of weight zeros / N^r.
 
 - Sector blocks (`_sector_spectrum`), for any input.  Rotating a multi-index
   does not change its cyclic word, so X commutes with the cyclic shift P, and
@@ -40,11 +45,12 @@ of both routes pass one contract, computed from the profile of the input
   at frequencies with nonzero digit sum vanish and every other one is V V^*,
   for the closed-form unimodular N x M factors V of `_structured_factors`, so
   the spectrum is that of M^{r-1} N^{r-1} Gram matrices of size min(M, N),
-  plus exact zeros.  When min(M, N) = 2 their eigenvalues come in closed form
-  (`_block_eigenvalues`), else from one batched `eigvalsh`.  An input takes
-  this route only when `_dita_factors` rebuilds its dephased entries, entry
-  by entry, as such a matrix after a digit shuffle of its rows, its columns
-  or both.  That covers transpose(dita(M, N, Q)), F_MN and
+  plus (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros, counted from the
+  shapes and never stored.  When min(M, N) = 2 the blocks' eigenvalues come
+  in closed form (`_block_eigenvalues`), else from one batched `eigvalsh`.
+  An input takes this route only when `_dita_factors` rebuilds its dephased
+  entries, entry by entry, as such a matrix after a digit shuffle of its
+  rows, its columns or both.  That covers transpose(dita(M, N, Q)), F_MN and
   D1 dita(M, N, Q) D2 for unimodular diagonals D1, D2; no spec or provenance
   string is read.
 
@@ -61,8 +67,9 @@ call of the same shape, share them.  At the cap of 4096 a sector plan takes
 under 0.5 MB, and the profile (N^4 entries) keeps N small enough that a
 recognition plan (d(N) N^2 complex waves) does too.
 
-`gram_matrix` stays the dense oracle.  Every power sum of a spectrum comes
-from `_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
+`gram_matrix` stays the dense oracle.  Every sequence of power sums of a
+spectrum comes from `_power_sums`, every Tr(A^k) of a dense matrix from
+`_trace_power`.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
 _PLAN_CACHE_SIZE = 32  # shapes each plan cache keeps, least recently used dropped
 _CHUNK_ENTRIES = 1 << 16  # output entries `_product_over_cycle` fills per chunk
+_MAX_WORD = 1023  # the longest p whose 2^p is in the float range
 
 
 def _read_only(arr):
@@ -208,23 +216,24 @@ def _gram_norms(q, r):
     return float(n**r), float(_trace_power(k, r))
 
 
-def _certified_spectrum(vals, q, r):
-    """The eigenvalues vals of the depth-r Gram matrix X of the profile q,
-    sorted in place, once they pass the contract of both routes, else
-    `EigensolverError`: N^r of them (the trace identities miss a lost zero)
-    that reproduce `_gram_norms` to 1e-9 relative, which catches a bad,
-    lost or duplicated eigenvalue."""
+def _certified_spectrum(vals, zeros, q, r):
+    """The spectrum (vals, zeros) of the depth-r Gram matrix X of the profile
+    q, vals the solved eigenvalues sorted in place and zeros the count of
+    exact zeros, once it passes the contract of both routes, else
+    `EigensolverError`: len(vals) + zeros = N^r (the trace identities miss a
+    lost zero), and vals reproduce `_gram_norms` to 1e-9 relative, which
+    catches a bad, lost or duplicated eigenvalue."""
     vals.sort()
     dim = q.shape[0] ** r
-    if len(vals) != dim:
-        raise EigensolverError(f"depth-{r} spectrum has {len(vals)} eigenvalues, "
+    if len(vals) + zeros != dim:
+        raise EigensolverError(f"depth-{r} spectrum has {len(vals) + zeros} eigenvalues, "
                                f"not N^r = {dim}")
     for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals),
                                _gram_norms(q, r)):
         if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
             raise EigensolverError(f"depth-{r} spectrum fails the trace identity "
                                    f"{what} = {want:.12g}: got {got:.12g}")
-    return vals
+    return vals, zeros
 
 
 def _structured_factors(q, r):
@@ -294,8 +303,7 @@ def _dita_factors(arr):
     # entries off the unit circle (or NaN) match no dita, and dephasing divides by them
     if not maps or not np.abs(np.abs(arr) - 1.0).max() <= matrices._PHASE_TOL:
         return None
-    entries = arr / arr[0]
-    entries /= entries[:, :1]
+    entries = matrices._dephased(arr)
     entries[0] = entries[:, 0] = 1.0  # exactly: x / x can miss 1 by a rounding error
     found = []
     for m, n, rows, cols, waves in maps:
@@ -333,37 +341,42 @@ def _recognition_plan(size):
 
 
 def _gram_spectra(h, depths, cap=DEFAULT_CAP):
-    """Ascending eigenvalues of the depth-r Gram matrix X of h for each r in
-    depths, in order and one at a time, under `_certified_spectrum`: the one
-    dispatch point, which decides the route once per matrix.  Every depth is
-    admitted (r >= 1, then the cap on the deepest N^r) before any work; then
-    `profile(h)` and `_dita_factors(h.array)` are computed once for all.
-    A recognized dita goes to `_structured_spectrum`, all else to sectors."""
-    depths = list(depths)
-    if min(depths, default=1) < 1:
-        raise ValueError("depth r must be >= 1")
-    if depths:
-        check_cap(h.n, max(depths), cap)
-        q, factors = profile(h), _dita_factors(h.array)
+    """An iterator of the spectra (values, zeros) of the depth-r Gram matrix X
+    of h, one per r in the sequence depths, in order and one at a time, under
+    `_certified_spectrum`: values the solved eigenvalues, ascending, and zeros
+    the count of exact zeros, 0 on the sector route.  The one dispatch point,
+    which decides the route once per matrix.  When it is called, every depth
+    is admitted before any work, each in turn (r >= 1 and N^r within the cap),
+    without copying depths, so that a range of 10^11 depths is refused at its
+    first depth past the cap; then, unless depths is empty, `profile(h)` and
+    `_dita_factors(h.array)` are computed once for all, and each depth is
+    solved as its spectrum is drawn.  A recognized dita goes to
+    `_structured_spectrum`, all else to sectors."""
     for r in depths:
-        yield _sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
+        if r < 1:
+            raise ValueError("depth r must be >= 1")
+        check_cap(h.n, r, cap)
+    q, factors = (profile(h), _dita_factors(h.array)) if depths else (None, None)
+    return (_sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
+            for r in depths)
 
 
 def _structured_spectrum(factors, q, r):
-    """Ascending eigenvalues of the depth-r Gram matrix X of an input with
-    profile q that `_dita_factors` rebuilt as dita(M, N, Q), factors =
-    (M, N, Q), under `_certified_spectrum`: the eigenvalues of the Gram
-    matrices of size min(M, N) of the factors V of `_structured_factors`
-    (`_block_eigenvalues`), and the (MN)^r - M^{r-1} N^{r-1} min(M, N) exact
-    zeros.  Row phases and permutations keep the profile, column phases cancel
-    around each cycle of X and column permutations only permute it, so these
-    blocks have the spectrum of X.  `_dita_factors` checks that Q is
-    unimodular, so V is finite and its Gram matrices Hermitian: the contract,
-    against q, is the check."""
+    """The spectrum (values, zeros) of the depth-r Gram matrix X of an input
+    with profile q that `_dita_factors` rebuilt as dita(M, N, Q), factors =
+    (M, N, Q), under `_certified_spectrum`: values the eigenvalues of the
+    Gram matrices of size min(M, N) of the factors V of `_structured_factors`
+    (`_block_eigenvalues`), and zeros = (MN)^r - M^{r-1} N^{r-1} min(M, N),
+    the exact zeros of the vanishing blocks, counted from the shapes alone,
+    so that a lost eigenvalue fails the count.  Row phases and permutations
+    keep the profile, column phases cancel around each cycle of X and column
+    permutations only permute it, so these blocks have the spectrum of X.
+    `_dita_factors` checks that Q is unimodular, so V is finite and its Gram
+    matrices Hermitian: the contract, against q, is the check."""
     m, n, phases = factors
     vals = _block_eigenvalues(_structured_factors(phases, r)).ravel()
-    zeros = np.zeros((m * n) ** r - len(vals))  # of the vanishing blocks
-    return _certified_spectrum(np.append(vals, zeros), q, r)
+    zeros = (m * n) ** r - (m * n) ** (r - 1) * min(m, n)
+    return _certified_spectrum(vals, zeros, q, r)
 
 
 def _block_eigenvalues(v):
@@ -390,7 +403,7 @@ def _block_eigenvalues(v):
 
 
 def _sector_spectrum(q, r):
-    """Ascending eigenvalues of the depth-r Gram matrix X of the profile q
+    """The spectrum (values, 0) of the depth-r Gram matrix X of the profile q
     from its cyclic sector blocks, under `_certified_spectrum`; the route that
     assumes no structure of the input beyond that of every X.
 
@@ -444,7 +457,7 @@ def _sector_spectrum(q, r):
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), q, r)
+    return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), 0, q, r)
 
 
 def _real_sector_block(gathered, wave, at, cols, p, c, left, right):
@@ -504,7 +517,10 @@ def _sector_plan(n, r):
 
 
 def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
-    """Eigenvalues of the truncation tensor T_p(H), which lie in [0, 1].
+    """The solved eigenvalues of the truncation tensor T_p(H), which lie in
+    [0, 1], without the exact zeros of the structured route: its consumers
+    take power sums, count the eigenvalues at 1 and find the gap below 1, and
+    a zero changes none of them.
 
     T_p(H) = X_p(H^*) / N entrywise, so T_p is never built.  The profile of
     conj(H) is the conjugate of that of H, so X_p(H^t) = conj X_p(H^*) has the
@@ -513,7 +529,7 @@ def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
     """
     if p < 1:
         raise ValueError("word length p must be >= 1")
-    [vals] = _gram_spectra(matrices.transpose(h), [p], cap)
+    [(vals, _)] = _gram_spectra(matrices.transpose(h), [p], cap)
     return vals / h.n
 
 
@@ -562,12 +578,15 @@ def measure_top_mass(measure):
     return 0.0
 
 
-def _law_from_spectrum(vals, n, r):
-    """Depth-r truncated measure from the N^r eigenvalues of X: each carries
-    weight 1/N^r, and eigenvalues within the clustering tolerance 1e-6 * N
-    are merged into one atom at their mean."""
+def _law_from_spectrum(vals, zeros, n, r):
+    """Depth-r truncated measure from the spectrum (vals, zeros) of X: each
+    value carries weight 1/N^r and the exact zeros one value 0 of weight
+    zeros/N^r, and values within the clustering tolerance 1e-6 * N are merged
+    into one atom at their weighted mean."""
     cluster_tol = CLUSTER_TOL_FACTOR * n
     weights = np.full(len(vals), 1.0 / n**r)
+    if zeros:
+        vals, weights = np.append(vals, 0.0), np.append(weights, zeros / n**r)
     return SpectralMeasure(n, r, cluster_atoms(vals, weights, cluster_tol), cluster_tol)
 
 
@@ -579,8 +598,8 @@ def truncated_law(h, r, cap=DEFAULT_CAP):
     """
     if r < 0:
         raise ValueError("depth r must be >= 0")
-    [vals] = _gram_spectra(h, [r], cap) if r else [np.array([float(h.n)])]
-    return _law_from_spectrum(vals, h.n, r)
+    [spectrum] = _gram_spectra(h, [r], cap) if r else [(np.array([float(h.n)]), 0)]
+    return _law_from_spectrum(*spectrum, h.n, r)
 
 
 def _real_trace(value, scale, what):
@@ -643,20 +662,31 @@ class MomentTable(NamedTuple):
         }
 
 
+def _word_norms(n, p_max):
+    """N^p for p = 1..p_max as floats: the moments c_p^0, and the norms of the
+    self-duality residuals.  Refused, before anything is allocated, once
+    N^{p_max} passes the float range (`float_power`), and for N = 1, whose
+    powers never pass it, once p_max passes _MAX_WORD, beyond which they do
+    for every N >= 2."""
+    float_power(n, p_max)
+    if p_max > _MAX_WORD:
+        raise ValueError(f"p = {p_max} exceeds {_MAX_WORD}: 2^p would pass the float range")
+    return np.array([float(n**p) for p in range(1, p_max + 1)])
+
+
 def moment_table(h, p_max, r_max, cap=DEFAULT_CAP):
     """Fill the (p, r) moment grid through the Gram-matrix route.
 
-    One `_gram_spectra` over depths 1..r_max gives the spectra of X one at a
-    time, and powers of the eigenvalues give every p at each depth.
+    One `_gram_spectra` over depths 1..r_max, which admits them all when it
+    is called, gives the spectra of X one at a time, and powers of the
+    eigenvalues give every p at each depth; the exact zeros add nothing.
     """
     if p_max < 1 or r_max < 0:
         raise ValueError("p_max must be >= 1 and r_max >= 0")
     n = h.n
-    check_cap(n, r_max, cap)  # before the table, or the depths, take any memory
-    float_power(n, p_max)  # and so is a column c^0 = N^p past the float range
-    c = np.empty((p_max, r_max + 1))
-    c[:, 0] = [float(n**p) for p in range(1, p_max + 1)]
-    for r, vals in enumerate(_gram_spectra(h, range(1, r_max + 1), cap), start=1):
+    solved = _gram_spectra(h, range(1, r_max + 1), cap)  # the depths, before the word
+    c = _word_norms(n, p_max)[:, None].repeat(r_max + 1, axis=1)  # c^0 = N^p in column 0
+    for r, (vals, _) in enumerate(solved, start=1):
         c[:, r] = _power_sums(vals, p_max) / n**r
     gamma = c / c[:, :1]
     return MomentTable(n, p_max, r_max, c, gamma)

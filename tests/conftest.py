@@ -84,6 +84,14 @@ def build_input(spec):
     return NAMED_INPUTS[spec]() if spec in NAMED_INPUTS else ht.build_matrix(spec)
 
 
+def expanded(spectrum):
+    """The spectrum (values, zeros) that `spectra._gram_spectra` hands over,
+    as the ascending N^r eigenvalues with the exact zeros written out, for
+    comparison with an oracle."""
+    values, zeros = spectrum
+    return np.sort(np.append(values, np.zeros(zeros)))
+
+
 # One SVD per input and depth for the whole run, however many tests compare
 # against it.
 @functools.cache

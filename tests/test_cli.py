@@ -146,11 +146,27 @@ def test_cap_refuses_huge_depths_at_once(command, power):
     (["moments", "fourier:3", "--p-max", "99999999999", "--r-max", "1"], "3^99999999999"),
     (["dita-check", "--m", "2", "--n", "2", "--seed", "1", "--p-max", "700",
       "--r-max", "1"], "4^700"),
-], ids=["moments", "moments-1e11", "dita-check"])
+    (["bench", "--m", "2", "--n", "2", "--seed", "1", "--p", "99999999999", "--r", "1",
+      "--reps", "1"], "4^99999999999"),
+], ids=["moments", "moments-1e11", "dita-check", "bench"])
 def test_float_range_refuses_huge_words_at_once(command, power):
     proc = _limited_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: {power} exceeds the float range\n"
+    assert proc.stdout == ""
+
+
+# 1^p never passes the float range, so for N = 1 the column N^p is bounded by
+# p <= 1023, past which 2^p would pass it: the largest p that N >= 2 admits
+@pytest.mark.parametrize("command", [
+    ["moments", "fourier:1", "--p-max", "99999999999", "--r-max", "1"],
+    ["dita-check", "--m", "1", "--n", "1", "--seed", "1", "--p-max", "99999999999",
+     "--r-max", "1"],
+], ids=["moments", "dita-check"])
+def test_word_bound_refuses_size_one_at_once(command):
+    proc = _limited_cli(command)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: p = 99999999999 exceeds 1023: 2^p would pass the float range\n"
     assert proc.stdout == ""
 
 

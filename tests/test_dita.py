@@ -11,7 +11,7 @@ from hadtrunc.errors import CapExceededError, EigensolverError
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import gram_vectors
 
-from conftest import gram_vector_oracle
+from conftest import expanded, gram_vector_oracle
 
 
 # References used only here: entrywise kernel formulas, which the dense layouts
@@ -234,13 +234,15 @@ def test_structured_spectrum_matches_gram_vectors(monkeypatch, m, n, seed, r):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    [vals] = spectra._gram_spectra(ht.dita(m, n, q), [r])
+    [(solved, zeros)] = spectra._gram_spectra(ht.dita(m, n, q), [r])
     blocks, k = (m * n) ** (r - 1), min(m, n)
     # 2 x 2 blocks in closed form, larger ones as one batch; the zeros are
-    # appended, not solved
+    # counted, not solved
     assert shapes == ([] if k == 2 else [(blocks, k, k)])
+    assert len(solved) == blocks * k
+    assert zeros == (m * n) ** r - blocks * k
+    vals = expanded((solved, zeros))
     assert len(vals) == (m * n) ** r
-    assert (vals == 0.0).sum() >= (m * n) ** r - blocks * k
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
     support = coset_support(m, n, r)
     assert support.sum() == delta_nonzero_count(m, n, r)
@@ -269,7 +271,8 @@ def test_factor_blocks_match_fft_blocks(m, n, seed, r):
 @pytest.mark.parametrize("m,n,seed,r", [(2, 3, 7, 6), (3, 2, 1, 5), (3, 3, 1, 4)])
 def test_factor_spectrum_beyond_cap_matches_fft_blocks(m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
-    [vals] = spectra._gram_spectra(ht.dita(m, n, q), [r], cap=(m * n) ** r)
+    [spectrum] = spectra._gram_spectra(ht.dita(m, n, q), [r], cap=(m * n) ** r)
+    vals = expanded(spectrum)
     oracle = np.sort(np.linalg.eigvalsh(fft_blocks(q, r)).ravel())
     assert np.abs(vals - oracle).max() <= 1e-12 * m * n
 
@@ -277,7 +280,7 @@ def test_factor_spectrum_beyond_cap_matches_fft_blocks(m, n, seed, r):
 def test_factor_spectrum_peak_memory():
     # The factors V hold (MN)^r entries, a factor N below the kernel that the
     # Fourier blocks are built from; the Fourier-block route peaked at 6.9 MB
-    # at dita(2,3;seed=7), r = 6.  The zeros are appended, not solved as 1 x 1
+    # at dita(2,3;seed=7), r = 6.  The zeros are counted, not solved as 1 x 1
     # blocks, and the Gram batch gets no Hermiticity temporary: with both, the
     # peaks were 2.64 and 4.33 MB at the last two cases.  The 2 x 2 blocks
     # are solved in closed form, with no Gram batch: with one and eigvalsh,
@@ -287,11 +290,12 @@ def test_factor_spectrum_peak_memory():
         h = ht.build_matrix(spec)
         tracemalloc.start()
         try:
-            [_] = spectra._gram_spectra(h, [r], cap=h.n**r)
+            [spectrum] = spectra._gram_spectra(h, [r], cap=h.n**r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, (spec, r, peak)
+        assert len(expanded(spectrum)) == h.n**r
 
 
 def test_structured_skewed_kernel_rejected(monkeypatch):

@@ -37,9 +37,9 @@ def solves(monkeypatch):
     calls = []
 
     def spy(h, depths, cap):
-        for r, vals in zip(depths, exact(h, depths, cap)):
+        for r, spectrum in zip(depths, exact(h, depths, cap)):
             calls.append((h.provenance, r))
-            yield vals
+            yield spectrum
 
     monkeypatch.setattr(spectra, "_gram_spectra", spy)
     return calls

@@ -16,7 +16,7 @@ from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
 from conftest import (CORPUS_SPECS, PLAN_CACHES, SMALL_SPECS, STRUCTURED_FAULTS,
-                      build_input, gram_vector_oracle, tao6_matrix)
+                      build_input, expanded, gram_vector_oracle, tao6_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +26,13 @@ def tao6():
 
 def routed(h, r):
     """The spectrum of h at the one depth r, on the route `_gram_spectra` picks."""
-    [vals] = spectra._gram_spectra(h, [r])
-    return vals
+    [spectrum] = spectra._gram_spectra(h, [r])
+    return expanded(spectrum)
 
 
 def sector_route(h, r):
     """The spectrum of h at depth r from the cyclic sector blocks of its profile."""
-    return spectra._sector_spectrum(spectra.profile(h), r)
+    return expanded(spectra._sector_spectrum(spectra.profile(h), r))
 
 
 def grid_multiplicity_and_gap(h, p, tol=1e-8):
@@ -265,7 +265,7 @@ def test_moment_table_peak_is_one_spectrum(monkeypatch):
     # kept them all would hold three of them next to the power-sum copy
     def fresh(h, depths, cap):
         for r in depths:
-            yield np.random.default_rng(r).uniform(0, 4, size=10**6)
+            yield np.random.default_rng(r).uniform(0, 4, size=10**6), 0
 
     monkeypatch.setattr(spectra, "_gram_spectra", fresh)
     tracemalloc.start()
@@ -690,13 +690,15 @@ def test_refusals_precede_route_work(monkeypatch, capsys):
     monkeypatch.setattr(spectra, "profile", forbidden)
     monkeypatch.setattr(spectra, "_dita_factors", forbidden)
     f6, q = ht.fourier(6), ht.seeded_phase_matrix(2, 3, 7)
+    # when the dispatch point is called, with no spectrum drawn
     with pytest.raises(ValueError, match="depth r must be >= 1"):
-        list(spectra._gram_spectra(f6, [0, 1]))
+        spectra._gram_spectra(f6, [0, 1])
     with pytest.raises(ValueError, match="depth r must be >= 1"):
-        list(spectra._gram_spectra(f6, [1, 0]))
+        spectra._gram_spectra(f6, [1, 0])
     # every depth is admitted before the first is solved
-    for refused in (lambda: list(spectra._gram_spectra(f6, [5, 1])),
-                    lambda: list(spectra._gram_spectra(f6, [1, 5])),
+    for refused in (lambda: spectra._gram_spectra(f6, [5]),
+                    lambda: spectra._gram_spectra(f6, [5, 1]),
+                    lambda: spectra._gram_spectra(f6, [1, 5]),
                     lambda: ht.moment_table(f6, 2, 5),
                     lambda: ht.duality_residual(f6, 5, 1),
                     lambda: ht.duality_residual(f6, 1, 5),
@@ -712,6 +714,34 @@ def test_refusals_precede_route_work(monkeypatch, capsys):
                  ["duality", "fourier:6", "--p-max", "5", "--r-max", "1"]):
         assert main(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_moment_table_admits_depths_then_word(monkeypatch):
+    exact = spectra.check_cap
+    caps = []
+
+    def spy(base, exponent, cap):
+        caps.append((base, exponent))
+        return exact(base, exponent, cap)
+
+    monkeypatch.setattr(spectra, "check_cap", spy)
+    ht.moment_table(ht.fourier(3), 4, 3)
+    assert caps == [(3, 1), (3, 2), (3, 3)]  # the dispatch point's, one per depth, and no more
+    # a depth past the cap, named at the first one, before a word past the
+    # float range, and both before a table of 10^11 rows could be allocated
+    with pytest.raises(CapExceededError, match=r"3\^8 exceeds size cap"):
+        ht.moment_table(ht.fourier(3), 10**11, 10**11)
+    with pytest.raises(ValueError, match=r"3\^100000000000 exceeds the float range"):
+        ht.moment_table(ht.fourier(3), 10**11, 1)
+    # N = 1 has a bound of its own, the largest word that N = 2 admits
+    assert ht.moment_table(ht.fourier(2), 1023, 1).c[-1, 0] == 2.0**1023
+    with pytest.raises(ValueError, match=r"2\^1024 exceeds the float range"):
+        ht.moment_table(ht.fourier(2), 1024, 1)
+    assert (ht.moment_table(ht.fourier(1), 1023, 1).c == 1.0).all()
+    for table in (lambda: ht.moment_table(ht.fourier(1), 1024, 1),
+                  lambda: ht.dita_selfduality_residual(1, 1, [[1.0]], 10**11, 1)):
+        with pytest.raises(ValueError, match=r"exceeds 1023: 2\^p would pass the float range"):
+            table()
 
 
 def test_gram_spectrum_never_builds_x(monkeypatch):
@@ -1002,20 +1032,37 @@ def test_duplicated_eigenvalue_rejected(monkeypatch, consumer):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
-@pytest.mark.usefixtures("generic_route")
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
                          ids=SPECTRUM_CONSUMERS.keys())
-def test_lost_zero_eigenvalue_rejected(monkeypatch, consumer):
-    exact = np.linalg.eigvalsh
+def test_lost_zero_eigenvalue_rejected(monkeypatch, structured_calls, consumer):
+    # a zero eigenvalue changes neither trace identity; only the count sees it
+    lost = []
 
-    def losing_zero(x):
-        # a zero eigenvalue changes neither trace identity; only the count sees it
-        vals = exact(x)
-        return vals[1:] if abs(vals[0]) <= 1e-9 else vals
+    def losing_zero(exact):
+        def losing(x):
+            vals = exact(x).ravel()
+            i = np.argmin(np.abs(vals))
+            if abs(vals[i]) > 1e-9:
+                return vals
+            lost.append(vals[i])
+            return np.delete(vals, i)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", losing_zero)
+        return losing
+
+    # the sector route: one eigvalsh per block
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_dita_factors", lambda arr: None)
+        patch.setattr(np.linalg, "eigvalsh", losing_zero(np.linalg.eigvalsh))
+        with pytest.raises(EigensolverError, match=r"eigenvalues, not N\^r = "):
+            consumer(ht.build_matrix("dita(2,2;seed=7)"))
+    assert lost and not structured_calls
+    # the structured route: the rank-one 2 x 2 blocks of transpose(dita(2,3)),
+    # which the count of exact zeros, taken from the shapes, does not absorb
+    lost.clear()
+    monkeypatch.setattr(spectra, "_block_eigenvalues", losing_zero(spectra._block_eigenvalues))
     with pytest.raises(EigensolverError, match=r"eigenvalues, not N\^r = "):
-        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+        consumer(ht.build_matrix("transpose(dita(2,3;seed=7))"))
+    assert lost and structured_calls
 
 
 @pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
