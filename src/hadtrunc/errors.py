@@ -13,34 +13,36 @@ ORTHOGONALITY_TOL = 1e-8  # multiplied by N
 
 
 def _bounded_power(base, exponent, limit):
-    """base**exponent if it is at most limit, else None.  The product stops at
-    the first factor that passes the limit, so an exponent of any size is
-    decided in at most log2(limit) + 1 multiplications and a power past the
-    limit is never formed."""
-    dim = 1
-    for _ in range(exponent if base > 1 else 0):
-        dim *= base
-        if dim > limit:
+    """base**exponent if max(base, 2)**exponent, the power checked, is at most
+    limit, else None.  A base below 2 counts as 2, so one rule bounds every
+    exponent for every base: 1^k never grows, yet 1^k is refused wherever 2^k
+    would be.  The product stops at the first factor that passes the limit,
+    so an exponent of any size is decided in at most log2(limit) + 1
+    multiplications and a power past the limit is never formed."""
+    checked = 1
+    for _ in range(exponent):
+        checked *= max(base, 2)
+        if checked > limit:
             return None
-    return dim
+    return base**exponent
 
 
 def check_cap(base, exponent, cap):
-    """base**exponent, the size of a dense object, once it fits the cap, else
-    CapExceededError naming the power."""
+    """base**exponent, the size of a dense object, once max(base, 2)**exponent
+    fits the cap, else CapExceededError naming that power."""
     dim = _bounded_power(base, exponent, cap)
     if dim is None:
-        raise CapExceededError(f"{base}^{exponent}", cap)
+        raise CapExceededError(f"{max(base, 2)}^{exponent}", cap)
     return dim
 
 
 def float_power(base, exponent):
-    """base**exponent as a float once it is in the float range, else
-    ValueError naming the power; like `check_cap`, it never forms a power
-    past the range."""
+    """base**exponent as a float once max(base, 2)**exponent is in the float
+    range, else ValueError naming that power; like `check_cap`, it never
+    forms a power past the range."""
     dim = _bounded_power(base, exponent, sys.float_info.max)
     if dim is None:
-        raise ValueError(f"{base}^{exponent} exceeds the float range")
+        raise ValueError(f"{max(base, 2)}^{exponent} exceeds the float range")
     return float(dim)
 
 

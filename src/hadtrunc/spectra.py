@@ -94,7 +94,6 @@ CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
 _PLAN_CACHE_SIZE = 32  # shapes each plan cache keeps, least recently used dropped
 _CHUNK_ENTRIES = 1 << 16  # output entries `_product_over_cycle` fills per chunk
-_MAX_WORD = 1023  # the longest p whose 2^p is in the float range
 
 
 def _read_only(arr):
@@ -625,21 +624,21 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     holds while building it; from r = 3 on, the powers of T_p multiplied out
     add to that."""
     _check_word_and_depth(p, r)
-    n = h.n
+    scale = float_power(h.n, p)  # c_p^0, and the scale of c_p^r, before any work
     if r == 0:
-        return float_power(n, p)
+        return scale
     t = magic_mod.truncation_tensor(magic_mod.magic_grid(h), p, cap=cap)
-    return _real_trace(_trace_power(t, r), float_power(n, p), f"Tr(T_{p}^{r})")
+    return _real_trace(_trace_power(t, r), scale, f"Tr(T_{p}^{r})")
 
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     """c_p^r as (1/N^r) Tr(X^p), with X the depth-r Gram matrix."""
     _check_word_and_depth(p, r)
-    n = h.n
+    scale = float_power(h.n, p)  # c_p^0, and the scale of c_p^r, before any work
     if r == 0:
-        return float_power(n, p)
+        return scale
     trace = _trace_power(gram_matrix(h, r, cap=cap), p)
-    return _real_trace(trace / n**r, float_power(n, p), f"tr(X_{r}^{p})")
+    return _real_trace(trace / h.n**r, scale, f"tr(X_{r}^{p})")
 
 
 class MomentTable(NamedTuple):
@@ -665,12 +664,9 @@ class MomentTable(NamedTuple):
 def _word_norms(n, p_max):
     """N^p for p = 1..p_max as floats: the moments c_p^0, and the norms of the
     self-duality residuals.  Refused, before anything is allocated, once
-    N^{p_max} passes the float range (`float_power`), and for N = 1, whose
-    powers never pass it, once p_max passes _MAX_WORD, beyond which they do
-    for every N >= 2."""
+    `float_power` refuses N^{p_max}, which for N = 1 is once 2^{p_max} passes
+    the float range."""
     float_power(n, p_max)
-    if p_max > _MAX_WORD:
-        raise ValueError(f"p = {p_max} exceeds {_MAX_WORD}: 2^p would pass the float range")
     return np.array([float(n**p) for p in range(1, p_max + 1)])
 
 

@@ -66,6 +66,18 @@ def _moved(h):
     return ht.hadamard(arr)
 
 
+def _dephased_off_circle():
+    """dita(2,3;seed=7) with four moduli of Q moved 0.9e-12 off the unit
+    circle.  Q and every entry pass their checks, and the entries match a
+    dita within 1e-14, but the dephased Q_11 Q_00 / (Q_10 Q_01) is 2.7e-12
+    off the circle, so that Q is refused as not unimodular."""
+    q = ht.seeded_phase_matrix(2, 3, 7)
+    q[0, 1:] *= 1 - 0.9e-12
+    q[1, 0] *= 1 - 0.9e-12
+    q[1, 1:] *= 1 + 0.9e-12
+    return ht.dita(2, 3, q)
+
+
 # Inputs that no spec string builds: a dita with phases on its rows and
 # columns, and near-misses one entry away from the dita structure.
 NAMED_INPUTS = {
@@ -76,6 +88,7 @@ NAMED_INPUTS = {
     "moved": lambda: _moved(ht.build_matrix("dita(2,3;seed=7)")),
     "moved-fourier:8": lambda: _moved(ht.fourier(8)),
     "moved-phased": lambda: _moved(NAMED_INPUTS["phased"]()),
+    "dephased-off-circle": _dephased_off_circle,
 }
 
 

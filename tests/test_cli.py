@@ -131,7 +131,15 @@ def _limited_cli(command):
     (["cesaro", "fourier:3", "--p", "100000", "--k-max", "2"], "3^100000"),
     (["duality", "fourier:3", "--p-max", "1", "--r-max", "100000"], "3^100000"),
     (["moments", "fourier:3", "--p-max", "1", "--r-max", "99999999999"], "3^99999999999"),
-], ids=["measure", "measure-1e11", "cesaro", "duality", "moments-1e11"])
+    # N = 1 is admitted as N = 2, so its depths and words are refused as 2^k
+    (["moments", "fourier:1", "--p-max", "1", "--r-max", "99999999999"], "2^99999999999"),
+    (["measure", "fourier:1", "--r", "99999999999"], "2^99999999999"),
+    (["measure", "fourier:1", "--r", "64"], "2^64"),
+    (["cesaro", "fourier:1", "--p", "99999999999", "--k-max", "2"], "2^99999999999"),
+    (["dita-check", "--m", "1", "--n", "1", "--seed", "1", "--p-max", "1",
+      "--r-max", "99999999999"], "2^99999999999"),
+], ids=["measure", "measure-1e11", "cesaro", "duality", "moments-1e11", "moments-size-1",
+        "measure-size-1", "measure-size-1-r64", "cesaro-size-1", "dita-check-size-1"])
 def test_cap_refuses_huge_depths_at_once(command, power):
     proc = _limited_cli(command)
     assert proc.returncode == 3, proc.stderr
@@ -140,7 +148,8 @@ def test_cap_refuses_huge_depths_at_once(command, power):
 
 
 # N^p, a column of the moment table or the norm of the self-duality residuals,
-# is refused once it passes the float range, before any table is allocated
+# is refused once it passes the float range, before any table is allocated;
+# for N = 1, once 2^p would pass it
 @pytest.mark.parametrize("command, power", [
     (["moments", "fourier:3", "--p-max", "700", "--r-max", "1"], "3^700"),
     (["moments", "fourier:3", "--p-max", "99999999999", "--r-max", "1"], "3^99999999999"),
@@ -148,25 +157,15 @@ def test_cap_refuses_huge_depths_at_once(command, power):
       "--r-max", "1"], "4^700"),
     (["bench", "--m", "2", "--n", "2", "--seed", "1", "--p", "99999999999", "--r", "1",
       "--reps", "1"], "4^99999999999"),
-], ids=["moments", "moments-1e11", "dita-check", "bench"])
+    (["moments", "fourier:1", "--p-max", "99999999999", "--r-max", "1"], "2^99999999999"),
+    (["dita-check", "--m", "1", "--n", "1", "--seed", "1", "--p-max", "99999999999",
+      "--r-max", "1"], "2^99999999999"),
+], ids=["moments", "moments-1e11", "dita-check", "bench", "moments-size-1",
+        "dita-check-size-1"])
 def test_float_range_refuses_huge_words_at_once(command, power):
     proc = _limited_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: {power} exceeds the float range\n"
-    assert proc.stdout == ""
-
-
-# 1^p never passes the float range, so for N = 1 the column N^p is bounded by
-# p <= 1023, past which 2^p would pass it: the largest p that N >= 2 admits
-@pytest.mark.parametrize("command", [
-    ["moments", "fourier:1", "--p-max", "99999999999", "--r-max", "1"],
-    ["dita-check", "--m", "1", "--n", "1", "--seed", "1", "--p-max", "99999999999",
-     "--r-max", "1"],
-], ids=["moments", "dita-check"])
-def test_word_bound_refuses_size_one_at_once(command):
-    proc = _limited_cli(command)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "error: p = 99999999999 exceeds 1023: 2^p would pass the float range\n"
     assert proc.stdout == ""
 
 
@@ -463,6 +462,21 @@ def test_integer_flags_are_ascii_digits(capsys, command, at, value):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"argument {command[at]}: must be 1 to 20 ASCII digits" in err
+
+
+_COUNT_FLAGS = {("measure", "--r"), ("moments", "--r-max"), ("dita-check", "--seed"),
+                ("bench", "--seed")}  # flags that take 0
+
+
+@pytest.mark.parametrize("command, at", [
+    pytest.param(command, at, id=f"{command[0]}{command[at]}")
+    for command in _INTEGER_FLAG_COMMANDS for at in range(1, len(command))
+    if command[at].startswith("--") and (command[0], command[at]) not in _COUNT_FLAGS])
+def test_positive_flags_refuse_zero(capsys, command, at):
+    argv = [*command[:at + 1], "0", *command[at + 2:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {command[at]}: must be >= 1, got 0" in err
 
 
 def test_seed_largest_accepted(capsys):

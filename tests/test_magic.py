@@ -209,6 +209,19 @@ def test_word_integral_peak_is_one_tensor():
     assert peak < 2 * 1296**2 * 16  # twice T_4, 25.6 MiB
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda h: ht.truncation_tensor(ht.magic_grid(h), 0), "word length p must be >= 1"),
+    (lambda h: ht.truncated_integral_word(h, 1, [], []),
+     "index lists must be nonempty and of equal length"),
+    (lambda h: ht.truncated_integral_word(h, 1, [0, 1], [0]),
+     "index lists must be nonempty and of equal length"),
+    (lambda h: ht.truncated_integral_word(h, -1, [0], [1]), "truncation depth must be >= 0"),
+], ids=["tensor-p", "word-empty", "word-unequal", "word-r"])
+def test_grid_calls_check_arguments(call, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call(ht.fourier(3))
+
+
 def test_word_integral_index_range():
     with pytest.raises(IndexError):
         ht.truncated_integral_word(ht.fourier(3), 1, [0, 3], [0, 0])

@@ -100,6 +100,8 @@ def test_dita_entry_formula():
 def test_dita_shape_mismatch():
     with pytest.raises(ValueError):
         ht.dita(2, 3, np.ones((3, 2), dtype=complex))
+    with pytest.raises(ValueError, match="must be two-dimensional"):
+        ht.dita(2, 2, np.ones(4, dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

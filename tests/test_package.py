@@ -96,6 +96,8 @@ REFUSED = [
      "error: requested dimension 12^4 exceeds size cap 4096\n"),
     (["moments", "fourier:3", "--p-max", "1", "--r-max", "100000"], 3,
      "error: requested dimension 3^100000 exceeds size cap 4096\n"),
+    (["moments", "fourier:1", "--p-max", "1", "--r-max", "99999999999"], 3,
+     "error: requested dimension 2^99999999999 exceeds size cap 4096\n"),
     (["cesaro", "fourier:6", "--p", "4", "--k-max", "2", "--cap", "1000"], 3,
      "error: requested dimension 6^4 exceeds size cap 1000\n"),
     (["duality", "tensor(fourier:2,dita(2,2;seed=3))", "--p-max", "9", "--r-max", "2"], 3,

@@ -57,6 +57,8 @@ def test_parse_file_inside_tensor():
     ("fourier:\u0663", 8),  # an Arabic-Indic three: the grammar's digits are ASCII
     ("fourier:\u00b2", 8),  # a superscript two
     ("tensor(file=\u00fc.json,fourier:x)", 27),  # characters, not the 28 bytes of UTF-8
+    ("", 0),
+    ("tensor(", 7),
 ])
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(SpecSyntaxError) as exc:
@@ -124,6 +126,13 @@ def test_parse_oversized_seed():
 ])
 def test_unparse_roundtrip(text):
     assert unparse(parse_matrix_spec(text)) == text
+
+
+@pytest.mark.parametrize("walk", [unparse, spec_size, ht.build_matrix],
+                         ids=["unparse", "spec_size", "build_matrix"])
+def test_spec_walks_reject_other_trees(walk):
+    with pytest.raises(TypeError, match=r"^not a matrix spec: 42$"):
+        walk(TensorSpec(FourierSpec(2), 42))
 
 
 def test_build_matrix_from_string():

@@ -158,7 +158,10 @@ def test_cap_refuses_a_power_without_forming_it():
         ht.truncated_law(ht.fourier(3), 10**11)
     assert (exc.value.requested, exc.value.cap) == ("3^100000000000", 4096)
     assert check_cap(3, 7, 3**7) == 3**7
-    assert check_cap(1, 10**11, 1) == 1
+    # a base below 2 is checked as 2 and the power returned is still N^k
+    assert check_cap(1, 12, 4096) == 1
+    with pytest.raises(CapExceededError, match=r"2\^100000000000 exceeds size cap 1$"):
+        check_cap(1, 10**11, 1)
     with pytest.raises(CapExceededError, match=r"3\^8 exceeds"):
         check_cap(3, 8, 3**8 - 1)
 
@@ -380,6 +383,31 @@ def test_moment_oracle_peak_has_no_full_size_product(oracle, p, r, bound):
 def test_moment_oracles_check_arguments(oracle, p, r, match):
     with pytest.raises(ValueError, match=match):
         oracle(ht.fourier(2), p, r)
+
+
+@pytest.mark.parametrize("oracle", [ht.moments_via_T, ht.moments_via_X], ids=["T", "X"])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_moment_oracles_admit_the_word_before_any_work(monkeypatch, oracle, r):
+    # 3^700 passes the float range; X^700 or T_700 must not be formed first
+    calls = []
+    monkeypatch.setattr(spectra, "gram_matrix", lambda *args, **kwargs: calls.append("X"))
+    monkeypatch.setattr(magic, "magic_grid", lambda *args, **kwargs: calls.append("grid"))
+    with pytest.raises(ValueError, match=r"^3\^700 exceeds the float range$"):
+        oracle(ht.fourier(3), 700, r)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda h: spectra.gram_vectors(h, 0), "depth r must be >= 1"),
+    (lambda h: ht.gram_matrix(h, 0), "depth r must be >= 1"),
+    (lambda h: ht.truncated_law(h, -1), "depth r must be >= 0"),
+    (lambda h: ht.moment_table(h, 0, 1), "p_max must be >= 1 and r_max >= 0"),
+    (lambda h: ht.moment_table(h, 1, -1), "p_max must be >= 1 and r_max >= 0"),
+    (lambda h: ht.cesaro_moments(h, 2, 0), "k_max must be >= 1"),
+], ids=["gram_vectors-r", "gram_matrix-r", "law-r", "table-p", "table-r", "cesaro-k"])
+def test_spectral_calls_check_arguments(call, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call(ht.fourier(2))
 
 
 @pytest.mark.parametrize("oracle, module, dense, match", [
@@ -731,16 +759,19 @@ def test_moment_table_admits_depths_then_word(monkeypatch):
     # float range, and both before a table of 10^11 rows could be allocated
     with pytest.raises(CapExceededError, match=r"3\^8 exceeds size cap"):
         ht.moment_table(ht.fourier(3), 10**11, 10**11)
+    with pytest.raises(CapExceededError, match=r"2\^13 exceeds size cap 4096$"):
+        ht.moment_table(ht.fourier(1), 1, 10**11)  # N = 1 too, at its first depth past the cap
     with pytest.raises(ValueError, match=r"3\^100000000000 exceeds the float range"):
         ht.moment_table(ht.fourier(3), 10**11, 1)
-    # N = 1 has a bound of its own, the largest word that N = 2 admits
+    # N = 1 is admitted as N = 2: the largest word that N = 2 admits, and no longer
     assert ht.moment_table(ht.fourier(2), 1023, 1).c[-1, 0] == 2.0**1023
     with pytest.raises(ValueError, match=r"2\^1024 exceeds the float range"):
         ht.moment_table(ht.fourier(2), 1024, 1)
     assert (ht.moment_table(ht.fourier(1), 1023, 1).c == 1.0).all()
-    for table in (lambda: ht.moment_table(ht.fourier(1), 1024, 1),
-                  lambda: ht.dita_selfduality_residual(1, 1, [[1.0]], 10**11, 1)):
-        with pytest.raises(ValueError, match=r"exceeds 1023: 2\^p would pass the float range"):
+    for table, power in ((lambda: ht.moment_table(ht.fourier(1), 1024, 1), "1024"),
+                         (lambda: ht.dita_selfduality_residual(1, 1, [[1.0]], 10**11, 1),
+                          "100000000000")):
+        with pytest.raises(ValueError, match=rf"^2\^{power} exceeds the float range$"):
             table()
 
 
@@ -911,7 +942,8 @@ def test_dita_factors_reject_off_unit_circle():
 
 
 @pytest.mark.parametrize("spec", ["tao6", "fourier:2", "fourier:3", "fourier:5", "fourier:7",
-                                  "moved", "moved-fourier:8", "moved-phased"])
+                                  "moved", "moved-fourier:8", "moved-phased",
+                                  "dephased-off-circle"])
 def test_dita_factors_reject(monkeypatch, spec):
     h = build_input(spec)
     assert spectra._dita_factors(h.array) is None
