@@ -25,10 +25,8 @@ import math
 import sys
 
 from . import specs
-from .errors import (DEFAULT_CAP, ORTHOGONALITY_TOL, PASS_TOL, SEED_LIMIT,
-                     UNIMODULARITY_TOL, CapExceededError, EigensolverError,
-                     HadamardValidationError, MagicGridError, MomentImagError,
-                     SpecSyntaxError, check_cap)
+from .errors import (DEFAULT_CAP, SEED_LIMIT, CapExceededError, EigensolverError,
+                     HadamardValidationError, MagicGridError, MomentImagError, check_cap)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,8 +114,7 @@ def _cmd_validate(args):
 
     spec = specs.parse_matrix_spec(args.spec)
     h = specs.build_matrix(spec, check=False)
-    report = matrices.validate(h.array, uni_tol=args.uni_tol,
-                               orth_tol=args.orth_tol)
+    report = matrices.validate(h.array)
     if args.dump:
         matrices.save_matrix(h, args.dump)
     _emit_json(report.to_dict(), args.out)
@@ -183,7 +180,7 @@ def _cmd_duality(args):
     h = _admitted_matrix(args, max(args.p_max, args.r_max))
     from .duality import duality_residual
 
-    report = duality_residual(h, args.p_max, args.r_max, tol=args.tol, cap=args.cap)
+    report = duality_residual(h, args.p_max, args.r_max, cap=args.cap)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -208,8 +205,7 @@ def _cmd_dita_check(args):
     q = specs.resolve_phase_matrix(*spec)
     from .duality import dita_selfduality_residual
 
-    report = dita_selfduality_residual(args.m, args.n, q, args.p_max, args.r_max,
-                                       tol=args.tol, cap=args.cap)
+    report = dita_selfduality_residual(args.m, args.n, q, args.p_max, args.r_max, cap=args.cap)
     _emit_json(report._replace(matrix=specs.unparse(spec)).to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -241,13 +237,6 @@ def _positive_int(text):
     return value
 
 
-def _positive_float(text):
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
 def _seed(text):
     value = _count(text)
     if value >= SEED_LIMIT:
@@ -274,8 +263,6 @@ def build_parser():
 
     p = subs.add_parser("validate", help="check the Hadamard property of a spec'd matrix")
     p.add_argument("spec")
-    p.add_argument("--uni-tol", type=_positive_float, default=UNIMODULARITY_TOL)
-    p.add_argument("--orth-tol", type=_positive_float, default=ORTHOGONALITY_TOL)
     p.add_argument("--dump", default=None, help="also write the matrix as JSON")
     _add_common(p, cap=False)
     p.set_defaults(func=_cmd_validate)
@@ -309,7 +296,6 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=PASS_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_duality)
 
@@ -317,7 +303,6 @@ def build_parser():
     _add_phase_source(p)
     p.add_argument("--p-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=PASS_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_dita_check)
 
@@ -343,14 +328,11 @@ def main(argv=None):
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except SpecSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (HadamardValidationError, MagicGridError, MomentImagError,
             EigensolverError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -67,7 +67,8 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     blocks, whose exact zeros add nothing to it; never materializes the
     (MN)^r dense X.  M, N < 2 is rejected, since no such matrix has the
     structure and it would take the sector route, and so is a word whose
-    (MN)^p, the scale of c_p^r, passes the float range."""
+    (MN)^p, the scale of c_p^r, passes the float range: after r is admitted
+    and before the spectrum is solved."""
     import numpy as np
 
     from . import matrices, spectra
@@ -77,8 +78,9 @@ def structured_moments(q, p, r, cap=DEFAULT_CAP):
     m, n = np.shape(q)
     if min(m, n) < 2:
         raise ValueError(f"dita(M, N) needs M, N >= 2, got M = {m}, N = {n}")
-    [(vals, _)] = spectra._gram_spectra(matrices.dita(m, n, q), [r], cap)
-    float_power(m * n, p)  # the scale of c_p^r, before the p-th powers
+    solved = spectra._gram_spectra(matrices.dita(m, n, q), [r], cap)  # admits r, solves nothing
+    float_power(m * n, p)  # the scale of c_p^r, before the spectrum is solved
+    [(vals, _)] = solved
     return float((vals**p).sum() / (m * n) ** r)
 
 

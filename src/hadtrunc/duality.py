@@ -3,8 +3,10 @@
 The moment/truncation duality states gamma_p^r(H) = gamma_r^p(H^t), where
 gamma_p^r = c_p^r / N^p; for deformed Fourier matrices the stronger
 self-duality c_p^r(H) = c_p^r(H^t) holds for every parameter matrix.  Both
-are exact identities, so residuals are expected to sit at roundoff and the
-checks use a uniform pass tolerance with plenty of headroom.
+are exact identities, so residuals are expected to sit at roundoff and both
+checks pass below one fixed tolerance with plenty of headroom, PASS_TOL of
+`hadtrunc.errors`.  A report carries every residual, so another threshold can
+be applied to it by the caller.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ class DualityReport(NamedTuple):
         return out
 
 
-def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
+def duality_residual(h, p_max, r_max, cap=DEFAULT_CAP):
     """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1."""
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
-    matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
     check_cap(h.n, max(p_max, r_max), cap)  # both tables' depths, before either is solved
     table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
@@ -57,8 +58,8 @@ def duality_residual(h, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
     grid = np.abs(table_h.gamma[:, 1:] - table_t.gamma[:, 1:].T)
     max_res = float(grid.max())
     elapsed = time.perf_counter() - start
-    return DualityReport(h.provenance, p_max, r_max, grid, max_res, tol,
-                         max_res < tol, elapsed)
+    return DualityReport(h.provenance, p_max, r_max, grid, max_res, PASS_TOL,
+                         max_res < PASS_TOL, elapsed)
 
 
 def atoms_agree(m1, m2):
@@ -71,7 +72,7 @@ def atoms_agree(m1, m2):
                for (x1, w1), (x2, w2) in zip(m1.atoms, m2.atoms))
 
 
-def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_CAP):
+def dita_selfduality_residual(m, n, q, p_max, r_max, cap=DEFAULT_CAP):
     """Self-duality residuals |c_p^r(H) - c_p^r(H^t)| / N^p for H deformed
     Fourier, plus an atom-by-atom comparison of the truncated measures at
     depths 1..r_max.
@@ -84,7 +85,6 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
     """
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
-    matrices._check_tolerance("tol", tol)
     start = time.perf_counter()
     h = matrices.dita(m, n, q)
     size = h.n
@@ -101,5 +101,5 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, tol=PASS_TOL, cap=DEFAULT_C
                                 spectra._law_from_spectrum(*spec_t, size, r))
     max_res = float(grid.max())
     elapsed = time.perf_counter() - start
-    return DualityReport(h.provenance, p_max, r_max, grid, max_res, tol,
-                         max_res < tol and atoms_ok, elapsed, atoms_match=atoms_ok)
+    return DualityReport(h.provenance, p_max, r_max, grid, max_res, PASS_TOL,
+                         max_res < PASS_TOL and atoms_ok, elapsed, atoms_match=atoms_ok)

@@ -1,7 +1,8 @@
 """Shared exception types, and the bounds they enforce: the dense size cap,
-the float range of a power, the seed range, and the tolerances of the
-Hadamard validation and of the duality checks.  Nothing here needs numpy, so
-a request can be refused before numpy is loaded."""
+the float range of a power, the seed range, and the fixed tolerances of the
+Hadamard validation and of the duality checks, which no caller sets.
+Nothing here needs numpy, so a request can be refused before numpy is
+loaded."""
 
 import sys
 

@@ -3,7 +3,8 @@
 A complex Hadamard matrix is a square matrix with unimodular entries and
 pairwise-orthogonal rows.  Everything here is double precision; the validation
 tolerances, UNIMODULARITY_TOL and ORTHOGONALITY_TOL of `hadtrunc.errors`, are
-deliberately loose enough to absorb roundoff growth with the matrix size.
+fixed, and deliberately loose enough to absorb roundoff growth with the matrix
+size.  Every construction, file load and command line verdict uses them.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ def _check_phase_matrix(q):
     return q
 
 
-def _check_tolerance(name, value):
-    if not 0 < value < np.inf:  # also rejects NaN
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 class ValidationReport(NamedTuple):
     n: int
     unimodularity_dev: float
@@ -86,14 +82,15 @@ class ValidationReport(NamedTuple):
         }
 
 
-def validate(matrix, uni_tol=UNIMODULARITY_TOL, orth_tol=ORTHOGONALITY_TOL):
+def validate(matrix):
     """Check unimodularity and row orthogonality of a square complex matrix.
 
-    The orthogonality tolerance is scaled by N (off-diagonal Gram entries of
-    an exact Hadamard matrix vanish; diagonal ones equal N).
+    The tolerances are fixed: UNIMODULARITY_TOL for max ||h_ij| - 1|, and
+    ORTHOGONALITY_TOL times N for max |(H H^*)_ij - N delta_ij| (off-diagonal
+    Gram entries of an exact Hadamard matrix vanish; diagonal ones equal N).
+    The report carries both deviations, so another threshold can be applied
+    to them by the caller.
     """
-    _check_tolerance("uni_tol", uni_tol)
-    _check_tolerance("orth_tol", orth_tol)
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -101,8 +98,8 @@ def validate(matrix, uni_tol=UNIMODULARITY_TOL, orth_tol=ORTHOGONALITY_TOL):
     uni_dev = float(np.abs(np.abs(arr) - 1.0).max())
     gram = arr @ arr.conj().T
     orth_dev = float(np.abs(gram - n * np.eye(n)).max())
-    passed = uni_dev <= uni_tol and orth_dev <= orth_tol * n
-    return ValidationReport(n, uni_dev, orth_dev, passed, uni_tol, orth_tol * n)
+    passed = uni_dev <= UNIMODULARITY_TOL and orth_dev <= ORTHOGONALITY_TOL * n
+    return ValidationReport(n, uni_dev, orth_dev, passed, UNIMODULARITY_TOL, ORTHOGONALITY_TOL * n)
 
 
 @dataclass(frozen=True)

@@ -745,8 +745,13 @@ def haar_moment_estimate(h, p, k_max=32, cap=DEFAULT_CAP):
     `converged` is set when the last two averages agree within HAAR_TOL and
     the estimate sits within HAAR_TOL of `rounded`, so never at k_max = 1.
     `gap` is 1 minus the largest eigenvalue below 1 - HAAR_TOL (1.0 when
-    there is none); it bounds the distance of s_k from the limit by
-    N^p (1 - gap) / (k gap).
+    there is none).  Each eigenvalue 1 adds 1 to s_k, so the distance of s_k
+    from the limit is exactly
+
+        (1/k) sum_{lambda<1} lambda (1 - lambda^k) / (1 - lambda),
+
+    at most (1/k) sum_{lambda<1} lambda / (1 - lambda), which is in turn at
+    most N^p (1 - gap) / (k gap).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

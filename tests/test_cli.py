@@ -8,6 +8,7 @@ import pytest
 import hadtrunc as ht
 from hadtrunc import spectra
 from hadtrunc.cli import _jsonify, main
+from hadtrunc.errors import ORTHOGONALITY_TOL, PASS_TOL, UNIMODULARITY_TOL
 
 from conftest import FRESH_ENV, STRUCTURED_FAULTS
 
@@ -58,21 +59,34 @@ def test_malformed_matrix_json_exit_two(capsys, tmp_path, doc):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [
+@pytest.mark.parametrize("command, field, tol", [
     pytest.param(["duality", "fourier:2", "--p-max", "1", "--r-max", "1", "--tol"],
-                 id="duality-tol"),
+                 "tolerance", PASS_TOL, id="duality-tol"),
     pytest.param(["dita-check", "--m", "2", "--n", "2", "--seed", "7", "--p-max", "1",
-                  "--r-max", "1", "--tol"], id="dita-check-tol"),
-    pytest.param(["validate", "fourier:2", "--uni-tol"], id="uni-tol"),
-    pytest.param(["validate", "fourier:2", "--orth-tol"], id="orth-tol"),
+                  "--r-max", "1", "--tol"], "tolerance", PASS_TOL, id="dita-check-tol"),
+    pytest.param(["validate", "fourier:2", "--uni-tol"], "unimodularity_tol",
+                 UNIMODULARITY_TOL, id="uni-tol"),
+    pytest.param(["validate", "fourier:2", "--orth-tol"], "orthogonality_tol",
+                 ORTHOGONALITY_TOL * 2, id="orth-tol"),
 ])
-def test_tolerance_must_be_finite_and_positive(capsys, command):
-    for value in ("inf", "nan", "-1", "0"):
+def test_tolerance_must_be_finite_and_positive(capsys, command, field, tol):
+    # the verdict tolerances are fixed in hadtrunc.errors; no flag sets one, good or bad
+    for value in ("inf", "nan", "-1", "0", "1e-6"):
         code, out, err = run_cli(capsys, *command, value)
         assert code == 2 and out == ""
-        assert "must be finite and > 0" in err
-    code, _, _ = run_cli(capsys, *command, "1e-6")
-    assert code == 0
+        assert "unrecognized arguments" in err
+    code, out, _ = run_cli(capsys, *command[:-1])
+    assert code == 0 and json.loads(out)[field] == tol
+
+
+@pytest.mark.parametrize("scale, code", [(1 + 5e-11, 0), (1 + 5e-10, 1)])
+def test_one_verdict_rule_for_file_matrices(capsys, tmp_path, scale, code):
+    # |h_ij| - 1 = 5e-11 is within UNIMODULARITY_TOL = 1e-10, and 5e-10 is not;
+    # the deviation from orthogonality, about 2 * 3 * (scale - 1), is within 3e-8 for both
+    path = tmp_path / "f3.json"
+    ht.save_matrix(ht.fourier(3).array * scale, path)
+    assert run_cli(capsys, "validate", f"file={path}")[0] == code
+    assert run_cli(capsys, "measure", f"file={path}", "--r", "1")[0] == code
 
 
 def test_validate_dump(capsys, tmp_path):

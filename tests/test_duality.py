@@ -4,6 +4,7 @@ import pytest
 import hadtrunc as ht
 from hadtrunc import spectra
 from hadtrunc.duality import atoms_agree
+from hadtrunc.errors import PASS_TOL
 from hadtrunc.spectra import SpectralMeasure
 
 
@@ -187,15 +188,17 @@ def test_fourier_finite_check_rejects_wrong_mass():
 
 
 TOLERANCE_CALLS = {
-    "duality_residual": lambda tol: ht.duality_residual(
-        ht.build_matrix("dita(2,2;seed=7)"), 2, 2, tol=tol),
-    "dita_selfduality_residual": lambda tol: ht.dita_selfduality_residual(
-        2, 2, ht.seeded_phase_matrix(2, 2, 7), 2, 2, tol=tol),
+    "duality_residual": lambda **kw: ht.duality_residual(
+        ht.build_matrix("dita(2,2;seed=7)"), 2, 2, **kw),
+    "dita_selfduality_residual": lambda **kw: ht.dita_selfduality_residual(
+        2, 2, ht.seeded_phase_matrix(2, 2, 7), 2, 2, **kw),
 }
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
 @pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
 def test_tolerance_must_be_finite_and_positive(call, tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
-        call(tol)
+    # the tolerance is fixed at PASS_TOL; no caller can set one, good or bad
+    with pytest.raises(TypeError, match="'tol'"):
+        call(tol=tol)
+    assert call().tolerance == PASS_TOL

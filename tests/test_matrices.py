@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hadtrunc as ht
 from hadtrunc.dita import structured_gram_matrix
-from hadtrunc.errors import HadamardValidationError
+from hadtrunc.errors import ORTHOGONALITY_TOL, UNIMODULARITY_TOL, HadamardValidationError
 from hadtrunc.matrices import matrix_from_dict, matrix_to_dict, splitmix64
 from hadtrunc.specs import SEED_LIMIT
 
@@ -166,8 +166,12 @@ def test_validate_rejects_nonsquare():
 @pytest.mark.parametrize("name", ["uni_tol", "orth_tol"])
 @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
 def test_validate_rejects_bad_tolerance(name, tol):
-    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+    # the tolerances are fixed in hadtrunc.errors; no caller can set one, good or bad
+    with pytest.raises(TypeError, match=f"'{name}'"):
         ht.validate(ht.fourier(2).array, **{name: tol})
+    report = ht.validate(ht.fourier(2).array)
+    assert report.unimodularity_tol == UNIMODULARITY_TOL
+    assert report.orthogonality_tol == ORTHOGONALITY_TOL * 2
 
 
 def test_hadamard_wrapper_copies_its_input():

@@ -205,6 +205,23 @@ def test_haar_estimate_rejects_bad_tolerance(tol):
     assert np.isfinite(spectra.HAAR_TOL) and spectra.HAAR_TOL > 0
 
 
+@pytest.mark.parametrize("spec, p", [("tao6", 3), ("dita(2,2;seed=7)", 3),
+                                     ("dita(3,3;seed=1)", 2), ("fourier:4", 2)])
+def test_haar_estimate_error_is_exact(spec, p):
+    # s_k minus the count at 1 is (1/k) sum_{lambda<1} lambda (1 - lambda^k) / (1 - lambda),
+    # at most (1/k) sum_{lambda<1} lambda / (1 - lambda) <= N^p (1 - gap) / (k gap)
+    h = build_input(spec)
+    lam = spectra._truncation_spectrum(h, p)
+    below = lam[lam < 1.0 - spectra.HAAR_TOL]
+    for k in (1, 8, 32):
+        est = ht.haar_moment_estimate(h, p, k_max=k)
+        exact = (below * (1.0 - below**k) / (1.0 - below)).sum() / k
+        bound = (below / (1.0 - below)).sum() / k
+        assert est.estimate - est.rounded == pytest.approx(exact, abs=1e-12)
+        assert exact <= bound + 1e-12
+        assert bound <= h.n**p * (1.0 - est.gap) / (k * est.gap) + 1e-12
+
+
 def test_haar_estimate_is_average_at_k_max():
     h = ht.build_matrix("dita(2,2;seed=7)")
     for k_max in (0, -5):
@@ -742,6 +759,18 @@ def test_refusals_precede_route_work(monkeypatch, capsys):
                  ["duality", "fourier:6", "--p-max", "5", "--r-max", "1"]):
         assert main(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_structured_moments_refuses_word_before_solving(monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("a spectrum was solved before the word was refused")
+
+    monkeypatch.setattr(spectra, "_structured_spectrum", forbidden)
+    with pytest.raises(ValueError, match=r"^6\^1100 exceeds the float range$"):
+        ht.structured_moments(ht.seeded_phase_matrix(2, 3, 7), 1100, 3)
+    assert main(["bench", "--m", "2", "--n", "3", "--seed", "7", "--p", "1100",
+                 "--r", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: 6^1100 exceeds the float range\n")
 
 
 def test_moment_table_admits_depths_then_word(monkeypatch):
