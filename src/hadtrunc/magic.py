@@ -12,9 +12,12 @@ functional: the (a, b) entry of T_p^r integrates the word u_{a1 b1}...u_{ap bp}
 at truncation depth r.  T_p is built from the products of the two half-words
 and multiplies grid projections only, so it stays an oracle independent of
 the profile and Gram routes in `spectra`.  Its moments Tr(T_p^r) are taken by
-`spectra.moments_via_T` as a contraction of two half powers, which forms no
-second N^p x N^p array, so the oracle's peak at r <= 2 is that of
-`truncation_tensor`.
+`spectra.moments_via_T` on two paths.  At r <= 2 they come from the half-word
+tables alone (`_truncation_trace`), contracted in another order, so T_p is
+never formed and the peak is the N^{2 ceil(p/2) + 2} entries of W_{ceil(p/2)}
+and one reordered copy of it.  From r = 3 on they are a contraction of two
+half powers of the dense T_p, which forms no second N^p x N^p array beyond
+the powers multiplied out.
 """
 
 from __future__ import annotations
@@ -115,30 +118,62 @@ def verify_magic(grid):
     return _magic_deviations(grid.projections)[0]
 
 
+def _half_words(grid, p):
+    """The half-word tables (W_a, W_b) of words of length p, a = ceil(p/2) and
+    b = floor(p/2), with W_k[I, J] = P_{i1 j1} ... P_{ik jk} stored as an
+    (N^k, N^k, N, N) array; only they are multiplied out, level by level.
+    W_0 is the identity and W_a holds N^{2a+2} entries."""
+    n = grid.n
+    words = [np.eye(n, dtype=complex)[None, None]]  # words[k] is W_k
+    for k in range(1, (p + 1) // 2 + 1):
+        words.append((words[-1][:, None, :, None] @ grid.projections[None, :, None, :])
+                     .reshape(n**k, n**k, n, n))
+    return words[(p + 1) // 2], words[p // 2]
+
+
 def truncation_tensor(grid, p, cap=DEFAULT_CAP):
     """Dense N^p x N^p tensor with entries tr(P_{i1 j1} ... P_{ip jp}).
 
     The trace is normalized (tr = Tr/N).  Multi-indices are flattened
     row-major with the first letter most significant.  A word splits into its
     first a = ceil(p/2) and last b = floor(p/2) letters, tr(AB) =
-    (1/N) sum_kl A_kl B_lk, so only the half-word products
-    W_k[I, J] = P_{i1 j1} ... P_{ik jk} for k <= a are multiplied out, level
-    by level, and contracted as one batched matmul that writes the output in
-    its own (I_a, I_b, J_a, J_b) layout.  W_a holds N^{2a+2} entries and the
-    output N^{2p}, so from p = 4 on the output is the peak.
+    (1/N) sum_kl A_kl B_lk, so the half-word tables of `_half_words` are
+    contracted as one batched matmul that writes the output in its own
+    (I_a, I_b, J_a, J_b) layout.  W_a holds N^{2a+2} entries and the output
+    N^{2p}, so from p = 4 on the output is the peak.
     """
     if p < 1:
         raise ValueError("word length p must be >= 1")
     n = grid.n
     dim = check_cap(n, p, cap)
-    words = [np.eye(n, dtype=complex)[None, None]]  # words[k] is W_k
-    for k in range(1, (p + 1) // 2 + 1):
-        words.append((words[-1][:, None, :, None] @ grid.projections[None, :, None, :])
-                     .reshape(n**k, n**k, n, n))
-    w_a, w_b = words[(p + 1) // 2], words[p // 2].transpose(0, 3, 2, 1)  # xykl, uklv
-    w_b = w_b.reshape(1, len(w_b), n * n, len(w_b)) / n
+    w_a, w_b = _half_words(grid, p)
+    w_b = w_b.transpose(0, 3, 2, 1).reshape(1, len(w_b), n * n, len(w_b)) / n  # xykl, uklv
     out = w_a.reshape(len(w_a), 1, len(w_a), n * n) @ w_b
     return out.reshape(dim, dim)
+
+
+def _truncation_trace(grid, p, r):
+    """Tr(T_p^r) for r = 1 or 2 from the half-word tables, never forming T_p.
+
+    With S = sum_x W[x, x], Tr T_p = (1/N) tr(S_a S_b).  With
+    C[(k,l), (k',l')] = sum_{x,y} W[x,y]_kl W[y,x]_k'l', for a table W_h one
+    (N^2 x N^{2h}) by (N^{2h} x N^2) product, Tr T_p^2 =
+    (1/N^2) sum C_a[(k,l), (k',l')] C_b[(l,k), (l',k')].  That is
+    N^{2a+4} multiply-adds against the N^{2p+2} of T_p, and the peak is
+    W_a and one reordered copy of it."""
+    n = grid.n
+    w_a, w_b = _half_words(grid, p)
+    if r == 1:
+        s_a, s_b = (np.trace(w, axis1=0, axis2=1) for w in (w_a, w_b))
+        return np.einsum("kl,lk->", s_a, s_b) / n
+
+    def pairs(w):  # C of one table, as (k, l, k', l')
+        c = w.reshape(-1, n * n).T @ w.swapaxes(0, 1).reshape(-1, n * n)
+        return c.reshape((n,) * 4)
+
+    c_a = pairs(w_a)
+    c_b = c_a if w_b is w_a else pairs(w_b)  # p even: one table
+    return np.einsum("klmn,lknm->", c_a, c_b) / n**2
 
 
 def truncated_integral_word(h, r, a, b, cap=DEFAULT_CAP):
@@ -160,6 +195,7 @@ def truncated_integral_word(h, r, a, b, cap=DEFAULT_CAP):
     if r == 0:
         return complex(a == b)
     p = len(a)
+    check_cap(n, p, cap)  # before the grid's N^4 entries
     t = truncation_tensor(magic_grid(h), p, cap=cap)
     row = t[np.ravel_multi_index(a, (n,) * p)]
     for _ in range(r - 1):

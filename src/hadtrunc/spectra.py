@@ -619,16 +619,22 @@ def _check_word_and_depth(p, r):
 def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     """c_p^r as Tr(T_p^r), with T_p from the magic grid.
 
-    The trace is a contraction (`_trace_power`), so at r <= 2 the peak is
-    T_p plus the half-word table W_{ceil(p/2)} that `truncation_tensor`
-    holds while building it; from r = 3 on, the powers of T_p multiplied out
-    add to that."""
+    N^p is admitted against the cap before the grid is built.  At r <= 2,
+    the base cases of the half-power contraction, where both halves are T_p
+    itself, the trace comes from the half-word tables
+    (`magic._truncation_trace`) and T_p is never formed, so the peak is
+    W_{ceil(p/2)} and one reordered copy of it.  From r = 3 on the trace is a
+    contraction of two half powers of the dense T_p (`_trace_power`), so the
+    peak is T_p plus the powers of it multiplied out."""
     _check_word_and_depth(p, r)
     scale = float_power(h.n, p)  # c_p^0, and the scale of c_p^r, before any work
     if r == 0:
         return scale
-    t = magic_mod.truncation_tensor(magic_mod.magic_grid(h), p, cap=cap)
-    return _real_trace(_trace_power(t, r), scale, f"Tr(T_{p}^{r})")
+    check_cap(h.n, p, cap)
+    grid = magic_mod.magic_grid(h)
+    trace = (magic_mod._truncation_trace(grid, p, r) if r <= 2
+             else _trace_power(magic_mod.truncation_tensor(grid, p, cap=cap), r))
+    return _real_trace(trace, scale, f"Tr(T_{p}^{r})")
 
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import hadtrunc as ht
-from hadtrunc import magic
-from hadtrunc.errors import CapExceededError, MagicGridError
+from hadtrunc import magic, spectra
+from hadtrunc.errors import DEFAULT_CAP, CapExceededError, MagicGridError
 from hadtrunc.magic import MagicGrid, multi_indices
 
-from conftest import tao6_matrix
+from conftest import NAMED_INPUTS, SMALL_SPECS, build_input, tao6_matrix
 
 
 def brute_word_trace(h, a, b):
@@ -125,6 +125,23 @@ def test_truncation_tensor_matches_brute_traces_odd(h, p):
     for flat_a, flat_b in [*corners, *interior]:
         expected = brute_word_trace(h, digits[flat_a], digits[flat_b])
         assert t[flat_a, flat_b] == pytest.approx(expected, abs=1e-12)
+
+
+# Every word length under the cap, for the small specs, the named inputs (tao6
+# among them) and dita(3,3;seed=1), whose T_3 is complex.
+HALF_WORD_CASES = [(spec, p)
+                   for spec in [*SMALL_SPECS, *NAMED_INPUTS, "dita(3,3;seed=1)"]
+                   for n in [build_input(spec).n]
+                   for p in range(1, 13) if n**p <= DEFAULT_CAP]
+
+
+@pytest.mark.parametrize("spec, p", HALF_WORD_CASES)
+def test_half_word_trace_is_dense_trace(spec, p):
+    grid = ht.magic_grid(build_input(spec))
+    t = ht.truncation_tensor(grid, p)
+    for r in (1, 2):
+        want = spectra._trace_power(t, r)
+        assert magic._truncation_trace(grid, p, r) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_truncation_tensor_cap():

@@ -375,20 +375,22 @@ def test_trace_power_is_trace_of_power(k):
 
 
 @pytest.mark.parametrize("oracle, p, r, bound", [
-    (ht.moments_via_T, 4, 2, 1.2),  # T_4 and W_2
-    (ht.moments_via_X, 2, 4, 1.2),  # X_4 alone
-    (ht.moments_via_X, 4, 4, 2.2),  # X_4 and X_4^2
-], ids=["T-p4-r2", "X-p2-r4", "X-p4-r4"])
+    (ht.moments_via_T, 4, 2, 2.2 * 6**6 * 16),  # W_2 and its reordered copy, no T_4
+    (ht.moments_via_T, 4, 3, 2.2 * 6**8 * 16),  # T_4 and T_4^2
+    (ht.moments_via_X, 2, 4, 1.2 * 6**8 * 16),  # X_4 alone
+    (ht.moments_via_X, 4, 4, 2.2 * 6**8 * 16),  # X_4 and X_4^2
+], ids=["T-p4-r2", "T-p4-r3", "X-p2-r4", "X-p4-r4"])
 def test_moment_oracle_peak_has_no_full_size_product(oracle, p, r, bound):
-    # T_4 and X_4 of F_6 are 1296 x 1296 complex, 26.9 MB; an elementwise
-    # product of the two half powers before the sum would add one more
+    # T_4 and X_4 of F_6 are 1296 x 1296 complex, 26.9 MB, and the half-word
+    # table W_2 is 6^6 complex, 0.75 MB; an elementwise product of the two
+    # half powers before the sum would add one more T_4 or X_4
     tracemalloc.start()
     try:
         oracle(ht.fourier(6), p, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound * 6**8 * 16
+    assert peak < bound
 
 
 @pytest.mark.parametrize("oracle, p, r, match", [
@@ -414,6 +416,36 @@ def test_moment_oracles_admit_the_word_before_any_work(monkeypatch, oracle, r):
     assert calls == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda h: ht.moments_via_T(h, 3, 1),
+    lambda h: ht.moments_via_T(h, 3, 3),
+    lambda h: ht.truncated_integral_word(h, 1, [0, 1, 2], [2, 1, 0]),
+], ids=["T-r1", "T-r3", "word"])
+def test_grid_oracles_check_the_cap_before_the_grid(monkeypatch, call):
+    # the grid of F_48 holds 48^4 entries; 48^3 is refused before it is built
+    calls = []
+    monkeypatch.setattr(magic, "magic_grid", lambda *args, **kwargs: calls.append("grid"))
+    with pytest.raises(CapExceededError,
+                       match=r"^requested dimension 48\^3 exceeds size cap 4096$"):
+        call(ht.fourier(48))
+    assert calls == []
+
+
+@pytest.mark.parametrize("r, dense", [(1, False), (2, False), (3, True)])
+def test_grid_oracle_forms_T_only_from_depth_three(monkeypatch, r, dense):
+    # at r <= 2 the trace comes from the half-word tables
+    calls = []
+    exact = magic.truncation_tensor
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(magic, "truncation_tensor", spy)
+    assert ht.moments_via_T(ht.fourier(3), 2, r) == pytest.approx(3.0, rel=1e-12)
+    assert calls == ([2] if dense else [])
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda h: spectra.gram_vectors(h, 0), "depth r must be >= 1"),
     (lambda h: ht.gram_matrix(h, 0), "depth r must be >= 1"),
@@ -427,21 +459,42 @@ def test_spectral_calls_check_arguments(call, match):
         call(ht.fourier(2))
 
 
-@pytest.mark.parametrize("oracle, module, dense, match", [
-    (ht.moments_via_X, spectra, "gram_matrix", r"tr\(X_2\^2\) has imaginary part"),
-    (ht.moments_via_T, magic, "truncation_tensor", r"Tr\(T_2\^2\) has imaginary part"),
+@pytest.mark.parametrize("oracle, module, dense, r, match", [
+    (ht.moments_via_X, spectra, "gram_matrix", 2, r"tr\(X_2\^2\) has imaginary part"),
+    (ht.moments_via_T, magic, "truncation_tensor", 3, r"Tr\(T_2\^3\) has imaginary part"),
 ], ids=["X", "T"])
-def test_moment_oracles_reject_imaginary_traces(monkeypatch, oracle, module, dense, match):
-    # a fault that makes the dense matrix non-Hermitian: i/2 added on its diagonal
+def test_moment_oracles_reject_imaginary_traces(monkeypatch, oracle, module, dense, r, match):
+    # a fault that makes the dense matrix non-Hermitian: i/2 added on its
+    # diagonal; the grid oracle forms T_p only from r = 3 on
     exact = getattr(module, dense)
+    fired = []
 
     def skewed(*args, **kwargs):
         a = exact(*args, **kwargs)
+        fired.append(dense)
         return a + 0.5j * np.eye(len(a))
 
     monkeypatch.setattr(module, dense, skewed)
     with pytest.raises(MomentImagError, match=match):
-        oracle(ht.fourier(3), 2, 2)
+        oracle(ht.fourier(3), 2, r)
+    assert fired == [dense]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_grid_oracle_rejects_imaginary_half_word_traces(monkeypatch, r):
+    # a fault that makes the half-word tables non-Hermitian: i/2 added on the
+    # diagonal of every block W[x, y]
+    exact = magic._half_words
+    fired = []
+
+    def skewed(grid, p):
+        fired.append(p)
+        return tuple(w + 0.5j * np.eye(grid.n) for w in exact(grid, p))
+
+    monkeypatch.setattr(magic, "_half_words", skewed)
+    with pytest.raises(MomentImagError, match=rf"Tr\(T_2\^{r}\) has imaginary part"):
+        ht.moments_via_T(ht.fourier(3), 2, r)
+    assert fired == [2]
 
 
 def test_moment_closed_forms(corpus_matrix):
