@@ -163,6 +163,7 @@ def _cmd_moments(args):
 
 
 def _cmd_cesaro(args):
+    check_cap(args.k_max, 1, args.cap)  # the k_max-long output, as `cesaro_moments` admits it
     h = _admitted_matrix(args, args.p)
     from .spectra import cesaro_moments
 
@@ -248,7 +249,7 @@ def _add_common(sub, formats=("json",), cap=True):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     if cap:
         sub.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                         help="dense size cap on N^p / N^r")
+                         help="dense size cap on N^p / N^r, and on the k_max-long output")
     if len(formats) > 1:
         sub.add_argument("--format", choices=formats, default="json")
 

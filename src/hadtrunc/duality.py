@@ -48,14 +48,25 @@ class DualityReport(NamedTuple):
 
 
 def duality_residual(h, p_max, r_max, cap=DEFAULT_CAP):
-    """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1."""
+    """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1.
+
+    The table of H to depths 1..r_max and that of H^t to depths 1..p_max are
+    admitted together before either is solved.  When H equals its transpose
+    entry for entry (as F_N and tao6 do), one table of H, for words and
+    depths up to max(p_max, r_max), serves both sides: its power sums and
+    spectra are those that the two tables would compute, so the grid is the
+    same bit for bit."""
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
     start = time.perf_counter()
     check_cap(h.n, max(p_max, r_max), cap)  # both tables' depths, before either is solved
-    table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
-    table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
-    grid = np.abs(table_h.gamma[:, 1:] - table_t.gamma[:, 1:].T)
+    if np.array_equal(h.array, h.array.T):  # H = H^t: one table serves both sides
+        side = max(p_max, r_max)
+        table_h = table_t = spectra.moment_table(h, side, side, cap=cap)
+    else:
+        table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
+        table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
+    grid = np.abs(table_h.gamma[:p_max, 1:r_max + 1] - table_t.gamma[:r_max, 1:p_max + 1].T)
     max_res = float(grid.max())
     elapsed = time.perf_counter() - start
     return DualityReport(h.provenance, p_max, r_max, grid, max_res, PASS_TOL,

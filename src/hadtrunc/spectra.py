@@ -36,7 +36,13 @@ back, as one value of weight zeros / N^r.
   itself, so each is solved as a real symmetric matrix.  The blocks are built
   from the profile, from the rows of one orbit in each reversed pair (somewhat
   over half the rows), without forming X, one sector at a time by a product
-  with one row of the r x r DFT matrix, and checked to be Hermitian.
+  with one row of the r x r DFT matrix, and checked to be Hermitian.  When
+  the gathered entries of X are real, the reversal R is a unitary symmetry
+  as well, mapping sector k onto sector r - k, so only sectors 0..r/2 are
+  built and each one strictly between is solved once and counted twice.
+  R maps sectors 0 and r/2 onto themselves, and they are solved in their
+  R-even and R-odd halves; the coupling between the halves must vanish and
+  is checked with the Hermiticity.
 - Structured blocks (`_structured_spectrum`), for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
   the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
@@ -57,8 +63,8 @@ back, as one value of weight zeros / N^r.
 Each route is split into a plan and a numeric step.  The plans
 (`_sector_plan(n, r)`, `_structured_plan(m, n, r)`, `_recognition_plan(size)`)
 hold the index work that depends only on the shape: the shift orbits, the
-reversal pairing, the sector selections and phase roots, the DFT matrix over
-the rotations; the kappa/mu and
+reversal pairing, the sector selections and phase roots, the R-parity order
+of sectors 0 and r/2, the DFT matrix over the rotations; the kappa/mu and
 coset tables of dita(M, N) at depth r; the factorizations, shuffle maps and
 F_M (x) F_N waves of one size.  They are keyed on those integers alone, hold
 nothing computed from a matrix's entries, and are memoized in caches of at
@@ -446,17 +452,44 @@ def _sector_spectrum(q, r):
     (that is ||X~ - X~^*||_F^2, X~ the gathered rows completed by the
     reversal symmetry) plus the squared norm `dropped` of those imaginary
     parts must be <= (1e-9 N)^2, else `MomentImagError`.
+
+    When the gathered entries are real, ||Im||_F <= 1e-9 N, X is real and
+    X[RA, RB] = X[A, B]: R is then a unitary symmetry, and R P = P^{-1} R
+    takes sector k onto sector r - k.  So only sectors k <= r/2 are built;
+    each 0 < k < r/2 is solved once, its eigenvalues counted twice and its
+    terms of the sum above twice, as sector r - k would add the same.  R
+    maps sectors 0 and r/2 onto themselves, R g_alpha = c_alpha g_sigma(alpha)
+    with c_alpha = w^{k j_alpha} = +-1 there, so R u = c_alpha u,
+    R g_alpha = c_alpha g_alpha on a palindromic orbit and R v = -c_alpha v:
+    at k = 0 the rows u and g are R-even and the rows v R-odd, and at r/2
+    the sign of a row u or g is (-1)^{j_alpha}, that of a row v its negative.
+    In the planned order, the R-even rows first, the block is then two
+    diagonal halves, solved apart, an empty half not at all; the squared
+    norm of the coupling between them, which vanishes for the true X, joins
+    the sum above.  Complex X keeps its r blocks.
     """
     rows, reps, dft, sectors = _sector_plan(q.shape[0], r)
     gathered = _product_over_cycle(q, rows, reps, r).reshape(r, -1, len(reps))
-    blocks, dropped = zip(*(_real_sector_block(gathered, wave, *sector)
-                            for wave, sector in zip(dft, sectors)))
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
-    skew_sq = sum(dropped) + sum(np.linalg.norm(b - b.T) ** 2 for b in blocks)
+    real = np.einsum("kab,kab->", gathered.imag, gathered.imag) <= tol**2
+    solved, skew_sq = [], 0.0
+    for k in range(r // 2 + 1 if real else r):
+        block, dropped = _real_sector_block(gathered, dft[k], *sectors[k][:6])
+        times = 2 if real and 0 < 2 * k < r else 1  # sector r - k has the spectrum of sector k
+        skew_sq += times * (dropped + np.linalg.norm(block - block.T) ** 2)
+        parts = [block]
+        if real and times == 1:  # sectors 0 and r/2, R-even rows first: two halves, uncoupled
+            order, split = sectors[k][6:]
+            block = block.take(order, axis=0).take(order, axis=1)
+            skew_sq += (np.linalg.norm(block[:split, split:]) ** 2
+                        + np.linalg.norm(block[split:, :split]) ** 2)
+            parts = [half for half in (block[:split, :split], block[split:, split:]) if len(half)]
+        solved += [(part, times) for part in parts]
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    return _certified_spectrum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), 0, q, r)
+    vals = np.concatenate([v for part, times in solved for v in [np.linalg.eigvalsh(part)] * times])
+    return _certified_spectrum(vals, 0, q, r)
 
 
 def _real_sector_block(gathered, wave, at, cols, p, c, left, right):
@@ -486,8 +519,9 @@ def _sector_plan(n, r):
     rotations, and per sector k (at, cols, p, c, left, right): the
     gathered rows `at` and columns `cols` of its block, p reversed pairs and
     c orbit classes, and the scale vectors left = conj(root[classes]) /
-    lift[:c] and right = root[cols] lift, root = c_alpha^{1/2} sqrt(d_alpha).
-    Read-only arrays."""
+    lift[:c] and right = root[cols] lift, root = c_alpha^{1/2} sqrt(d_alpha);
+    at k = 0 and r/2 also (order, split): the block's rows (u, g, v) ordered
+    R-even first, stably, and the number of R-even rows.  Read-only arrays."""
     digits = multi_indices(n, r)
     dft = matrices.fourier(r).array / r  # (1/r) w^{km}, row k for sector k
     rots, reps, sizes = _cyclic_orbits(n, r)
@@ -508,9 +542,14 @@ def _sector_plan(n, r):
         root = np.exp(1j * np.pi * k * shift / r) * np.sqrt(sizes)  # c^{1/2} sqrt(d)
         lift = np.ones(len(cols))
         lift[p:c] = np.sqrt(2)  # the palindromic orbits
+        split = ()
+        if 2 * k % r == 0:  # R-parity of the rows u, g: (-1)^{2kj/r}; of the rows v: its negative
+            odd = 2 * k // r * shift[classes] % 2 == 1
+            odd = np.concatenate([odd, ~odd[:p]])
+            split = (_read_only(np.argsort(odd, kind="stable")), len(odd) - int(odd.sum()))
         sectors.append((_read_only(at), _read_only(cols), p, c,
                         _read_only(root[classes].conj() / lift[:c]),
-                        _read_only(root[cols] * lift)))
+                        _read_only(root[cols] * lift), *split))
     return (_read_only(digits[rots[:, reps[rows]].ravel()]), _read_only(digits[reps]),
             _read_only(dft), tuple(sectors))
 
@@ -722,11 +761,14 @@ def cesaro_moments(h, p, k_max, cap=DEFAULT_CAP):
 
     c_p^r = Tr(T_p^r) = sum_lambda lambda^r over the spectrum of T_p, which is
     that of X_p(H^t) / N (`_truncation_spectrum`); one spectrum of size N^p
-    serves every depth, so deep truncations cost O(N^p) each.  No convergence
-    claim is made here; the last increment is reported as a diagnostic only.
+    serves every depth, so deep truncations cost O(N^p) each.  The k_max-long
+    output is admitted against the cap, as the length k_max^1, before any
+    spectrum is solved.  No convergence claim is made here; the last
+    increment is reported as a diagnostic only.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    check_cap(k_max, 1, cap)
     return _cesaro_sequence(_truncation_spectrum(h, p, cap=cap), p, k_max)
 
 
@@ -757,10 +799,12 @@ def haar_moment_estimate(h, p, k_max=32, cap=DEFAULT_CAP):
         (1/k) sum_{lambda<1} lambda (1 - lambda^k) / (1 - lambda),
 
     at most (1/k) sum_{lambda<1} lambda / (1 - lambda), which is in turn at
-    most N^p (1 - gap) / (k gap).
+    most N^p (1 - gap) / (k gap).  k_max, the length of the Cesaro sequence,
+    is admitted against the cap as in `cesaro_moments`.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    check_cap(k_max, 1, cap)
     lam = _truncation_spectrum(h, p, cap=cap)
     seq = _cesaro_sequence(lam, p, k_max)
     estimate = float(seq.partial_averages[-1])

@@ -150,10 +150,14 @@ def _limited_cli(command):
     (["measure", "fourier:1", "--r", "99999999999"], "2^99999999999"),
     (["measure", "fourier:1", "--r", "64"], "2^64"),
     (["cesaro", "fourier:1", "--p", "99999999999", "--k-max", "2"], "2^99999999999"),
+    # the k_max-long Cesaro sequence is admitted as a length, k_max^1
+    (["cesaro", "fourier:3", "--p", "1", "--k-max", "99999999999"], "99999999999^1"),
+    (["cesaro", "fourier:3", "--p", "1", "--k-max", "4097"], "4097^1"),
     (["dita-check", "--m", "1", "--n", "1", "--seed", "1", "--p-max", "1",
       "--r-max", "99999999999"], "2^99999999999"),
 ], ids=["measure", "measure-1e11", "cesaro", "duality", "moments-1e11", "moments-size-1",
-        "measure-size-1", "measure-size-1-r64", "cesaro-size-1", "dita-check-size-1"])
+        "measure-size-1", "measure-size-1-r64", "cesaro-size-1", "cesaro-k-max-1e11",
+        "cesaro-k-max-past-cap", "dita-check-size-1"])
 def test_cap_refuses_huge_depths_at_once(command, power):
     proc = _limited_cli(command)
     assert proc.returncode == 3, proc.stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from hadtrunc import spectra
 from hadtrunc.duality import atoms_agree
 from hadtrunc.errors import PASS_TOL
 from hadtrunc.spectra import SpectralMeasure
+
+from conftest import build_input
 
 
 def test_duality_residual_corpus(corpus_matrix):
@@ -77,6 +81,44 @@ def test_duality_solves_only_read_spectra(solves, p_max, r_max, depths_h, depths
     name = h.provenance
     assert solves == ([(name, r) for r in depths_h]
                       + [(f"transpose({name})", r) for r in depths_t])
+
+
+@pytest.mark.parametrize("spec, p_max, r_max", [
+    ("fourier:6", 3, 3), ("fouriergroup:2x3", 2, 3), ("tao6", 3, 2), ("fourier:4", 1, 4),
+])
+def test_symmetric_duality_solves_one_table(solves, spec, p_max, r_max):
+    # H = H^t entry for entry: one table to depth max(p_max, r_max) serves
+    # both sides, and its grid is bitwise that of the two tables
+    h = build_input(spec)
+    assert np.array_equal(h.array, h.array.T)
+    report = ht.duality_residual(h, p_max, r_max)
+    assert solves == [(h.provenance, r) for r in range(1, max(p_max, r_max) + 1)]
+    table_h = ht.moment_table(h, p_max, r_max)
+    table_t = ht.moment_table(ht.transpose(h), r_max, p_max)
+    assert np.array_equal(report.grid, np.abs(table_h.gamma[:, 1:] - table_t.gamma[:, 1:].T))
+    assert report.passed and report.grid.shape == (p_max, r_max)
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_selfduality_eigensolve_work(monkeypatch, seed):
+    # sum of n^3 over the blocks that eigvalsh solves, fixed by the shapes.  X
+    # of dita(2,2) and dita(2,3) is real at these depths, so sector r - k is
+    # not solved apart from sector k and sectors 0 and r/2 are solved in
+    # halves: at N = 4, r = 4 the blocks are 55 + 15, 60 and 21 + 45, not
+    # 70, 60, 66, 60; at N = 6, r = 3 they are 56 + 20 and 70, not 76, 70, 70.
+    exact = np.linalg.eigvalsh
+    work = []
+
+    def spy(a):
+        work.append(a.shape[-1] ** 3 * math.prod(a.shape[:-2]))
+        return exact(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for m, n, depth, total in ((2, 2, 4, 1_006_960), (2, 3, 3, 1_078_936)):
+        work.clear()
+        assert ht.dita_selfduality_residual(m, n, ht.seeded_phase_matrix(m, n, seed),
+                                            depth, depth).passed
+        assert sum(work) == total  # 2_187_200 and 2_275_656 with one block per sector
 
 
 def test_selfduality_solves_each_spectrum_once(sector_solves):

@@ -100,6 +100,8 @@ REFUSED = [
      "error: requested dimension 2^99999999999 exceeds size cap 4096\n"),
     (["cesaro", "fourier:6", "--p", "4", "--k-max", "2", "--cap", "1000"], 3,
      "error: requested dimension 6^4 exceeds size cap 1000\n"),
+    (["cesaro", "fourier:3", "--p", "1", "--k-max", "99999999999"], 3,
+     "error: requested dimension 99999999999^1 exceeds size cap 4096\n"),
     (["duality", "tensor(fourier:2,dita(2,2;seed=3))", "--p-max", "9", "--r-max", "2"], 3,
      "error: requested dimension 8^9 exceeds size cap 4096\n"),
     (["dita-check", "--m", "2", "--n", "3", "--seed", "1", "--p-max", "1", "--r-max", "9"], 3,

@@ -768,15 +768,19 @@ def route_work(monkeypatch):
 
 
 @pytest.mark.parametrize("consumer, profiles, recognitions", [
-    pytest.param(lambda: ht.duality_residual(ht.fourier(6), 3, 3), 2, 2, id="duality-fourier6"),
+    pytest.param(lambda: ht.duality_residual(ht.fourier(6), 3, 3), 1, 1, id="duality-fourier6"),
+    pytest.param(lambda: ht.duality_residual(tao6_matrix(), 2, 3), 1, 1, id="duality-tao6"),
+    pytest.param(lambda: ht.duality_residual(ht.build_matrix("dita(2,3;seed=7)"), 3, 3), 2, 2,
+                 id="duality-dita23"),
     pytest.param(lambda: ht.moment_table(ht.fourier(6), 4, 4), 1, 1, id="moments-fourier6"),
     pytest.param(lambda: ht.moment_table(tao6_matrix(), 4, 3), 1, 1, id="moments-tao6"),
     pytest.param(lambda: ht.dita_selfduality_residual(2, 3, ht.seeded_phase_matrix(2, 3, 7),
                                                       3, 3), 2, 0, id="selfduality-dita23"),
 ])
 def test_route_decided_once_per_matrix(route_work, consumer, profiles, recognitions):
-    # one profile and one recognition per matrix (H, then H^t), not per depth;
-    # the self-duality check forces the sector route and recognizes nothing
+    # one profile and one recognition per matrix (H, then H^t, or H alone when
+    # H = H^t), not per depth; the self-duality check forces the sector route
+    # and recognizes nothing
     consumer()
     assert route_work == {"profile": profiles, "_dita_factors": recognitions}
 
@@ -803,6 +807,10 @@ def test_refusals_precede_route_work(monkeypatch, capsys):
                     lambda: ht.truncated_law(f6, 5),
                     lambda: ht.moment_table(f6, 2, 3, cap=5),
                     lambda: ht.cesaro_moments(f6, 5, 3),
+                    lambda: ht.cesaro_moments(f6, 1, 4097),
+                    lambda: ht.cesaro_moments(f6, 1, 10**11),
+                    lambda: ht.haar_moment_estimate(f6, 1, k_max=4097),
+                    lambda: ht.haar_moment_estimate(f6, 1, cap=31),  # the default k_max = 32
                     lambda: ht.duality_residual(f6, 2, 2, cap=5),
                     lambda: ht.structured_moments(q, 2, 5),
                     lambda: ht.dita_selfduality_residual(2, 3, q, 2, 5)):
@@ -812,6 +820,20 @@ def test_refusals_precede_route_work(monkeypatch, capsys):
                  ["duality", "fourier:6", "--p-max", "5", "--r-max", "1"]):
         assert main(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_cesaro_length_is_admitted_against_the_cap():
+    # k_max is the length of the output: admitted up to the cap, refused past it
+    # as k_max^1, and checked to be >= 1 before that
+    f2 = ht.fourier(2)
+    assert len(ht.cesaro_moments(f2, 1, 8, cap=8).partial_averages) == 8
+    assert ht.haar_moment_estimate(f2, 1, k_max=8, cap=8).rounded == 1
+    for refused in (lambda: ht.cesaro_moments(f2, 1, 9, cap=8),
+                    lambda: ht.haar_moment_estimate(f2, 1, k_max=9, cap=8)):
+        with pytest.raises(CapExceededError, match=r"dimension 9\^1 exceeds size cap 8$"):
+            refused()
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        ht.cesaro_moments(f2, 1, 0, cap=0)
 
 
 def test_structured_moments_refuses_word_before_solving(monkeypatch, capsys):
@@ -896,19 +918,40 @@ def _necklaces(n, r):
     return sum(phi[d] * n ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
 
 
+def _palindromic_necklaces(n, r):
+    """The orbits of the shift that the reversal fixes: 2 * bracelets - necklaces."""
+    return (n + 1) * n ** (r // 2) // 2 if r % 2 == 0 else n ** ((r + 1) // 2)
+
+
 @pytest.mark.parametrize("spec, r", [
     pytest.param("fourier:2", r, id=f"fourier2-r{r}") for r in range(1, 7)
 ] + [
     pytest.param("tao6", r, id=f"tao6-r{r}") for r in (2, 3)
 ] + [
     pytest.param("transpose(dita(2,3;seed=7))", 3, id="transpose-dita23-r3"),
+    pytest.param("transpose(dita(2,3;seed=7))", 4, id="transpose-dita23-r4"),
+    pytest.param("dita(3,3;seed=1)", 3, id="dita33-r3"),
+    pytest.param("fouriergroup:2x2x2", 3, id="fouriergroup222-r3"),
 ])
 def test_cyclic_blocks_match_gram_vector_oracle(sectors, spec, r):
     h = build_input(spec)
     vals = sector_route(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
-    assert len(sectors) == r and sum(sectors) == h.n**r
-    assert sectors[0] == _necklaces(h.n, r)
+    necklaces = _necklaces(h.n, r)
+    if np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-9:
+        # complex X: one block per sector, sector 0 with one row per necklace
+        assert len(sectors) == r and sum(sectors) == h.n**r
+        assert sectors[0] == necklaces
+        return
+    # real X: sector 0 in its R-even half, one row per bracelet, and its R-odd
+    # half, one row per reversed pair; then one block for each pair of sectors
+    # k and r - k; then the nonempty halves of sector r/2
+    pairs = (necklaces - _palindromic_necklaces(h.n, r)) // 2
+    zero = [necklaces - pairs, pairs] if pairs else [necklaces]
+    twice = sectors[len(zero):len(zero) + (r - 1) // 2]
+    assert sectors[:len(zero)] == zero
+    assert len(sectors) - len(zero) - len(twice) in ((1, 2) if r % 2 == 0 else (0,))
+    assert sum(sectors) + sum(twice) == h.n**r
 
 
 def test_cyclic_sector_sizes_depth_four(sectors, tao6):
@@ -1075,6 +1118,31 @@ def test_imaginary_palindromic_row_rejected(monkeypatch, consumer):
     monkeypatch.setattr(spectra, "_product_over_cycle", faulty)
     with pytest.raises(MomentImagError, match="not Hermitian"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
+
+
+@pytest.mark.usefixtures("generic_route")
+@pytest.mark.parametrize("consumer", SPECTRUM_CONSUMERS.values(),
+                         ids=SPECTRUM_CONSUMERS.keys())
+def test_reversal_coupling_rejected(monkeypatch, consumer):
+    exact = spectra._real_sector_block
+    coupled = []
+
+    def faulty(gathered, wave, at, cols, p, c, left, right):
+        # X of dita(2,2) is real at depth 4, so sector 0 is solved in its
+        # R-even and R-odd halves.  Its first row (u of a reversed pair) and
+        # last (v of a pair) gain one symmetric entry: every block stays
+        # symmetric, and only the coupling between the halves shows the fault.
+        block, dropped = exact(gathered, wave, at, cols, p, c, left, right)
+        if p and (wave == wave[0]).all():  # sector 0
+            block[0, -1] += 1e-6
+            block[-1, 0] += 1e-6
+            coupled.append(len(block))
+        return block, dropped
+
+    monkeypatch.setattr(spectra, "_real_sector_block", faulty)
+    with pytest.raises(MomentImagError, match="not Hermitian"):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+    assert coupled
 
 
 @pytest.mark.usefixtures("generic_route")
