@@ -64,6 +64,14 @@ def _emit_json(data, out_path):
     _emit(json.dumps(_jsonify(data), indent=2), out_path)
 
 
+def _emit_csv(header, rows, out_path):
+    """The header line, then one line per row: integers as they are, floats
+    to 15 significant digits."""
+    lines = (",".join(str(v) if isinstance(v, int) else f"{_sig15(v):.15g}" for v in row)
+             for row in rows)
+    _emit("\n".join([header, *lines]), out_path)
+
+
 def measure_svg(measure):
     """Static 640 x 360 SVG bar chart of an atomic measure on [0, N]."""
     width, height, margin = 640, 360, 40
@@ -138,8 +146,7 @@ def _cmd_measure(args):
     if args.format == "json":
         _emit_json(measure.to_dict(), args.out)
     elif args.format == "csv":
-        rows = ["x,w"] + [f"{_sig15(x):.15g},{_sig15(w):.15g}" for x, w in measure.atoms]
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit_csv("x,w", measure.atoms, args.out)
     else:
         _emit(measure_svg(measure), args.out)
     return EXIT_OK
@@ -151,12 +158,9 @@ def _cmd_moments(args):
 
     table = moment_table(h, args.p_max, args.r_max, cap=args.cap)
     if args.format == "csv":
-        rows = ["p,r,c,gamma"]
-        for p in range(1, table.p_max + 1):
-            for r in range(table.r_max + 1):
-                rows.append(f"{p},{r},{table.c[p - 1, r]:.15g},"
-                            f"{table.gamma[p - 1, r]:.15g}")
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit_csv("p,r,c,gamma", ((p, r, table.c[p - 1, r], table.gamma[p - 1, r])
+                                  for p in range(1, table.p_max + 1)
+                                  for r in range(table.r_max + 1)), args.out)
     else:
         _emit_json(table.to_dict(), args.out)
     return EXIT_OK
@@ -169,9 +173,7 @@ def _cmd_cesaro(args):
 
     seq = cesaro_moments(h, args.p, args.k_max, cap=args.cap)
     if args.format == "csv":
-        rows = ["k,s_k"] + [f"{k + 1},{s:.15g}"
-                            for k, s in enumerate(seq.partial_averages)]
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit_csv("k,s_k", enumerate(seq.partial_averages, start=1), args.out)
     else:
         _emit_json(seq.to_dict(), args.out)
     return EXIT_OK
@@ -186,10 +188,13 @@ def _cmd_duality(args):
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _qsource(args):
-    if args.qfile:
-        return ("file", args.qfile)
-    return ("seed", args.seed)
+def _admitted_phases(args, exponent):
+    """(qsource, Q): the phase source that args name and its M x N phase
+    matrix, resolved once (MN)^exponent, the power that the command's library
+    call admits, fits args.cap."""
+    qsource = ("file", args.qfile) if args.qfile else ("seed", args.seed)
+    check_cap(args.m * args.n, exponent, args.cap)
+    return qsource, specs.resolve_phase_matrix(args.m, args.n, qsource)
 
 
 def _add_phase_source(sub):
@@ -201,19 +206,17 @@ def _add_phase_source(sub):
 
 
 def _cmd_dita_check(args):
-    spec = specs.DitaSpec(args.m, args.n, _qsource(args))
-    check_cap(args.m * args.n, args.r_max, args.cap)
-    q = specs.resolve_phase_matrix(*spec)
+    qsource, q = _admitted_phases(args, args.r_max)
     from .duality import dita_selfduality_residual
 
     report = dita_selfduality_residual(args.m, args.n, q, args.p_max, args.r_max, cap=args.cap)
+    spec = specs.DitaSpec(args.m, args.n, qsource)
     _emit_json(report._replace(matrix=specs.unparse(spec)).to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_bench(args):
-    check_cap(args.m * args.n, args.r, args.cap)
-    q = specs.resolve_phase_matrix(args.m, args.n, _qsource(args))
+    _, q = _admitted_phases(args, args.r)
     from .dita import bench_structured_vs_dense
 
     report = bench_structured_vs_dense(args.m, args.n, q, args.p, args.r,

@@ -13,7 +13,6 @@ Importing this module loads no numpy; each entry point imports what it runs.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, check_cap, float_power
@@ -95,17 +94,18 @@ class BenchReport(NamedTuple):
     verified: bool
 
     def to_dict(self):
-        return {"M": self.m, "N": self.n, "p": self.p, "r": self.r,
-                "dense_ms": self.dense_ms, "structured_ms": self.structured_ms,
-                "speedup": self.speedup, "verified": self.verified}
+        return {{"m": "M", "n": "N"}.get(key, key): value for key, value in self._asdict().items()}
 
 
 def bench_structured_vs_dense(m, n, q, p, r, repetitions=3, cap=DEFAULT_CAP):
     """Time the dense and structured moment paths on the same inputs.
 
     Correctness is asserted before any timing: if the two paths disagree the
-    benchmark raises instead of reporting numbers.
+    benchmark raises instead of reporting numbers.  Each path is timed as the
+    best of `repetitions` single calls.
     """
+    import timeit
+
     from . import matrices, spectra
 
     if repetitions < 1:
@@ -126,16 +126,7 @@ def bench_structured_vs_dense(m, n, q, p, r, repetitions=3, cap=DEFAULT_CAP):
         raise AssertionError(
             f"structured moment {structured_val!r} disagrees with dense {dense_val!r}"
         )
-
-    def best_ms(fn):
-        times = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            fn()
-            times.append((time.perf_counter() - t0) * 1e3)
-        return float(min(times))
-
-    dense_ms = best_ms(dense_path)
-    structured_ms = best_ms(structured_path)
+    dense_ms, structured_ms = (min(timeit.repeat(fn, number=1, repeat=repetitions)) * 1e3
+                               for fn in (dense_path, structured_path))
     speedup = dense_ms / structured_ms if structured_ms > 0 else float("inf")
     return BenchReport(m, n, p, r, dense_ms, structured_ms, speedup, verified)

@@ -47,6 +47,16 @@ class DualityReport(NamedTuple):
         return out
 
 
+def _report(h, grid, start, atoms_match=None):
+    """The verdict on the residual grid[p-1, r-1] of h: its maximum, passed
+    when that is below PASS_TOL and no atom comparison (atoms_match, None
+    when none was made) failed, and the time elapsed since start."""
+    max_res = float(grid.max())
+    return DualityReport(h.provenance, *grid.shape, grid, max_res, PASS_TOL,
+                         max_res < PASS_TOL and atoms_match is not False,
+                         time.perf_counter() - start, atoms_match)
+
+
 def duality_residual(h, p_max, r_max, cap=DEFAULT_CAP):
     """Residual grid |gamma_p^r(H) - gamma_r^p(H^t)| for p, r >= 1.
 
@@ -67,10 +77,7 @@ def duality_residual(h, p_max, r_max, cap=DEFAULT_CAP):
         table_h = spectra.moment_table(h, p_max, r_max, cap=cap)
         table_t = spectra.moment_table(matrices.transpose(h), r_max, p_max, cap=cap)
     grid = np.abs(table_h.gamma[:p_max, 1:r_max + 1] - table_t.gamma[:r_max, 1:p_max + 1].T)
-    max_res = float(grid.max())
-    elapsed = time.perf_counter() - start
-    return DualityReport(h.provenance, p_max, r_max, grid, max_res, PASS_TOL,
-                         max_res < PASS_TOL, elapsed)
+    return _report(h, grid, start)
 
 
 def atoms_agree(m1, m2):
@@ -110,7 +117,4 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, cap=DEFAULT_CAP):
         grid[:, r - 1] = np.abs(c_h - c_t) / norms
         atoms_ok &= atoms_agree(spectra._law_from_spectrum(*spec_h, size, r),
                                 spectra._law_from_spectrum(*spec_t, size, r))
-    max_res = float(grid.max())
-    elapsed = time.perf_counter() - start
-    return DualityReport(h.provenance, p_max, r_max, grid, max_res, PASS_TOL,
-                         max_res < PASS_TOL and atoms_ok, elapsed, atoms_match=atoms_ok)
+    return _report(h, grid, start, atoms_match=atoms_ok)

@@ -65,14 +65,7 @@ class MagicReport(NamedTuple):
                    self.row_sum_dev, self.col_sum_dev) < self.tolerance
 
     def to_dict(self):
-        return {
-            "idempotency_dev": self.idempotency_dev,
-            "self_adjointness_dev": self.self_adjointness_dev,
-            "row_sum_dev": self.row_sum_dev,
-            "col_sum_dev": self.col_sum_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**self._asdict(), "passed": self.passed}
 
 
 def _grid_array(h):

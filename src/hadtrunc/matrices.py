@@ -178,22 +178,21 @@ def dita(m, n, q, provenance=None):
     return HadamardMatrix(np.ascontiguousarray(arr), provenance)
 
 
+def _derived(h, arr, op):
+    """The matrix arr, made from h by op, with the provenance op(...) of h."""
+    return HadamardMatrix(np.ascontiguousarray(arr), f"{op}({h.provenance})")
+
+
 def conjugate(h):
-    return HadamardMatrix(
-        np.ascontiguousarray(h.array.conj()), f"conj({h.provenance})"
-    )
+    return _derived(h, h.array.conj(), "conj")
 
 
 def transpose(h):
-    return HadamardMatrix(
-        np.ascontiguousarray(h.array.T), f"transpose({h.provenance})"
-    )
+    return _derived(h, h.array.T, "transpose")
 
 
 def adjoint(h):
-    return HadamardMatrix(
-        np.ascontiguousarray(h.array.conj().T), f"adjoint({h.provenance})"
-    )
+    return _derived(h, h.array.conj().T, "adjoint")
 
 
 def _dephased(arr):
@@ -209,7 +208,7 @@ def dephase(h):
     (`_dephased`).  Idempotent, and absorbs any row/column phase
     multiplications of the input.
     """
-    return HadamardMatrix(np.ascontiguousarray(_dephased(h.array)), f"dephase({h.provenance})")
+    return _derived(h, _dephased(h.array), "dephase")
 
 
 # -- JSON serialization -------------------------------------------------------

@@ -78,6 +78,13 @@ class _Cursor:
             raise SpecSyntaxError(f"integer of {self.pos - start} digits is too long", start)
         return int(self.text[start:self.pos]), start
 
+    def order(self):
+        """An integer that must be >= 1, such as the order of a Fourier factor."""
+        value, start = self.integer()
+        if value < 1:
+            raise SpecSyntaxError(f"order must be >= 1, got {value}", start)
+        return value
+
     def path(self):
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] not in ",);":
@@ -85,12 +92,6 @@ class _Cursor:
         if self.pos == start:
             raise SpecSyntaxError("expected a file path", start)
         return self.text[start:self.pos]
-
-
-def _positive(value, offset, what):
-    if value < 1:
-        raise SpecSyntaxError(f"{what} must be >= 1, got {value}", offset)
-    return value
 
 
 def _parse_qsrc(cur):
@@ -110,18 +111,14 @@ def _parse_spec(cur):
     text, pos = cur.text, cur.pos
     if text.startswith("fouriergroup:", pos):
         cur.expect("fouriergroup:")
-        orders = []
-        n, off = cur.integer()
-        orders.append(_positive(n, off, "order"))
+        orders = [cur.order()]
         while cur.peek() == "x":
             cur.expect("x")
-            n, off = cur.integer()
-            orders.append(_positive(n, off, "order"))
+            orders.append(cur.order())
         return FourierGroupSpec(tuple(orders))
     if text.startswith("fourier:", pos):
         cur.expect("fourier:")
-        n, off = cur.integer()
-        return FourierSpec(_positive(n, off, "order"))
+        return FourierSpec(cur.order())
     if text.startswith("tensor(", pos):
         cur.expect("tensor(")
         left = _parse_spec(cur)
@@ -131,11 +128,9 @@ def _parse_spec(cur):
         return TensorSpec(left, right)
     if text.startswith("dita(", pos):
         cur.expect("dita(")
-        m, off = cur.integer()
-        m = _positive(m, off, "order")
+        m = cur.order()
         cur.expect(",")
-        n, off = cur.integer()
-        n = _positive(n, off, "order")
+        n = cur.order()
         cur.expect(";")
         qsource = _parse_qsrc(cur)
         cur.expect(")")

@@ -17,14 +17,15 @@ tensors of the magic grid, which gives a fully independent cross-check.
 Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
 moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
-of H^t, with the grid-product T_p as their oracle.  That one dispatch point
-admits every depth of a call against the cap when it is called, then decides
-the route once per matrix per call, for all its depths.  Each spectrum it
-hands over is a pair (values, zeros): the solved eigenvalues, ascending, and
-the number of exact zeros that no block solves, 0 on the sector route.  The
-spectra of both routes pass one contract, computed from the profile of the
-input (`_certified_spectrum`): len(values) + zeros = N^r, and the values
-reproduce Tr X and ||X||_F^2.  A power sum, the Haar count and the Haar gap
+of H^t through one Cesaro core (`_cesaro`), with the grid-product T_p as their
+oracle.  That one dispatch point admits every depth of a call against the cap
+(`_admit_depth`) when it is called, then decides the route once per matrix
+per call, for all its depths.  Each spectrum it hands over is a pair
+(values, zeros): the solved eigenvalues, ascending, and the number of exact
+zeros that no block solves, 0 on the sector route.  The spectra of both
+routes pass one contract, computed from the profile of the input
+(`_certified_spectrum`): len(values) + zeros = N^r, and the values reproduce
+Tr X and ||X||_F^2.  A power sum, the Haar count and the Haar gap
 read the values alone, since 0^j = 0 for j >= 1; only the law adds the zeros
 back, as one value of weight zeros / N^r.
 
@@ -139,16 +140,22 @@ def _product_over_cycle(tensor, rows, cols, r):
     return out
 
 
+def _admit_depth(n, r, cap):
+    """N^r, the size of the depth-r Gram matrix of an N x N input, once
+    r >= 1 and N^r fits the cap."""
+    if r < 1:
+        raise ValueError("depth r must be >= 1")
+    return check_cap(n, r, cap)
+
+
 def gram_vectors(h, r, cap=DEFAULT_CAP):
     """The N^r unit vectors whose Gram matrix is X, one per row.
 
     Vector a1...ar is the tensor product of the normalized column ratios
     (1/sqrt N) H_{a_s}/H_{a_{s+1}}, cyclically.
     """
-    if r < 1:
-        raise ValueError("depth r must be >= 1")
     n = h.n
-    dim = check_cap(n, r, cap)
+    dim = _admit_depth(n, r, cap)
     arr = h.array
     ratios = np.einsum("ia,ib->abi", arr, arr.conj()) / np.sqrt(n)
     digits = multi_indices(n, r)
@@ -166,9 +173,7 @@ def gram_matrix(h, r, cap=DEFAULT_CAP):
     The dense oracle, from which no spectrum is computed; `gram_vectors` gives
     the same matrix as explicit inner products and is the oracle for this route.
     """
-    if r < 1:
-        raise ValueError("depth r must be >= 1")
-    check_cap(h.n, r, cap)
+    _admit_depth(h.n, r, cap)
     digits = multi_indices(h.n, r)
     return _product_over_cycle(profile(h), digits, digits, r)
 
@@ -358,9 +363,7 @@ def _gram_spectra(h, depths, cap=DEFAULT_CAP):
     solved as its spectrum is drawn.  A recognized dita goes to
     `_structured_spectrum`, all else to sectors."""
     for r in depths:
-        if r < 1:
-            raise ValueError("depth r must be >= 1")
-        check_cap(h.n, r, cap)
+        _admit_depth(h.n, r, cap)
     q, factors = (profile(h), _dita_factors(h.array)) if depths else (None, None)
     return (_sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
             for r in depths)
@@ -554,23 +557,6 @@ def _sector_plan(n, r):
             _read_only(dft), tuple(sectors))
 
 
-def _truncation_spectrum(h, p, cap=DEFAULT_CAP):
-    """The solved eigenvalues of the truncation tensor T_p(H), which lie in
-    [0, 1], without the exact zeros of the structured route: its consumers
-    take power sums, count the eigenvalues at 1 and find the gap below 1, and
-    a zero changes none of them.
-
-    T_p(H) = X_p(H^*) / N entrywise, so T_p is never built.  The profile of
-    conj(H) is the conjugate of that of H, so X_p(H^t) = conj X_p(H^*) has the
-    same spectrum, and T_p is solved as the depth-p Gram spectrum of H^t over N:
-    `_dita_factors` recognizes the transpose of every dita, not its adjoint.
-    """
-    if p < 1:
-        raise ValueError("word length p must be >= 1")
-    [(vals, _)] = _gram_spectra(matrices.transpose(h), [p], cap)
-    return vals / h.n
-
-
 class SpectralMeasure(NamedTuple):
     """Atomic probability measure on [0, N]: sorted atoms (location, weight)."""
 
@@ -648,11 +634,13 @@ def _real_trace(value, scale, what):
     return float(value.real)
 
 
-def _check_word_and_depth(p, r):
+def _word_scale(h, p, r):
+    """N^p as a float, c_p^0 and the scale of c_p^r, once p >= 1 and r >= 0."""
     if p < 1:
         raise ValueError("word length p must be >= 1")
     if r < 0:
         raise ValueError("depth r must be >= 0")
+    return float_power(h.n, p)
 
 
 def moments_via_T(h, p, r, cap=DEFAULT_CAP):
@@ -665,8 +653,7 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
     W_{ceil(p/2)} and one reordered copy of it.  From r = 3 on the trace is a
     contraction of two half powers of the dense T_p (`_trace_power`), so the
     peak is T_p plus the powers of it multiplied out."""
-    _check_word_and_depth(p, r)
-    scale = float_power(h.n, p)  # c_p^0, and the scale of c_p^r, before any work
+    scale = _word_scale(h, p, r)  # before any work
     if r == 0:
         return scale
     check_cap(h.n, p, cap)
@@ -678,8 +665,7 @@ def moments_via_T(h, p, r, cap=DEFAULT_CAP):
 
 def moments_via_X(h, p, r, cap=DEFAULT_CAP):
     """c_p^r as (1/N^r) Tr(X^p), with X the depth-r Gram matrix."""
-    _check_word_and_depth(p, r)
-    scale = float_power(h.n, p)  # c_p^0, and the scale of c_p^r, before any work
+    scale = _word_scale(h, p, r)  # before any work
     if r == 0:
         return scale
     trace = _trace_power(gram_matrix(h, r, cap=cap), p)
@@ -739,37 +725,47 @@ class CesaroSequence(NamedTuple):
     last_increment: float
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "partial_averages": self.partial_averages.tolist(),
-            "last_increment": self.last_increment,
-        }
+        return {**self._asdict(), "partial_averages": self.partial_averages.tolist()}
 
 
-def _cesaro_sequence(lam, p, k_max):
-    """Cesaro averages s_k = (1/k) sum_{r<=k} sum_lambda lambda^r, k = 1..k_max,
-    from the power sums of the spectrum (`_power_sums`), so memory is
-    O(N^p + k_max) for any k_max.
+def _cesaro(h, p, k_max, cap):
+    """(lam, CesaroSequence): the solved eigenvalues lam of the truncation
+    tensor T_p(H), which lie in [0, 1], and the Cesaro averages
+    s_k = (1/k) sum_{r<=k} sum_lambda lambda^r, k = 1..k_max, of their power
+    sums (`_power_sums`), so memory is O(N^p + k_max) for any k_max.
+
+    k_max >= 1 is admitted against the cap, as the length k_max^1 of the
+    output, before p >= 1 and before any spectrum is solved.  T_p(H) =
+    X_p(H^*) / N entrywise, so T_p is never built.  The profile of conj(H)
+    is the conjugate of that of H, so X_p(H^t) = conj X_p(H^*) has the same
+    spectrum, and T_p is solved as the depth-p Gram spectrum of H^t over N:
+    `_dita_factors` recognizes the transpose of every dita, not its adjoint.
+    lam leaves out the exact zeros of the structured route: a power sum, the
+    count of eigenvalues at 1 and the gap below 1 are the same without them.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    check_cap(k_max, 1, cap)
+    if p < 1:
+        raise ValueError("word length p must be >= 1")
+    [(vals, _)] = _gram_spectra(matrices.transpose(h), [p], cap)
+    lam = vals / h.n
     averages = np.cumsum(_power_sums(lam, k_max)) / np.arange(1, k_max + 1)
     increment = float(abs(averages[-1] - averages[-2])) if k_max > 1 else float("nan")
-    return CesaroSequence(p, averages, increment)
+    return lam, CesaroSequence(p, averages, increment)
 
 
 def cesaro_moments(h, p, k_max, cap=DEFAULT_CAP):
     """Cesaro averages of the depth-r moments c_p^r for r = 1..k_max.
 
     c_p^r = Tr(T_p^r) = sum_lambda lambda^r over the spectrum of T_p, which is
-    that of X_p(H^t) / N (`_truncation_spectrum`); one spectrum of size N^p
-    serves every depth, so deep truncations cost O(N^p) each.  The k_max-long
-    output is admitted against the cap, as the length k_max^1, before any
-    spectrum is solved.  No convergence claim is made here; the last
-    increment is reported as a diagnostic only.
+    that of X_p(H^t) / N (`_cesaro`); one spectrum of size N^p serves every
+    depth, so deep truncations cost O(N^p) each.  The k_max-long output is
+    admitted against the cap, as the length k_max^1, before any spectrum is
+    solved.  No convergence claim is made here; the last increment is
+    reported as a diagnostic only.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    check_cap(k_max, 1, cap)
-    return _cesaro_sequence(_truncation_spectrum(h, p, cap=cap), p, k_max)
+    return _cesaro(h, p, k_max, cap)[1]
 
 
 class HaarMomentEstimate(NamedTuple):
@@ -779,22 +775,21 @@ class HaarMomentEstimate(NamedTuple):
     gap: float
 
     def to_dict(self):
-        return {"estimate": self.estimate, "rounded": self.rounded,
-                "converged": self.converged, "gap": self.gap}
+        return self._asdict()
 
 
 def haar_moment_estimate(h, p, k_max=32, cap=DEFAULT_CAP):
     """Exact p-th Haar moment plus its Cesaro estimate.
 
-    T_p is PSD with spectrum in [0, 1], that of X_p(H^t) / N
-    (`_truncation_spectrum`), so the Cesaro limit of Tr(T_p^r) is the
-    multiplicity of the eigenvalue 1: `rounded` counts the eigenvalues within
-    HAAR_TOL of 1.  `estimate` is the Cesaro average s_{k_max}, and
-    `converged` is set when the last two averages agree within HAAR_TOL and
-    the estimate sits within HAAR_TOL of `rounded`, so never at k_max = 1.
-    `gap` is 1 minus the largest eigenvalue below 1 - HAAR_TOL (1.0 when
-    there is none).  Each eigenvalue 1 adds 1 to s_k, so the distance of s_k
-    from the limit is exactly
+    T_p is PSD with spectrum in [0, 1], that of X_p(H^t) / N (`_cesaro`),
+    so the Cesaro limit of Tr(T_p^r) is the multiplicity of the eigenvalue
+    1: `rounded` counts the eigenvalues within HAAR_TOL of 1.  `estimate` is
+    the Cesaro average s_{k_max} of `cesaro_moments`, and `converged` is set
+    when the last two averages agree within HAAR_TOL and the estimate sits
+    within HAAR_TOL of `rounded`, so never at k_max = 1.  `gap` is 1 minus
+    the largest eigenvalue below 1 - HAAR_TOL (1.0 when there is none).  Each
+    eigenvalue 1 adds 1 to s_k, so the distance of s_k from the limit is
+    exactly
 
         (1/k) sum_{lambda<1} lambda (1 - lambda^k) / (1 - lambda),
 
@@ -802,11 +797,7 @@ def haar_moment_estimate(h, p, k_max=32, cap=DEFAULT_CAP):
     most N^p (1 - gap) / (k gap).  k_max, the length of the Cesaro sequence,
     is admitted against the cap as in `cesaro_moments`.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    check_cap(k_max, 1, cap)
-    lam = _truncation_spectrum(h, p, cap=cap)
-    seq = _cesaro_sequence(lam, p, k_max)
+    lam, seq = _cesaro(h, p, k_max, cap)
     estimate = float(seq.partial_averages[-1])
     rounded = int((np.abs(lam - 1.0) <= HAAR_TOL).sum())
     converged = seq.last_increment < HAAR_TOL and abs(estimate - rounded) < HAAR_TOL

@@ -211,7 +211,7 @@ def test_haar_estimate_error_is_exact(spec, p):
     # s_k minus the count at 1 is (1/k) sum_{lambda<1} lambda (1 - lambda^k) / (1 - lambda),
     # at most (1/k) sum_{lambda<1} lambda / (1 - lambda) <= N^p (1 - gap) / (k gap)
     h = build_input(spec)
-    lam = spectra._truncation_spectrum(h, p)
+    lam, _ = spectra._cesaro(h, p, 1, ht.DEFAULT_CAP)
     below = lam[lam < 1.0 - spectra.HAAR_TOL]
     for k in (1, 8, 32):
         est = ht.haar_moment_estimate(h, p, k_max=k)
@@ -220,6 +220,15 @@ def test_haar_estimate_error_is_exact(spec, p):
         assert est.estimate - est.rounded == pytest.approx(exact, abs=1e-12)
         assert exact <= bound + 1e-12
         assert bound <= h.n**p * (1.0 - est.gap) / (k * est.gap) + 1e-12
+
+
+@pytest.mark.parametrize("spec, p", [("tao6", 3), ("dita(3,3;seed=1)", 2), ("fourier:5", 3)])
+@pytest.mark.parametrize("k_max", [1, 2, 32])
+def test_haar_estimate_is_last_cesaro_average(spec, p, k_max):
+    # the estimate is the last Cesaro average of the same spectrum, bit for bit
+    h = build_input(spec)
+    seq = ht.cesaro_moments(h, p, k_max)
+    assert ht.haar_moment_estimate(h, p, k_max).estimate == seq.partial_averages[-1]
 
 
 def test_haar_estimate_is_average_at_k_max():
