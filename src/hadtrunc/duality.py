@@ -96,10 +96,13 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, cap=DEFAULT_CAP):
     depths 1..r_max.
 
     Each (matrix, depth) spectrum is solved once and gives both the moment
-    column and the atoms, and each matrix is profiled once.  Both sides are
-    solved from the cyclic sector blocks (`spectra._sector_spectrum`), never
-    from the structured blocks that `spectra._gram_spectra` would pick for
-    them, so the comparison does not rest on the structure it is about.
+    column and the atoms, and each matrix is profiled and searched for column
+    involutions (`spectra._column_symmetries`) once.  Both sides are solved
+    from the sector blocks (`spectra._sector_spectrum`) that those
+    involutions split, never from the structured blocks that
+    `spectra._gram_spectra` would pick for them, so the comparison does not
+    rest on the structure it is about: the involutions are read from each
+    side's entries, never from the spec, and each side keeps its own.
     """
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
@@ -108,11 +111,12 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, cap=DEFAULT_CAP):
     size = h.n
     check_cap(size, r_max, cap)
     norms = spectra._word_norms(size, p_max)
-    profiles = spectra.profile(h), spectra.profile(matrices.transpose(h))
+    sides = [(spectra.profile(side), spectra._column_symmetries(side.array))
+             for side in (h, matrices.transpose(h))]
     grid = np.empty((p_max, r_max))
     atoms_ok = True
     for r in range(1, r_max + 1):
-        spec_h, spec_t = (spectra._sector_spectrum(prof, r) for prof in profiles)
+        spec_h, spec_t = (spectra._sector_spectrum(prof, r, gens) for prof, gens in sides)
         c_h, c_t = (spectra._power_sums(vals, p_max) / size**r for vals, _ in (spec_h, spec_t))
         grid[:, r - 1] = np.abs(c_h - c_t) / norms
         atoms_ok &= atoms_agree(spectra._law_from_spectrum(*spec_h, size, r),

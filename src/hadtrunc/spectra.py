@@ -32,18 +32,24 @@ back, as one value of weight zeros / N^r.
 - Sector blocks (`_sector_spectrum`), for any input.  Rotating a multi-index
   does not change its cyclic word, so X commutes with the cyclic shift P, and
   the spectrum splits into r blocks of size about N^r / r, one per eigenvalue
-  of P.  Reversing both multi-indices conjugates X, since
-  Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry maps each block to
-  itself, so each is solved as a real symmetric matrix.  The blocks are built
-  from the profile, from the rows of one orbit in each reversed pair (somewhat
-  over half the rows), without forming X, one sector at a time by a product
-  with one row of the r x r DFT matrix, and checked to be Hermitian.  When
-  the gathered entries of X are real, the reversal R is a unitary symmetry
-  as well, mapping sector k onto sector r - k, so only sectors 0..r/2 are
-  built and each one strictly between is solved once and counted twice.
-  R maps sectors 0 and r/2 onto themselves, and they are solved in their
-  R-even and R-odd halves; the coupling between the halves must vanish and
-  is checked with the Hermiticity.
+  of P.  A column involution pi with H[:, pi] = D1 P H (D1 a unimodular
+  diagonal, P a row permutation) fixes the profile, so pi applied to every
+  digit commutes with X and P; `_column_symmetries` finds a group A of such
+  involutions, read from the entries and checked, and X splits further into
+  r |A| blocks, one per character of Z_r x A.  Reversing both multi-indices
+  conjugates X, since Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry
+  maps each block to itself, so each is solved as a real symmetric matrix.
+  The blocks are built from the profile, from the rows of one orbit in each
+  reversed pair (somewhat over half the rows), without forming X, one block
+  at a time by a product with one row of the character table, and checked
+  to be Hermitian.  When the gathered entries of X are real, the reversal R
+  is a unitary symmetry as well, mapping the blocks of k onto those of
+  r - k, so only k = 0..r/2 are built and each k strictly between is solved
+  once and counted twice.  R maps the blocks of k = 0 and r/2 onto
+  themselves, and they are solved in their R-even and R-odd halves; the
+  coupling between the halves must vanish and is checked with the
+  Hermiticity.  With A = 1, the route when no involution is found, the
+  blocks are the r cyclic sectors.
 - Structured blocks (`_structured_spectrum`), for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
   the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
@@ -62,17 +68,20 @@ back, as one value of weight zeros / N^r.
   string is read.
 
 Each route is split into a plan and a numeric step.  The plans
-(`_sector_plan(n, r)`, `_structured_plan(m, n, r)`, `_recognition_plan(size)`)
-hold the index work that depends only on the shape: the shift orbits, the
-reversal pairing, the sector selections and phase roots, the R-parity order
-of sectors 0 and r/2, the DFT matrix over the rotations; the kappa/mu and
-coset tables of dita(M, N) at depth r; the factorizations, shuffle maps and
-F_M (x) F_N waves of one size.  They are keyed on those integers alone, hold
-nothing computed from a matrix's entries, and are memoized in caches of at
-most _PLAN_CACHE_SIZE shapes each, as read-only arrays; H and H^t, and every
-call of the same shape, share them.  At the cap of 4096 a sector plan takes
-under 0.5 MB, and the profile (N^4 entries) keeps N small enough that a
-recognition plan (d(N) N^2 complex waves) does too.
+(`_sector_plan(n, r, gens)`, `_structured_plan(m, n, r)`,
+`_recognition_plan(size)`, `_involution_plan(n)`) hold the index work that
+depends only on the shape: the orbits of Z_r x A, the reversal pairing, the
+block selections and phase roots, the R-parity order of the blocks of k = 0
+and r/2, the character table; the kappa/mu and coset tables of dita(M, N)
+at depth r; the factorizations, shuffle maps and F_M (x) F_N waves of one
+size; the involutions of S_N that the search tests.  They are keyed on
+integers alone, gens a tuple of permutation tuples, hold nothing computed
+from a matrix's entries, and are memoized in caches of at most
+_PLAN_CACHE_SIZE shapes each, as read-only arrays; every call of the same
+shape shares them, and so do H and H^t when their involutions agree.  At
+the cap of 4096 a sector plan takes under 0.5 MB, and the profile (N^4
+entries) keeps N small enough that a recognition plan (d(N) N^2 complex
+waves) does too.
 
 `gram_matrix` stays the dense oracle.  Every sequence of power sums of a
 spectrum comes from `_power_sums`, every Tr(A^k) of a dense matrix from
@@ -100,6 +109,9 @@ _DITA_MATCH_TOL = 1e-14
 CLUSTER_TOL_FACTOR = 1e-6  # clustering tolerance is this times N
 HAAR_TOL = 1e-8  # distance from 1 within which an eigenvalue of T_p counts as 1
 _PLAN_CACHE_SIZE = 32  # shapes each plan cache keeps, least recently used dropped
+_SYMMETRY_MAX_N = 8  # the largest N whose column involutions are searched
+_SYMMETRY_TOL = 1e-12  # entrywise distance of |H[:, pi] H^*| / N from a permutation
+_MIN_BLOCK = 16  # rows per character of Z_r x A, on average, that a plan keeps
 _CHUNK_ENTRIES = 1 << 16  # output entries `_product_over_cycle` fills per chunk
 
 
@@ -182,17 +194,15 @@ def _cyclic_orbits(n, r):
     """Orbits of the cyclic shift P: (a_1, ..., a_r) -> (a_2, ..., a_r, a_1)
     on the flat depth-r multi-indices.
 
-    Returns (rots, reps, sizes): rots[m] is every flat index rotated m places,
-    reps are the orbit minima (ascending) and sizes the orbit sizes d.
+    Returns (rots, reps): rots[m] is every flat index rotated m places, and
+    reps are the orbit minima (ascending).
     """
     dim = n**r
     rots = np.empty((r, dim), dtype=np.intp)
     rots[0] = np.arange(dim)
     for m in range(1, r):
         rots[m] = rots[m - 1] % n ** (r - 1) * n + rots[m - 1] // n ** (r - 1)
-    reps = np.flatnonzero(rots.min(axis=0) == rots[0])
-    sizes = r // (rots[:, reps] == reps).sum(axis=0)
-    return rots, reps, sizes
+    return rots, np.flatnonzero(rots.min(axis=0) == rots[0])
 
 
 def _trace_power(a, k):
@@ -350,6 +360,60 @@ def _recognition_plan(size):
     return tuple(maps)
 
 
+def _column_symmetries(arr):
+    """Generators of a group A of commuting column involutions pi of the
+    Hadamard matrix arr that fix its profile entry by entry,
+    Q_{pi a pi b, pi c pi d} = Q_{ab,cd}, as a tuple of permutation tuples;
+    () when there is none or N > _SYMMETRY_MAX_N.
+
+    pi fixes Q exactly iff H[:, pi] = D1 P H for a unimodular diagonal D1 and
+    a row permutation P.  The rows of H / sqrt N are orthonormal, so
+    M = H[:, pi] H^* / N is unitary with H[:, pi] = M H, and that holds iff
+    |M| is a permutation matrix.  The candidates of `_involution_plan` are
+    tested in two batched products: the last row of |M| must hold an entry
+    within _SYMMETRY_TOL = 1e-12 of 1, which rules most of them out, and
+    then every entry of |M| must lie within 1e-12 of 0 or 1; M being
+    unitary, its entries near 1 then form a permutation matrix.  So each
+    entry of H[:, pi] lies within (N + 1) 1e-12 of D1 P H, each entry of the
+    profile within 4 (N + 1) 1e-12 of its image, and to first order
+    |X[pi A, pi B] - X[A, B]| <= 4 r (N + 1) 1e-12 for every entry of the
+    depth-r Gram matrix X, pi acting on every digit.  Exact symmetries
+    reach 3e-16, and one entry of a dita turned by 1e-10 rad misses by 1.7e-11.
+
+    The generators are chosen in plan order: the first accepted involution
+    that commutes with every element of the group so far and lies outside
+    it joins, until none does; each doubles |A|."""
+    n = arr.shape[0]
+    cands = _involution_plan(n)
+    last = np.abs(arr.conj() @ arr[-1, cands].T)  # N |M[-1, j]| at [j, candidate]
+    cands = cands[last.max(axis=0) >= n * (1 - _SYMMETRY_TOL)]
+    if not len(cands):
+        return ()
+    m = np.abs(arr.conj() @ arr[:, cands].swapaxes(1, 2)) / n  # |M[i, j]| at [i, j, candidate]
+    cands = cands[(np.abs(m - (m > 0.5)) <= _SYMMETRY_TOL).all(axis=(0, 1))]
+    gens, group = [], {tuple(range(n))}
+    for pi in map(tuple, cands.tolist()):
+        if pi not in group and all(pi[g[a]] == g[pi[a]] for g in gens for a in range(n)):
+            gens.append(pi)
+            group |= {tuple(pi[a] for a in g) for g in group}
+    return tuple(gens)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _involution_plan(n):
+    """The involutions of S_n other than the identity, as the rows
+    (pi(0), ..., pi(n-1)) of one array in lexicographic order: 75 at n = 6,
+    763 at n = 8, none past _SYMMETRY_MAX_N.  Read-only."""
+    found = [()]
+    for point in range(n if n <= _SYMMETRY_MAX_N else 0):
+        # extend each involution of the points before this one: fix it, or
+        # pair it with a fixed point before it
+        found = [inv + (point,) for inv in found] + [
+            inv[:a] + (point,) + inv[a + 1:] + (a,)
+            for inv in found for a in range(point) if inv[a] == a]
+    return _read_only(np.array(sorted(found)[1:], dtype=np.intp).reshape(-1, n))
+
+
 def _gram_spectra(h, depths, cap=DEFAULT_CAP):
     """An iterator of the spectra (values, zeros) of the depth-r Gram matrix X
     of h, one per r in the sequence depths, in order and one at a time, under
@@ -361,11 +425,13 @@ def _gram_spectra(h, depths, cap=DEFAULT_CAP):
     first depth past the cap; then, unless depths is empty, `profile(h)` and
     `_dita_factors(h.array)` are computed once for all, and each depth is
     solved as its spectrum is drawn.  A recognized dita goes to
-    `_structured_spectrum`, all else to sectors."""
+    `_structured_spectrum`; all else goes to sectors, split by the column
+    involutions that `_column_symmetries(h.array)` finds, once for all."""
     for r in depths:
         _admit_depth(h.n, r, cap)
     q, factors = (profile(h), _dita_factors(h.array)) if depths else (None, None)
-    return (_sector_spectrum(q, r) if factors is None else _structured_spectrum(factors, q, r)
+    gens = _column_symmetries(h.array) if depths and factors is None else ()
+    return (_sector_spectrum(q, r, gens) if factors is None else _structured_spectrum(factors, q, r)
             for r in depths)
 
 
@@ -410,79 +476,88 @@ def _block_eigenvalues(v):
     return vals / 2
 
 
-def _sector_spectrum(q, r):
+def _sector_spectrum(q, r, gens=()):
     """The spectrum (values, 0) of the depth-r Gram matrix X of the profile q
-    from its cyclic sector blocks, under `_certified_spectrum`; the route that
-    assumes no structure of the input beyond that of every X.
+    from its symmetry sector blocks, under `_certified_spectrum`; the route
+    that assumes no structure of the input beyond that of every X and the
+    column involutions gens that `_column_symmetries` found, () for none.
 
-    Every entry of X is a cyclic word, so X commutes with the cyclic shift P
-    and splits into r Hermitian blocks, one per eigenvalue w^k of P
-    (w = e^{2 pi i/r}).  Sector k keeps the orbits alpha with k d_alpha = 0
-    (mod r); with A_alpha the orbit minimum,
+    Every entry of X is a cyclic word, so X commutes with the cyclic shift P.
+    A column involution that fixes the profile, applied to every digit,
+    fixes every entry of X and commutes with P.  So X commutes with
+    G = Z_r x A, A the group of the involutions that `_sector_plan` keeps,
+    and splits into r |A| Hermitian blocks, one per character
+    chi = (k, e) of G, chi(m, b) = w^{km} (-1)^{|e & b|} (w = e^{2 pi i/r};
+    J.-P. Serre, Linear Representations of Finite Groups, 2.6).  Block chi
+    keeps the G-orbits alpha on whose stabilizer S_alpha chi is trivial;
+    with A_alpha the orbit minimum and d_alpha = |G| / |S_alpha|,
 
-        X_k[alpha, beta] = sqrt(d_alpha d_beta)/r sum_{m<r} w^{km} X[P^m A_alpha, A_beta],
+        X_chi[alpha, beta] = sqrt(d_alpha d_beta)/|G| sum_{g in G} chi(g) X[g A_alpha, A_beta].
 
-    which is sqrt(d_beta/d_alpha) sum_{m<d_alpha} w^{km} X[P^m A_alpha, A_beta]
-    since P^{d_alpha} A_alpha = A_alpha.  The sector sizes sum to N^r and
-    sector 0 has one row per necklace.  The sum over m is the product of the
-    gathered X[P^m A_alpha, A_beta] with row k of the planned DFT matrix
-    (1/r) w^{km}, taken one sector at a time (`_real_sector_block`), so the
-    gather is never copied whole.
+    The block sizes sum to N^r.  With A = 1 the blocks are the r cyclic
+    sectors, sector 0 with one row per necklace.  The sum over g is the
+    product of the gathered X[g A_alpha, A_beta] with row chi of the planned
+    character table chi(g)/|G|, taken one block at a time
+    (`_real_sector_block`), so the gather is never copied whole.
 
     Q_{cd,ab} = conj(Q_{ab,cd}), so reversing both words conjugates X:
     X[RA, RB] = conj(X[A, B]) with R(a_1..a_r) = (a_r..a_1).  R maps orbit
     alpha onto orbit sigma(alpha), an involution, with
-    R A_alpha = P^{j_alpha} A_sigma(alpha), and since R P = P^{-1} R,
+    R A_alpha = j_alpha A_sigma(alpha) for some j_alpha in G, and since
+    R g = g^{-1} R and chi(g^{-1}) = conj(chi(g)),
 
-        X_k[sigma alpha, sigma beta] = c_alpha conj(c_beta X_k[alpha, beta]),   c_alpha = w^{k j_alpha}.
+        X_chi[sigma alpha, sigma beta] = c_alpha conj(c_beta X_chi[alpha, beta]),   c_alpha = chi(j_alpha).
 
-    In the basis g_alpha = c_alpha^{1/2} e_alpha (the root w^{k j_alpha/2}
-    is the same for alpha and sigma alpha) this reads
-    X'_k[sigma alpha, sigma beta] = conj(X'_k[alpha, beta]), and X'_k is real
-    symmetric on g_alpha for each palindromic orbit (sigma alpha = alpha) and
-    u = (g_alpha + g_sigma alpha)/sqrt 2, v = i (g_alpha - g_sigma alpha)/sqrt 2
-    for each pair alpha < sigma(alpha).  With s and t the sum and difference
-    of X'_k[alpha, beta] and X'_k[alpha, sigma beta] and G = [s | i t] on the
-    columns (beta, sigma beta), the block is Re G on the rows u and the
-    palindromic g_alpha, stacked on Im G on the rows v, one per pair.  A
-    palindromic orbit has no v: its row is scaled by 1/sqrt 2, and in its
-    column s is X'_k[alpha, beta] alone, scaled by sqrt 2.  Only rows with
-    sigma(alpha) >= alpha enter, so of the N^{2r}/r entries of X that the
-    sectors need, the share (1 + f)/2 is built from the profile, f being the
-    share of palindromic orbits.  The imaginary parts of G that the
+    In the basis g_alpha = c_alpha^{1/2} e_alpha (the root is the same for
+    alpha and sigma alpha) this reads
+    X'_chi[sigma alpha, sigma beta] = conj(X'_chi[alpha, beta]), and X'_chi
+    is real symmetric on g_alpha for each palindromic orbit
+    (sigma alpha = alpha) and u = (g_alpha + g_sigma alpha)/sqrt 2,
+    v = i (g_alpha - g_sigma alpha)/sqrt 2 for each pair alpha < sigma(alpha).
+    With s and t the sum and difference of X'_chi[alpha, beta] and
+    X'_chi[alpha, sigma beta] and W = [s | i t] on the columns
+    (beta, sigma beta), the block is Re W on the rows u and the palindromic
+    g_alpha, stacked on Im W on the rows v, one per pair.  A palindromic
+    orbit has no v: its row is scaled by 1/sqrt 2, and in its column s is
+    X'_chi[alpha, beta] alone, scaled by sqrt 2.  Only rows with
+    sigma(alpha) >= alpha enter, so of the N^{2r}/|G| entries of X that the
+    blocks need, the share (1 + f)/2 is built from the profile, f being the
+    share of palindromic orbits.  The imaginary parts of W that the
     palindromic rows drop vanish for the true X.  These are the only blocks
-    that can fail to be Hermitian: before any is solved, sum ||B - B^T||_F^2
-    (that is ||X~ - X~^*||_F^2, X~ the gathered rows completed by the
-    reversal symmetry) plus the squared norm `dropped` of those imaginary
-    parts must be <= (1e-9 N)^2, else `MomentImagError`.
+    that can fail to be Hermitian, and they do when an involution in gens
+    does not fix X: before any is solved, sum ||B - B^T||_F^2 (that is
+    ||X~ - X~^*||_F^2, X~ the gathered rows completed by the symmetries)
+    plus the squared norm `dropped` of those imaginary parts must be
+    <= (1e-9 N)^2, else `MomentImagError`.
 
     When the gathered entries are real, ||Im||_F <= 1e-9 N, X is real and
-    X[RA, RB] = X[A, B]: R is then a unitary symmetry, and R P = P^{-1} R
-    takes sector k onto sector r - k.  So only sectors k <= r/2 are built;
-    each 0 < k < r/2 is solved once, its eigenvalues counted twice and its
-    terms of the sum above twice, as sector r - k would add the same.  R
-    maps sectors 0 and r/2 onto themselves, R g_alpha = c_alpha g_sigma(alpha)
-    with c_alpha = w^{k j_alpha} = +-1 there, so R u = c_alpha u,
-    R g_alpha = c_alpha g_alpha on a palindromic orbit and R v = -c_alpha v:
-    at k = 0 the rows u and g are R-even and the rows v R-odd, and at r/2
-    the sign of a row u or g is (-1)^{j_alpha}, that of a row v its negative.
-    In the planned order, the R-even rows first, the block is then two
-    diagonal halves, solved apart, an empty half not at all; the squared
-    norm of the coupling between them, which vanishes for the true X, joins
-    the sum above.  Complex X keeps its r blocks.
+    X[RA, RB] = X[A, B]: R is then a unitary symmetry, and R g = g^{-1} R
+    takes block (k, e) onto block (r - k, e).  So only blocks with k <= r/2
+    are built; each with 0 < k < r/2 is solved once, its eigenvalues counted
+    twice and its terms of the sum above twice, as block (r - k, e) would
+    add the same.  R maps the blocks with k = 0 and r/2 onto themselves,
+    R g_alpha = c_alpha g_sigma(alpha) with c_alpha = chi(j_alpha) = +-1
+    there, so R u = c_alpha u, R g_alpha = c_alpha g_alpha on a palindromic
+    orbit and R v = -c_alpha v: the sign of a row u or g is c_alpha, that of
+    a row v its negative, and with A = 1 at k = 0 every c_alpha is 1.  In the
+    planned order, the R-even rows first, the block is then two diagonal
+    halves, solved apart, an empty half not at all; the squared norm of the
+    coupling between them, which vanishes for the true X, joins the sum
+    above.  Complex X keeps its r |A| blocks.
     """
-    rows, reps, dft, sectors = _sector_plan(q.shape[0], r)
-    gathered = _product_over_cycle(q, rows, reps, r).reshape(r, -1, len(reps))
+    rows, reps, chars, sectors = _sector_plan(q.shape[0], r, gens)
+    gathered = _product_over_cycle(q, rows, reps, r).reshape(len(chars), -1, len(reps))
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
     real = np.einsum("kab,kab->", gathered.imag, gathered.imag) <= tol**2
+    width = len(chars) // r  # |A|
     solved, skew_sq = [], 0.0
-    for k in range(r // 2 + 1 if real else r):
-        block, dropped = _real_sector_block(gathered, dft[k], *sectors[k][:6])
-        times = 2 if real and 0 < 2 * k < r else 1  # sector r - k has the spectrum of sector k
+    for chi in range((r // 2 + 1) * width if real else len(chars)):
+        block, dropped = _real_sector_block(gathered, chars[chi], *sectors[chi][:6])
+        times = 2 if real and 0 < 2 * (chi // width) < r else 1  # (-k, e) has the spectrum of (k, e)
         skew_sq += times * (dropped + np.linalg.norm(block - block.T) ** 2)
         parts = [block]
-        if real and times == 1:  # sectors 0 and r/2, R-even rows first: two halves, uncoupled
-            order, split = sectors[k][6:]
+        if real and times == 1:  # k = 0 and r/2, R-even rows first: two halves, uncoupled
+            order, split = sectors[chi][6:]
             block = block.take(order, axis=0).take(order, axis=1)
             skew_sq += (np.linalg.norm(block[:split, split:]) ** 2
                         + np.linalg.norm(block[split:, :split]) ** 2)
@@ -496,14 +571,15 @@ def _sector_spectrum(q, r):
 
 
 def _real_sector_block(gathered, wave, at, cols, p, c, left, right):
-    """The real block of sector k of `_sector_spectrum`, and the squared norm
-    of the imaginary parts that its palindromic rows drop, from the gather
-    and row k of the DFT, wave[m] = w^{km}/r; the other arguments are the
-    sector's entry in `_sector_plan`.  The DFT row of the gather lives only
-    until the block's rows are taken from it, and G until the return, so one
-    sector is built at a time."""
+    """The real block of character chi of `_sector_spectrum`, and the squared
+    norm of the imaginary parts that its palindromic rows drop, from the
+    gather and row chi of the character table, wave[g] = chi(g)/|G|; the
+    other arguments are the character's entry in `_sector_plan`.  The
+    product of that row with the gather lives only until the block's rows
+    are taken from it, and W until the return, so one block is built at a
+    time."""
     g = ((wave @ gathered.reshape(len(wave), -1)).reshape(gathered.shape[1:])
-         .take(at, axis=0).take(cols, axis=1))  # X_k[alpha, (classes, sigma(pairs))]
+         .take(at, axis=0).take(cols, axis=1))  # X_chi[alpha, (classes, sigma(pairs))]
     g *= left[:, None]
     g *= right
     t = g[:, :p] - g[:, c:]
@@ -513,48 +589,82 @@ def _real_sector_block(gathered, wave, at, cols, p, c, left, right):
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _sector_plan(n, r):
-    """The shape-only part of `_sector_spectrum` for N = n at depth r, from
-    the shift orbits of `_cyclic_orbits`, their reversal pairing sigma and
-    shifts j_alpha: (rows, cols, dft, sectors), the digits of the gathered
-    rows P^m A_alpha (m major, alpha among the rows that reversal keeps) and
-    columns A_beta, the r x r DFT matrix dft[k, m] = w^{km}/r over the
-    rotations, and per sector k (at, cols, p, c, left, right): the
-    gathered rows `at` and columns `cols` of its block, p reversed pairs and
-    c orbit classes, and the scale vectors left = conj(root[classes]) /
-    lift[:c] and right = root[cols] lift, root = c_alpha^{1/2} sqrt(d_alpha);
-    at k = 0 and r/2 also (order, split): the block's rows (u, g, v) ordered
-    R-even first, stably, and the number of R-even rows.  Read-only arrays."""
+def _sector_plan(n, r, gens=()):
+    """The shape-only part of `_sector_spectrum` for N = n at depth r and the
+    group A generated by the commuting involutions gens of [0, n), a tuple
+    of permutation tuples: from the shift orbits of `_cyclic_orbits`, merged
+    into the orbits of G = Z_r x A, their stabilizers S_alpha, reversal
+    pairing sigma and group elements j_alpha, (rows, cols, chars, sectors):
+    the digits of the gathered rows g A_alpha (g major, alpha among the rows
+    that reversal keeps) and columns A_beta, the character table
+    chars[chi, g] = chi(g)/|G|, and per character chi (at, cols, p, c, left,
+    right): the gathered rows `at` and columns `cols` of its block, p
+    reversed pairs and c orbit classes, and the scale vectors
+    left = conj(root[classes]) / lift[:c] and right = root[cols] lift,
+    root = c_alpha^{1/2} sqrt(d_alpha); at k = 0 and r/2 also (order,
+    split): the block's rows (u, g, v) ordered R-even first, stably, and the
+    number of R-even rows.
+
+    Each generator doubles the number of blocks, whose calls cost more than
+    their smaller eigensolves save once they are small, so only the first k
+    of gens with N^r >= _MIN_BLOCK r 2^k are used: at least 16 rows per
+    character on average.  Element b of A is the product of the generators j
+    with bit j of b set, g = (m, b) = P^m b sits at m |A| + b, and
+    chi = (k, e) at k |A| + e has chi(m, b) = w^{km} (-1)^{|e & b|}, so the
+    table is the Kronecker product of the r x r DFT matrix and the Sylvester
+    matrix of A; with A = 1 it is the DFT matrix (1/r) w^{km} and each orbit
+    a shift orbit.  The root of c_alpha = chi(j_alpha) = w^{kj} (-1)^{|e & b|},
+    j_alpha = (j, b) the first element of G in this order with
+    j_alpha A_sigma(alpha) = R A_alpha, is w^{kj/2}, times i when the sign is
+    -1; j_alpha is the same for sigma(alpha), as both are the first of one
+    coset of S_alpha.  Read-only arrays."""
+    while gens and n**r < _MIN_BLOCK * r * 2 ** len(gens):
+        gens = gens[:-1]
     digits = multi_indices(n, r)
-    dft = matrices.fourier(r).array / r  # (1/r) w^{km}, row k for sector k
-    rots, reps, sizes = _cyclic_orbits(n, r)
+    rots, reps = _cyclic_orbits(n, r)
+    elems, signs = np.arange(n)[None], np.ones((1, 1))  # A and its characters
+    for gen in gens:
+        elems = np.concatenate([elems, np.take(gen, elems)])
+        signs = np.kron([[1.0, 1.0], [1.0, -1.0]], signs)
+    moved = elems[:, digits] @ n ** np.arange(r - 1, -1, -1)  # b on the flat indices
     orbit = np.full(n**r, -1)  # the orbit of each flat index, as a position in reps
     orbit[rots[:, reps]] = np.arange(len(reps))
+    reps = reps[(reps[orbit[moved[:, reps]]] >= reps).all(axis=0)]  # the G-orbit minima
+    acts = rots[:, moved].reshape(-1, n**r)  # g A for every flat index A
+    orbit[acts[:, reps]] = np.arange(len(reps))
+    chars = np.kron(matrices.fourier(r).array, signs)
+    stab = acts[:, reps] == reps  # g in S_alpha
+    order = stab.sum(axis=0)
+    sizes = len(acts) // order  # d_alpha = |G| / |S_alpha|
+    trivial = np.abs(chars @ stab - order) < 0.5  # chi = 1 on S_alpha
     reversed_reps = digits[reps] @ n ** np.arange(r)
     sigma = orbit[reversed_reps]
-    shift = (rots[:, reps[sigma]] == reversed_reps).argmax(axis=0)  # j_alpha
+    shift = (acts[:, reps[sigma]] == reversed_reps).argmax(axis=0)  # j_alpha
+    j, b = divmod(shift, len(elems))
     rows = np.flatnonzero(sigma >= np.arange(len(reps)))
     sectors = []
-    for k in range(r):
-        keep = k * sizes[rows] % r == 0
+    for chi in range(len(chars)):
+        k, e = divmod(chi, len(elems))
+        keep = trivial[chi, rows]
         pairs = np.flatnonzero(keep & (sigma[rows] > rows))  # positions in rows
         at = np.concatenate([pairs, np.flatnonzero(keep & (sigma[rows] == rows))])
         classes = rows[at]
         cols = np.concatenate([classes, sigma[rows[pairs]]])
         p, c = len(pairs), len(classes)
-        root = np.exp(1j * np.pi * k * shift / r) * np.sqrt(sizes)  # c^{1/2} sqrt(d)
+        root = (np.exp(1j * np.pi * k * j / r) * np.where(signs[e, b] < 0, 1j, 1)
+                * np.sqrt(sizes))  # c^{1/2} sqrt(d)
         lift = np.ones(len(cols))
         lift[p:c] = np.sqrt(2)  # the palindromic orbits
         split = ()
-        if 2 * k % r == 0:  # R-parity of the rows u, g: (-1)^{2kj/r}; of the rows v: its negative
-            odd = 2 * k // r * shift[classes] % 2 == 1
+        if 2 * k % r == 0:  # R-parity of the rows u, g: c_alpha = +-1; of the rows v: its negative
+            odd = chars[chi, shift[classes]].real < 0
             odd = np.concatenate([odd, ~odd[:p]])
             split = (_read_only(np.argsort(odd, kind="stable")), len(odd) - int(odd.sum()))
         sectors.append((_read_only(at), _read_only(cols), p, c,
                         _read_only(root[classes].conj() / lift[:c]),
                         _read_only(root[cols] * lift), *split))
-    return (_read_only(digits[rots[:, reps[rows]].ravel()]), _read_only(digits[reps]),
-            _read_only(dft), tuple(sectors))
+    return (_read_only(digits[acts[:, reps[rows]].ravel()]), _read_only(digits[reps]),
+            _read_only(chars / len(chars)), tuple(sectors))
 
 
 class SpectralMeasure(NamedTuple):

@@ -57,9 +57,9 @@ def sector_solves(monkeypatch):
     calls = []
     exact_sector, exact_factors = spectra._sector_spectrum, spectra._structured_factors
 
-    def sector(q, r):
+    def sector(q, r, gens=()):
         calls.append((q.tobytes(), r))
-        return exact_sector(q, r)
+        return exact_sector(q, r, gens)
 
     def factors(q, r):
         calls.append(None)
@@ -99,13 +99,21 @@ def test_symmetric_duality_solves_one_table(solves, spec, p_max, r_max):
     assert report.passed and report.grid.shape == (p_max, r_max)
 
 
-@pytest.mark.parametrize("seed", [5, 17])
-def test_selfduality_eigensolve_work(monkeypatch, seed):
+@pytest.mark.parametrize("seed, symmetric", [
+    pytest.param(seed, symmetric, id=f"{seed}-symmetric" if symmetric else str(seed))
+    for symmetric in (False, True) for seed in (5, 17)])
+def test_selfduality_eigensolve_work(monkeypatch, seed, symmetric):
     # sum of n^3 over the blocks that eigvalsh solves, fixed by the shapes.  X
     # of dita(2,2) and dita(2,3) is real at these depths, so sector r - k is
     # not solved apart from sector k and sectors 0 and r/2 are solved in
     # halves: at N = 4, r = 4 the blocks are 55 + 15, 60 and 21 + 45, not
     # 70, 60, 66, 60; at N = 6, r = 3 they are 56 + 20 and 70, not 76, 70, 70.
+    # Split by the column involutions of each side as well where the plan
+    # keeps them (|A| = 4 on both sides of dita(2,2) at r = 4, 2 on dita(2,3)
+    # at r = 3, 1 on its transpose and at the lower depths), no block of
+    # dita(2,2) at r = 4 exceeds 22.
+    if not symmetric:
+        monkeypatch.setattr(spectra, "_column_symmetries", lambda arr: ())
     exact = np.linalg.eigvalsh
     work = []
 
@@ -114,11 +122,30 @@ def test_selfduality_eigensolve_work(monkeypatch, seed):
         return exact(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    for m, n, depth, total in ((2, 2, 4, 1_006_960), (2, 3, 3, 1_078_936)):
+    totals = (105_592, 683_974) if symmetric else (1_006_960, 1_078_936)
+    for (m, n, depth), total in zip(((2, 2, 4), (2, 3, 3)), totals):
         work.clear()
         assert ht.dita_selfduality_residual(m, n, ht.seeded_phase_matrix(m, n, seed),
                                             depth, depth).passed
         assert sum(work) == total  # 2_187_200 and 2_275_656 with one block per sector
+
+
+def test_selfduality_sides_keep_their_involutions(monkeypatch):
+    # each side is split by the column involutions found in its own entries:
+    # one for dita(2,3;seed=7), none for its transpose, which is solved with
+    # A = 1
+    exact = spectra._sector_spectrum
+    solved = []
+
+    def spy(q, r, gens=()):
+        solved.append((r, len(gens)))
+        return exact(q, r, gens)
+
+    monkeypatch.setattr(spectra, "_sector_spectrum", spy)
+    q = ht.seeded_phase_matrix(2, 3, 7)
+    assert spectra._column_symmetries(ht.transpose(ht.dita(2, 3, q)).array) == ()
+    assert ht.dita_selfduality_residual(2, 3, q, 3, 3).passed
+    assert solved == [(r, gens) for r in (1, 2, 3) for gens in (1, 0)]
 
 
 def test_selfduality_solves_each_spectrum_once(sector_solves):
