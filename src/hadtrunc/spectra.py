@@ -83,9 +83,10 @@ the cap of 4096 a sector plan takes under 0.5 MB, and the profile (N^4
 entries) keeps N small enough that a recognition plan (d(N) N^2 complex
 waves) does too.
 
-`gram_matrix` stays the dense oracle.  Every sequence of power sums of a
-spectrum comes from `_power_sums`, every Tr(A^k) of a dense matrix from
-`_trace_power`.
+`gram_matrix` stays the dense oracle; the tests check it, and the spectra of
+both routes, against the unit vectors V with X = V V^*, which they build with
+numpy alone.  Every sequence of power sums of a spectrum comes from
+`_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 """
 
 from __future__ import annotations
@@ -160,30 +161,11 @@ def _admit_depth(n, r, cap):
     return check_cap(n, r, cap)
 
 
-def gram_vectors(h, r, cap=DEFAULT_CAP):
-    """The N^r unit vectors whose Gram matrix is X, one per row.
-
-    Vector a1...ar is the tensor product of the normalized column ratios
-    (1/sqrt N) H_{a_s}/H_{a_{s+1}}, cyclically.
-    """
-    n = h.n
-    dim = _admit_depth(n, r, cap)
-    arr = h.array
-    ratios = np.einsum("ia,ib->abi", arr, arr.conj()) / np.sqrt(n)
-    digits = multi_indices(n, r)
-    vecs = np.ones((dim, 1), dtype=complex)
-    for s in range(r):
-        sp = (s + 1) % r
-        factor = ratios[digits[:, s], digits[:, sp]]
-        vecs = (vecs[:, :, None] * factor[:, None, :]).reshape(dim, -1)
-    return vecs
-
-
 def gram_matrix(h, r, cap=DEFAULT_CAP):
     """Depth-r Gram matrix X, as products of profile entries around the cycle.
 
-    The dense oracle, from which no spectrum is computed; `gram_vectors` gives
-    the same matrix as explicit inner products and is the oracle for this route.
+    The dense oracle, from which no spectrum is computed; the tests check it
+    entrywise against V V^* for the explicit unit vectors V of the paper.
     """
     _admit_depth(h.n, r, cap)
     digits = multi_indices(h.n, r)

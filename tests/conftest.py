@@ -9,6 +9,8 @@ import hadtrunc as ht
 from hadtrunc import spectra
 from hadtrunc.errors import EigensolverError
 
+import gram_oracle
+
 # Matrices the identity checks run over: Fourier sizes 2..6, one tensor
 # product, and deformed Fourier matrices with a few seeds.
 CORPUS_SPECS = [
@@ -32,16 +34,6 @@ SMALL_SPECS = [
     "dita(2,2;seed=7)",
 ]
 
-# Tao's 6x6 complex Hadamard matrix is w^E with w = e^{2 pi i/3}; unlike the
-# corpus, its depth-3 Gram matrices are genuinely complex.
-TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
-                  [0, 0, 1, 1, 2, 2],
-                  [0, 1, 0, 2, 2, 1],
-                  [0, 1, 2, 0, 1, 2],
-                  [0, 2, 2, 1, 0, 1],
-                  [0, 2, 1, 2, 1, 0]]
-
-
 # A fresh interpreter imports hadtrunc from this src/ tree and writes no
 # bytecode into it.
 FRESH_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
@@ -50,7 +42,7 @@ FRESH_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.
 
 
 def tao6_matrix():
-    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(gram_oracle.TAO6_EXPONENTS)), "tao6")
 
 
 def _phased(h, cols=True):
@@ -109,9 +101,8 @@ def expanded(spectrum):
 # against it.
 @functools.cache
 def gram_vector_oracle(spec, r):
-    """Ascending squared singular values of `gram_vectors`: the spectrum of X."""
-    return np.sort(np.linalg.svd(spectra.gram_vectors(build_input(spec), r),
-                                 compute_uv=False) ** 2)
+    """The ascending spectrum of X, from the vectors of `gram_oracle`."""
+    return gram_oracle.gram_spectrum(build_input(spec).array, r)
 
 
 # every memoized function of `spectra`, so that no cache, present or later,

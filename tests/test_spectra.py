@@ -15,6 +15,7 @@ from hadtrunc.errors import CapExceededError, EigensolverError, MomentImagError,
 from hadtrunc.magic import multi_indices
 from hadtrunc.spectra import SpectralMeasure, cluster_atoms
 
+import gram_oracle
 from conftest import (CORPUS_SPECS, PLAN_CACHES, SMALL_SPECS, STRUCTURED_FAULTS,
                       build_input, expanded, gram_vector_oracle, tao6_matrix)
 
@@ -101,23 +102,22 @@ def test_profile_tensor_factorizes():
     assert np.abs(ql - expected).max() < 1e-12
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_gram_routes_agree(corpus_matrix, r):
-    xp = ht.gram_matrix(corpus_matrix, r)
-    vecs = spectra.gram_vectors(corpus_matrix, r)
+# the corpus at depths 1-3, and two inputs whose X_3 is complex, where a
+# conjugated or reordered X would show
+@pytest.mark.parametrize("spec, r", [(spec, r) for spec in CORPUS_SPECS for r in (1, 2, 3)]
+                         + [("tao6", 3), ("dita(3,3;seed=1)", 3)])
+def test_gram_routes_agree(spec, r):
+    h = build_input(spec)
+    xp = ht.gram_matrix(h, r)
+    vecs = gram_oracle.gram_vectors(h.array, r)
     assert np.abs(xp - vecs @ vecs.conj().T).max() < 1e-10
 
 
 def test_gram_routes_agree_depth_four():
     h = ht.build_matrix("dita(2,2;seed=13)")
     xp = ht.gram_matrix(h, 4)
-    vecs = spectra.gram_vectors(h, 4)
+    vecs = gram_oracle.gram_vectors(h.array, 4)
     assert np.abs(xp - vecs @ vecs.conj().T).max() < 1e-10
-
-
-def test_gram_vectors_unit_norm(small_matrix):
-    vecs = spectra.gram_vectors(small_matrix, 3)
-    assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() < 1e-12
 
 
 def test_gram_depth_two_is_abs_profile_squared(corpus_matrix):
@@ -465,13 +465,12 @@ def test_grid_oracle_forms_T_only_from_depth_three(monkeypatch, r, dense):
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda h: spectra.gram_vectors(h, 0), "depth r must be >= 1"),
     (lambda h: ht.gram_matrix(h, 0), "depth r must be >= 1"),
     (lambda h: ht.truncated_law(h, -1), "depth r must be >= 0"),
     (lambda h: ht.moment_table(h, 0, 1), "p_max must be >= 1 and r_max >= 0"),
     (lambda h: ht.moment_table(h, 1, -1), "p_max must be >= 1 and r_max >= 0"),
     (lambda h: ht.cesaro_moments(h, 2, 0), "k_max must be >= 1"),
-], ids=["gram_vectors-r", "gram_matrix-r", "law-r", "table-p", "table-r", "cesaro-k"])
+], ids=["gram_matrix-r", "law-r", "table-p", "table-r", "cesaro-k"])
 def test_spectral_calls_check_arguments(call, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
         call(ht.fourier(2))
