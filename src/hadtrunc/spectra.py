@@ -40,15 +40,16 @@ back, as one value of weight zeros / N^r.
   conjugates X, since Q_{cd,ab} = conj(Q_{ab,cd}); that antiunitary symmetry
   maps each block to itself, so each is solved as a real symmetric matrix.
   The blocks are built from the profile, from the rows of one orbit in each
-  reversed pair (somewhat over half the rows), without forming X, one block
-  at a time by a product with one row of the character table, and checked
-  to be Hermitian.  When the gathered entries of X are real, the reversal R
-  is a unitary symmetry as well, mapping the blocks of k onto those of
-  r - k, so only k = 0..r/2 are built and each k strictly between is solved
-  once and counted twice.  R maps the blocks of k = 0 and r/2 onto
-  themselves, and they are solved in their R-even and R-odd halves; the
-  coupling between the halves must vanish and is checked with the
-  Hermiticity.  With A = 1, the route when no involution is found, the
+  reversed pair (somewhat over half the rows), without forming X, in
+  batches of blocks of one size and layout: one product of the batch's rows
+  of the character table with the gather, and one `eigvalsh` of the stack.
+  They are checked to be Hermitian.  When the gathered entries of X are
+  real, the reversal R is a unitary symmetry as well, mapping the blocks of
+  k onto those of r - k, so only k = 0..r/2 are built and each k strictly
+  between is solved once and counted twice.  R maps the blocks of k = 0 and
+  r/2 onto themselves, and they are solved in their R-even and R-odd
+  halves; the coupling between the halves must vanish and is checked with
+  the Hermiticity.  With A = 1, the route when no involution is found, the
   blocks are the r cyclic sectors.
 - Structured blocks (`_structured_spectrum`), for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
@@ -72,16 +73,16 @@ Each route is split into a plan and a numeric step.  The plans
 `_recognition_plan(size)`, `_involution_plan(n)`) hold the index work that
 depends only on the shape: the orbits of Z_r x A, the reversal pairing, the
 block selections and phase roots, the R-parity order of the blocks of k = 0
-and r/2, the character table; the kappa/mu and coset tables of dita(M, N)
-at depth r; the factorizations, shuffle maps and F_M (x) F_N waves of one
-size; the involutions of S_N that the search tests.  They are keyed on
-integers alone, gens a tuple of permutation tuples, hold nothing computed
-from a matrix's entries, and are memoized in caches of at most
-_PLAN_CACHE_SIZE shapes each, as read-only arrays; every call of the same
-shape shares them, and so do H and H^t when their involutions agree.  At
-the cap of 4096 a sector plan takes under 0.5 MB, and the profile (N^4
-entries) keeps N small enough that a recognition plan (d(N) N^2 complex
-waves) does too.
+and r/2, the character table, the batches the blocks are solved in; the
+kappa/mu and coset tables of dita(M, N) at depth r; the factorizations,
+shuffle maps and F_M (x) F_N waves of one size; the involutions of S_N that
+the search tests.  They are keyed on integers alone, gens a tuple of
+permutation tuples, hold nothing computed from a matrix's entries, and are
+memoized in caches of at most _PLAN_CACHE_SIZE shapes each, as read-only
+arrays; every call of the same shape shares them, and so do H and H^t when
+their involutions agree.  At the cap of 4096 a sector plan takes under
+0.5 MB, and the profile (N^4 entries) keeps N small enough that a
+recognition plan (d(N) N^2 complex waves) does too.
 
 `gram_matrix` stays the dense oracle; the tests check it, and the spectra of
 both routes, against the unit vectors V with X = V V^*, which they build with
@@ -477,10 +478,16 @@ def _sector_spectrum(q, r, gens=()):
         X_chi[alpha, beta] = sqrt(d_alpha d_beta)/|G| sum_{g in G} chi(g) X[g A_alpha, A_beta].
 
     The block sizes sum to N^r.  With A = 1 the blocks are the r cyclic
-    sectors, sector 0 with one row per necklace.  The sum over g is the
-    product of the gathered X[g A_alpha, A_beta] with row chi of the planned
-    character table chi(g)/|G|, taken one block at a time
-    (`_real_sector_block`), so the gather is never copied whole.
+    sectors, sector 0 with one row per necklace.  The sum over g is a
+    product of the gathered X[g A_alpha, A_beta] with rows chi of the planned
+    character table chi(g)/|G|.  The blocks are built and solved in the
+    batches of `_sector_plan`, blocks of one size and layout each: one
+    product of the batch's character rows with the gather, from which the
+    blocks' rows and then their columns are taken (`_sector_blocks`), then
+    the Hermiticity terms of the whole stack and one `eigvalsh`.  So the
+    number of numpy calls follows the number of batches, not of blocks, and
+    the peak is the gather, one batch and the blocks built; a block of more
+    than _CHUNK_ENTRIES entries is a batch alone.
 
     Q_{cd,ab} = conj(Q_{ab,cd}), so reversing both words conjugates X:
     X[RA, RB] = conj(X[A, B]) with R(a_1..a_r) = (a_r..a_1).  R maps orbit
@@ -521,53 +528,68 @@ def _sector_spectrum(q, r, gens=()):
     R g_alpha = c_alpha g_sigma(alpha) with c_alpha = chi(j_alpha) = +-1
     there, so R u = c_alpha u, R g_alpha = c_alpha g_alpha on a palindromic
     orbit and R v = -c_alpha v: the sign of a row u or g is c_alpha, that of
-    a row v its negative, and with A = 1 at k = 0 every c_alpha is 1.  In the
-    planned order, the R-even rows first, the block is then two diagonal
-    halves, solved apart, an empty half not at all; the squared norm of the
-    coupling between them, which vanishes for the true X, joins the sum
-    above.  Complex X keeps its r |A| blocks.
+    a row v its negative, and with A = 1 at k = 0 every c_alpha is 1.  Taken
+    in the planned order, the R-even rows first, such a block
+    B = [[E, C1], [C2, O]] is two diagonal halves E and O, each solved as a
+    block of its own size and counted once, an empty half not at all; the
+    coupling C1, C2 vanishes for the true X, and ||C1||_F^2 + ||C2||_F^2
+    joins the sum above.  Complex X keeps its r |A| blocks, each solved
+    whole.
     """
-    rows, reps, chars, sectors = _sector_plan(q.shape[0], r, gens)
+    rows, reps, chars, batches = _sector_plan(q.shape[0], r, gens)
     gathered = _product_over_cycle(q, rows, reps, r).reshape(len(chars), -1, len(reps))
     tol = EIGEN_RESIDUAL_TOL * q.shape[0]
-    real = np.einsum("kab,kab->", gathered.imag, gathered.imag) <= tol**2
-    width = len(chars) // r  # |A|
+    real = np.einsum("gab,gab->", gathered.imag, gathered.imag) <= tol**2  # no copy of Im
     solved, skew_sq = [], 0.0
-    for chi in range((r // 2 + 1) * width if real else len(chars)):
-        block, dropped = _real_sector_block(gathered, chars[chi], *sectors[chi][:6])
-        times = 2 if real and 0 < 2 * (chi // width) < r else 1  # (-k, e) has the spectrum of (k, e)
-        skew_sq += times * (dropped + np.linalg.norm(block - block.T) ** 2)
-        parts = [block]
-        if real and times == 1:  # k = 0 and r/2, R-even rows first: two halves, uncoupled
-            order, split = sectors[chi][6:]
-            block = block.take(order, axis=0).take(order, axis=1)
-            skew_sq += (np.linalg.norm(block[:split, split:]) ** 2
-                        + np.linalg.norm(block[split:, :split]) ** 2)
-            parts = [half for half in (block[:split, :split], block[split:, split:]) if len(half)]
+    for at, cols, p, c, left, right, chis, built, halves in batches:
+        count = built if real else len(chis)
+        if not count:
+            continue
+        blocks, dropped = _sector_blocks(gathered, chars[chis[:count]], at[:, :count],
+                                         cols[:, :count], p, c, left[:, :count], right[:, :count])
+        times = 1 if halves or not real else 2  # (-k, e) has the spectrum of (k, e)
+        skew_sq += times * (dropped + _squared_norm(blocks - blocks.swapaxes(1, 2)))
+        parts = [blocks]
+        if real and halves:  # k = 0 and r/2, R-even rows first: two halves, uncoupled
+            order_rows, order_cols, split = halves
+            size = c + p
+            blocks = (blocks.transpose(1, 0, 2).reshape(-1, size).take(order_rows, axis=0)
+                      .reshape(size, -1).take(order_cols.T, axis=1).transpose(1, 0, 2))
+            skew_sq += (_squared_norm(blocks[:, :split, split:])
+                        + _squared_norm(blocks[:, split:, :split]))
+            parts = [half for half in (blocks[:, :split, :split], blocks[:, split:, split:])
+                     if half.shape[1]]
         solved += [(part, times) for part in parts]
     if not skew_sq <= tol**2:  # also rejects NaN
         raise MomentImagError(f"depth-{r} Gram matrix is not Hermitian: "
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
-    vals = np.concatenate([v for part, times in solved for v in [np.linalg.eigvalsh(part)] * times])
+    vals = np.concatenate([v.ravel() for part, times in solved
+                           for v in [np.linalg.eigvalsh(part)] * times])
     return _certified_spectrum(vals, 0, q, r)
 
 
-def _real_sector_block(gathered, wave, at, cols, p, c, left, right):
-    """The real block of character chi of `_sector_spectrum`, and the squared
-    norm of the imaginary parts that its palindromic rows drop, from the
-    gather and row chi of the character table, wave[g] = chi(g)/|G|; the
-    other arguments are the character's entry in `_sector_plan`.  The
-    product of that row with the gather lives only until the block's rows
-    are taken from it, and W until the return, so one block is built at a
-    time."""
-    g = ((wave @ gathered.reshape(len(wave), -1)).reshape(gathered.shape[1:])
-         .take(at, axis=0).take(cols, axis=1))  # X_chi[alpha, (classes, sigma(pairs))]
-    g *= left[:, None]
-    g *= right
-    t = g[:, :p] - g[:, c:]
-    g[:, :p] += g[:, c:]
-    g.real[:, c:], g.imag[:, c:] = -t.imag, t.real  # g = [s | i t]
-    return np.concatenate([g.real, g.imag[:p]]), np.linalg.norm(g.imag[p:]) ** 2
+def _squared_norm(x):
+    """||x||_F^2 of a real array, as one BLAS dot; a strided x is copied."""
+    return np.vdot(x, x)
+
+
+def _sector_blocks(gathered, waves, at, cols, p, c, left, right):
+    """The real blocks of one batch of `_sector_spectrum`, as a stack of
+    shape (blocks, c + p, c + p), and the squared norm of the imaginary parts
+    that their palindromic rows drop: from the gather, shaped (|G|, rows,
+    columns), the batch's rows of the character table, waves[b, g] =
+    chi_b(g)/|G|, and the rest of the batch's entry in `_sector_plan`, cut to
+    these blocks.  The product of the waves with the gather lives only until
+    the blocks' rows are taken from it, and those rows until the blocks'
+    columns are."""
+    g = ((waves @ gathered.reshape(len(gathered), -1)).reshape(-1, gathered.shape[2])
+         .take(at, axis=0).reshape(c, -1).take(cols.T, axis=1))  # [alpha, block, column]
+    g *= left[:, :, None]
+    g *= right.T  # X'_chi[alpha, (classes, sigma(pairs))]
+    t = g[..., :p] - g[..., c:]
+    g[..., :p] += g[..., c:]
+    np.multiply(t, 1j, out=g[..., c:])  # g = [s | i t]
+    return np.concatenate([g.real, g.imag[:p]]).transpose(1, 0, 2), _squared_norm(g.imag[p:])
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -576,16 +598,37 @@ def _sector_plan(n, r, gens=()):
     group A generated by the commuting involutions gens of [0, n), a tuple
     of permutation tuples: from the shift orbits of `_cyclic_orbits`, merged
     into the orbits of G = Z_r x A, their stabilizers S_alpha, reversal
-    pairing sigma and group elements j_alpha, (rows, cols, chars, sectors):
+    pairing sigma and group elements j_alpha, (rows, cols, chars, batches):
     the digits of the gathered rows g A_alpha (g major, alpha among the rows
-    that reversal keeps) and columns A_beta, the character table
-    chars[chi, g] = chi(g)/|G|, and per character chi (at, cols, p, c, left,
-    right): the gathered rows `at` and columns `cols` of its block, p
-    reversed pairs and c orbit classes, and the scale vectors
-    left = conj(root[classes]) / lift[:c] and right = root[cols] lift,
-    root = c_alpha^{1/2} sqrt(d_alpha); at k = 0 and r/2 also (order,
-    split): the block's rows (u, g, v) ordered R-even first, stably, and the
-    number of R-even rows.
+    that reversal keeps, the reversed pairs before the palindromic orbits)
+    and columns A_beta, the character table chars[chi, g] = chi(g)/|G|, and
+    the nonempty blocks, one per character chi, in batches.
+
+    Block chi has rows u and v per reversed pair it keeps, p of them, and
+    a row g per palindromic orbit: c + p rows for c orbit classes, which
+    are its rows at_chi of the product of row chi of chars with the gather.
+    Its columns cols_chi are the classes, then sigma of the pairs, scaled
+    by right = root[cols] lift[cols], the rows by left = conj(root[classes])
+    / lift[classes]; root = c_alpha^{1/2} sqrt(d_alpha), lift = sqrt 2 on the
+    palindromic orbits.  At k = 0 and r/2 its rows (u, g, v) also have an
+    R-parity order, R-even first, stably, split of them R-even.  A batch
+    holds blocks of one layout (c + p, p, split), split None unless k = 0
+    or r/2, those with 0 < k < r/2 before those with k > r/2, which real X
+    does not build, filled in character order up to _CHUNK_ENTRIES entries
+    (a larger block is a batch alone), and the batches are in the order of
+    their first characters.
+
+    A batch is (at, cols, p, c, left, right, chis, built, halves): chis its
+    characters, built the number of leading blocks that real X builds, and
+    each per-block vector a column of one array:
+    at[i, b] = b R + at_b[i], a row of the product of the rows chis of chars
+    with the gather (R per character), cols[j, b] = b C + cols_b[j], a
+    column of those rows side by side (C per block), left[i, b] and
+    right[j, b].  halves is None but at k = 0 and r/2, where it is
+    (order_rows, order_cols, split), order_rows[i, b] = order_b[i] count + b
+    and order_cols[j, b] = b (c + p) + order_b[j], the rows and columns of
+    the R-parity order in the blocks laid out as [row, block, column].  So
+    every take is of whole rows or columns, with O(N^r) indices.
 
     Each generator doubles the number of blocks, whose calls cost more than
     their smaller eigensolves save once they are small, so only the first k
@@ -623,30 +666,47 @@ def _sector_plan(n, r, gens=()):
     sigma = orbit[reversed_reps]
     shift = (acts[:, reps[sigma]] == reversed_reps).argmax(axis=0)  # j_alpha
     j, b = divmod(shift, len(elems))
-    rows = np.flatnonzero(sigma >= np.arange(len(reps)))
-    sectors = []
-    for chi in range(len(chars)):
-        k, e = divmod(chi, len(elems))
-        keep = trivial[chi, rows]
-        pairs = np.flatnonzero(keep & (sigma[rows] > rows))  # positions in rows
-        at = np.concatenate([pairs, np.flatnonzero(keep & (sigma[rows] == rows))])
-        classes = rows[at]
-        cols = np.concatenate([classes, sigma[rows[pairs]]])
-        p, c = len(pairs), len(classes)
-        root = (np.exp(1j * np.pi * k * j / r) * np.where(signs[e, b] < 0, 1j, 1)
-                * np.sqrt(sizes))  # c^{1/2} sqrt(d)
-        lift = np.ones(len(cols))
-        lift[p:c] = np.sqrt(2)  # the palindromic orbits
-        split = ()
-        if 2 * k % r == 0:  # R-parity of the rows u, g: c_alpha = +-1; of the rows v: its negative
-            odd = chars[chi, shift[classes]].real < 0
-            odd = np.concatenate([odd, ~odd[:p]])
-            split = (_read_only(np.argsort(odd, kind="stable")), len(odd) - int(odd.sum()))
-        sectors.append((_read_only(at), _read_only(cols), p, c,
-                        _read_only(root[classes].conj() / lift[:c]),
-                        _read_only(root[cols] * lift), *split))
+    paired = np.flatnonzero(sigma > np.arange(len(reps)))
+    rows = np.concatenate([paired, np.flatnonzero(sigma == np.arange(len(reps)))])
+    kept = trivial[:, rows]  # the rows of each block: its pairs, then its palindromic orbits
+    k = np.arange(len(chars)) // len(elems)
+    roots = (np.exp(1j * np.pi * np.outer(k, j) / r)
+             * np.where(signs[np.arange(len(chars)) % len(elems)][:, b] < 0, 1j, 1)
+             * np.sqrt(sizes))  # c^{1/2} sqrt(d) of every orbit, per character
+    lift = np.where(sigma == np.arange(len(reps)), np.sqrt(2), 1.0)  # the palindromic orbits
+    lefts, rights = roots.conj() / lift, roots * lift
+    # R-parity at k = 0 and r/2 of the rows u, g: c_alpha = +-1; of the rows v: its negative
+    odd = chars.real[:, shift] < 0
+    pairs, pals = kept[:, :len(paired)].sum(axis=1), kept[:, len(paired):].sum(axis=1)
+    # a pair has one R-even row of u and v; a palindromic orbit is even when c_alpha = 1
+    splits = pairs + (kept & ~odd[:, rows])[:, len(paired):].sum(axis=1)
+    layouts = {}  # (c + p, p, split) -> its characters, 0 < k < r/2 before k > r/2
+    for chi in sorted(np.flatnonzero(pairs + pals).tolist(), key=lambda chi: 2 * k[chi] > r):
+        layouts.setdefault((2 * int(pairs[chi]) + int(pals[chi]), int(pairs[chi]),
+                            int(splits[chi]) if 2 * k[chi] % r == 0 else None), []).append(chi)
+    batches = []
+    for (size, p, split), members in layouts.items():
+        step = max(1, _CHUNK_ENTRIES // size**2)
+        for lo in range(0, len(members), step):
+            chis = np.array(members[lo:lo + step])
+            count, c = len(chis), size - p
+            at = np.flatnonzero(kept[chis]).reshape(count, c)  # b R + position in rows
+            classes = rows[at % len(rows)]
+            cols = np.concatenate([classes, sigma[classes[:, :p]]], axis=1)
+            offsets, halves = np.arange(count), None
+            if split is not None:  # the rows (u, g, v), R-even first, stably
+                flips = odd[chis[:, None], classes]
+                parity = np.argsort(np.concatenate([flips, ~flips[:, :p]], axis=1), axis=1,
+                                    kind="stable").T
+                halves = (_read_only(parity * count + offsets),
+                          _read_only(parity + offsets * size), split)
+            built = int((2 * k[chis] <= r).sum())  # real X builds the blocks with k <= r/2
+            at, cols, left, right, chis = map(_read_only, (
+                at.T, cols.T + offsets * len(reps), lefts[chis[:, None], classes].T,
+                rights[chis[:, None], cols].T, chis))
+            batches.append((at, cols, p, c, left, right, chis, built, halves))
     return (_read_only(digits[acts[:, reps[rows]].ravel()]), _read_only(digits[reps]),
-            _read_only(chars / len(chars)), tuple(sectors))
+            _read_only(chars / len(chars)), tuple(sorted(batches, key=lambda batch: batch[6][0])))
 
 
 class SpectralMeasure(NamedTuple):

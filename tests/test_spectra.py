@@ -959,16 +959,18 @@ def test_gram_spectrum_never_builds_x(monkeypatch):
 
 @pytest.fixture
 def sectors(monkeypatch):
-    """Sizes of the blocks handed to eigvalsh, in call order."""
+    """(size, count) of the batches of blocks handed to eigvalsh, in call
+    order: count real blocks of one size per call."""
     exact = np.linalg.eigvalsh
-    sizes = []
+    batches = []
 
     def recording(x):
-        sizes.append(len(x))
+        assert x.ndim == 3 and x.dtype == np.float64
+        batches.append((x.shape[2], x.shape[0]))
         return exact(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return sizes
+    return batches
 
 
 def _necklaces(n, r):
@@ -982,41 +984,58 @@ def _palindromic_necklaces(n, r):
     return (n + 1) * n ** (r // 2) // 2 if r % 2 == 0 else n ** ((r + 1) // 2)
 
 
-@pytest.mark.parametrize("spec, r", [
-    pytest.param("fourier:2", r, id=f"fourier2-r{r}") for r in range(1, 7)
+# Each input with the exact batches its sector route solves, as (size, count):
+# equal blocks share a call while count size^2 <= _CHUNK_ENTRIES.
+@pytest.mark.parametrize("spec, r, batches", [
+    pytest.param("fourier:2", r, batches, id=f"fourier2-r{r}") for r, batches in enumerate([
+        [(2, 1)], [(3, 1), (1, 1)], [(4, 1), (2, 1)], [(6, 1), (3, 1), (1, 1), (3, 1)],
+        [(8, 1), (6, 2)], [(13, 1), (1, 1), (9, 1), (11, 1), (3, 1), (7, 1)]], start=1)
 ] + [
-    pytest.param("tao6", r, id=f"tao6-r{r}") for r in (2, 3)
-] + [
-    pytest.param("transpose(dita(2,3;seed=7))", 3, id="transpose-dita23-r3"),
-    pytest.param("transpose(dita(2,3;seed=7))", 4, id="transpose-dita23-r4"),
-    pytest.param("dita(3,3;seed=1)", 3, id="dita33-r3"),
-    pytest.param("fouriergroup:2x2x2", 3, id="fouriergroup222-r3"),
+    pytest.param("tao6", 2, [(21, 1), (15, 1)], id="tao6-r2"),
+    pytest.param("tao6", 3, [(76, 1), (70, 2)], id="tao6-r3"),
+    pytest.param("transpose(dita(2,3;seed=7))", 3, [(56, 1), (20, 1), (70, 1)],
+                 id="transpose-dita23-r3"),
+    pytest.param("transpose(dita(2,3;seed=7))", 4, [(336, 1), (315, 1), (330, 1), (315, 1)],
+                 id="transpose-dita23-r4"),
+    pytest.param("dita(3,3;seed=1)", 3, [(249, 1), (240, 1), (240, 1)], id="dita33-r3"),
+    pytest.param("fouriergroup:2x2x2", 3, [(120, 1), (56, 1), (168, 1)],
+                 id="fouriergroup222-r3"),
 ])
-def test_cyclic_blocks_match_gram_vector_oracle(sectors, spec, r):
+def test_cyclic_blocks_match_gram_vector_oracle(sectors, spec, r, batches):
     h = build_input(spec)
     vals = sector_route(h, r)
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
+    assert sectors == batches
     necklaces = _necklaces(h.n, r)
     if np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-9:
-        # complex X: one block per sector, sector 0 with one row per necklace
-        assert len(sectors) == r and sum(sectors) == h.n**r
-        assert sectors[0] == necklaces
+        # complex X: one block per sector, sector 0 alone first with one row
+        # per necklace
+        assert sum(count for _, count in sectors) == r
+        assert sum(size * count for size, count in sectors) == h.n**r
+        assert sectors[0] == (necklaces, 1)
         return
     # real X: sector 0 in its R-even half, one row per bracelet, and its R-odd
-    # half, one row per reversed pair; then one block for each pair of sectors
-    # k and r - k; then the nonempty halves of sector r/2
+    # half, one row per reversed pair; then the blocks of the sectors k with
+    # 0 < k < r/2, each solved once for k and r - k; then the nonempty
+    # halves of sector r/2
     pairs = (necklaces - _palindromic_necklaces(h.n, r)) // 2
-    zero = [necklaces - pairs, pairs] if pairs else [necklaces]
-    twice = sectors[len(zero):len(zero) + (r - 1) // 2]
+    zero = [(necklaces - pairs, 1), (pairs, 1)] if pairs else [(necklaces, 1)]
     assert sectors[:len(zero)] == zero
-    assert len(sectors) - len(zero) - len(twice) in ((1, 2) if r % 2 == 0 else (0,))
-    assert sum(sectors) + sum(twice) == h.n**r
+    rest, mid = sectors[len(zero):], 0
+    while sum(count for _, count in rest[:mid]) < (r - 1) // 2:
+        mid += 1
+    twice, halves = rest[:mid], rest[mid:]
+    assert sum(count for _, count in twice) == (r - 1) // 2
+    assert all(count == 1 for _, count in halves)
+    assert len(halves) in ((1, 2) if r % 2 == 0 else (0,))
+    assert sum(size * count for size, count in sectors + twice) == h.n**r
 
 
 def test_cyclic_sector_sizes_depth_four(sectors, tao6):
     sector_route(tao6, 4)
-    # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4}, d = 4
-    assert sectors == [336, 315, 330, 315]
+    # sector k keeps the orbits with k d = 0 (mod 4): all, d = 4, d in {2, 4},
+    # d = 4; no two fit one call of at most _CHUNK_ENTRIES entries
+    assert sectors == [(336, 1), (315, 1), (330, 1), (315, 1)]
     assert _necklaces(6, 4) == 336
 
 
@@ -1049,31 +1068,28 @@ def test_real_sector_blocks_match_gram_vector_oracle(structured_calls, spec, r, 
 
 
 # The symmetry route, G = Z_r x A, against the SVD of the Gram vectors, on
-# complex and real X: every block is real, and a complex X has one block per
-# character of G.
-@pytest.mark.parametrize("spec, r, size, complex_x", [
-    pytest.param("tao6", 3, 4, True, id="tao6-r3"),
-    pytest.param("dita(2,2;seed=7)", 4, 4, False, id="dita22-r4"),
-    pytest.param("dita(2,3;seed=7)", 3, 2, False, id="dita23-r3"),
-    pytest.param("fouriergroup:2x2x2", 3, 8, False, id="fouriergroup222-r3"),
+# complex and real X: every block is real, the batches are exactly these
+# (size, count), and a complex X has one block per character of G.
+@pytest.mark.parametrize("spec, r, size, complex_x, batches", [
+    pytest.param("tao6", 3, 4, True, [(22, 1), (18, 3), (19, 2), (17, 6)], id="tao6-r3"),
+    pytest.param("dita(2,2;seed=7)", 4, 4, False,
+                 [(22, 1), (2, 1), (12, 2), (4, 2), (9, 1), (5, 1), (14, 2), (16, 2), (8, 1),
+                  (12, 1), (4, 2), (12, 2), (5, 1), (9, 1)], id="dita22-r4"),
+    pytest.param("dita(2,3;seed=7)", 3, 2, False, [(28, 2), (10, 2), (35, 2)], id="dita23-r3"),
+    pytest.param("fouriergroup:2x2x2", 3, 8, False,
+                 [(29, 1), (5, 1), (15, 3), (7, 3), (22, 1), (6, 1), (8, 3), (8, 3), (31, 1),
+                  (21, 3), (26, 1), (16, 3)], id="fouriergroup222-r3"),
 ])
-def test_symmetry_sectors_match_gram_vector_oracle(monkeypatch, spec, r, size, complex_x):
-    exact = np.linalg.eigvalsh
-    blocks = []
-
-    def recording(x):
-        blocks.append((x.dtype, len(x)))
-        return exact(x)
-
+def test_symmetry_sectors_match_gram_vector_oracle(sectors, spec, r, size, complex_x, batches):
     h = build_input(spec)
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     vals, got = symmetry_route(h, r)
     assert got == size
     assert np.abs(vals - gram_vector_oracle(spec, r)).max() <= 1e-12 * h.n
     assert (np.abs(spectra.gram_matrix(h, r).imag).max() > 1e-2) == complex_x
-    assert {dtype for dtype, _ in blocks} == {np.dtype(np.float64)}
+    assert sectors == batches
     if complex_x:
-        assert len(blocks) == r * size and sum(n for _, n in blocks) == h.n**r
+        assert sum(count for _, count in sectors) == r * size
+        assert sum(n * count for n, count in sectors) == h.n**r
 
 
 def test_plan_keeps_involutions_while_blocks_pay():
@@ -1230,13 +1246,14 @@ def test_dita_factors_reject(monkeypatch, spec):
     solved = []
 
     def spy(a):
-        solved.append((a.ndim, a.dtype))
+        solved.append((a.shape[:-2], a.dtype))
         return exact(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     monkeypatch.setattr(spectra, "_column_symmetries", lambda arr: ())  # A = 1
     routed(h, 2)
-    assert solved == [(2, np.dtype(np.float64))] * 2  # the two real sector blocks
+    # the two real sector blocks, each a batch of its own
+    assert solved == [((1,), np.dtype(np.float64))] * 2
 
 
 @pytest.mark.parametrize("spec, r, sizes", [
@@ -1244,16 +1261,17 @@ def test_dita_factors_reject(monkeypatch, spec):
     ("dita(3,3;seed=1)", 3, [249, 240, 240]),
 ])
 def test_sector_blocks_are_real(monkeypatch, tao6, spec, r, sizes):
+    # complex X, one block per sector; no two fit one batch
     exact = np.linalg.eigvalsh
     blocks = []
 
     def recording(x):
-        blocks.append((x.dtype, len(x)))
+        blocks.append((x.dtype, x.shape))
         return exact(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     sector_route(tao6 if spec == "tao6" else ht.build_matrix(spec), r)
-    assert blocks == [(np.dtype(np.float64), size) for size in sizes]
+    assert blocks == [(np.dtype(np.float64), (1, size, size)) for size in sizes]
 
 
 @pytest.mark.parametrize("consumer, generic_route", on_both_routes(
@@ -1278,26 +1296,50 @@ def test_imaginary_palindromic_row_rejected(monkeypatch, generic_route, consumer
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
 
+def _couple_sector_zero(monkeypatch, delta, sign):
+    """Patch the batch seam so that the first row of the sector-0 block (u of
+    a reversed pair) and its last (v of a pair) gain the entries delta at
+    [0, -1] and sign * delta at [-1, 0]; returns the sizes of the blocks so
+    changed.  X of dita(2,2) is real at depth 4, so sector 0 is solved in its
+    R-even and R-odd halves, and the two entries lie in its coupling."""
+    exact = spectra._sector_blocks
+    coupled = []
+
+    def faulty(gathered, waves, at, cols, p, c, left, right):
+        blocks, dropped = exact(gathered, waves, at, cols, p, c, left, right)
+        for block, wave in zip(blocks, waves):
+            if p and (wave == wave[0]).all():  # sector 0
+                block[0, -1] += delta
+                block[-1, 0] += sign * delta
+                coupled.append(len(block))
+        return blocks, dropped
+
+    monkeypatch.setattr(spectra, "_sector_blocks", faulty)
+    return coupled
+
+
 @pytest.mark.parametrize("consumer, generic_route", on_both_routes(
     [(name, (consumer,)) for name, consumer in SPECTRUM_CONSUMERS.items()]),
     indirect=["generic_route"])
 def test_reversal_coupling_rejected(monkeypatch, generic_route, consumer):
-    exact = spectra._real_sector_block
-    coupled = []
+    # one symmetric entry: every block stays symmetric, and only the coupling
+    # between the halves shows the fault
+    coupled = _couple_sector_zero(monkeypatch, 1e-6, 1)
+    with pytest.raises(MomentImagError, match="not Hermitian"):
+        consumer(ht.build_matrix("dita(2,2;seed=7)"))
+    assert coupled
 
-    def faulty(gathered, wave, at, cols, p, c, left, right):
-        # X of dita(2,2) is real at depth 4, so sector 0 is solved in its
-        # R-even and R-odd halves.  Its first row (u of a reversed pair) and
-        # last (v of a pair) gain one symmetric entry: every block stays
-        # symmetric, and only the coupling between the halves shows the fault.
-        block, dropped = exact(gathered, wave, at, cols, p, c, left, right)
-        if p and (wave == wave[0]).all():  # sector 0
-            block[0, -1] += 1e-6
-            block[-1, 0] += 1e-6
-            coupled.append(len(block))
-        return block, dropped
 
-    monkeypatch.setattr(spectra, "_real_sector_block", faulty)
+@pytest.mark.parametrize("consumer, generic_route", on_both_routes(
+    [(name, (consumer,)) for name, consumer in SPECTRUM_CONSUMERS.items()]),
+    indirect=["generic_route"])
+def test_antisymmetric_coupling_rejected(monkeypatch, generic_route, consumer):
+    # +-delta, delta = tol/2, tol = 1e-9 N: the coupling alone adds
+    # ||C1||^2 + ||C2||^2 = 2 delta^2 = tol^2/2, under the budget, and only
+    # the cross term 2 ||C1 - C2^T||^2 = 8 delta^2 of ||B - B^T||^2 takes the
+    # sum past tol^2
+    tol = spectra.EIGEN_RESIDUAL_TOL * 4
+    coupled = _couple_sector_zero(monkeypatch, tol / 2, -1)
     with pytest.raises(MomentImagError, match="not Hermitian"):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
     assert coupled
@@ -1363,10 +1405,11 @@ def test_duplicated_eigenvalue_rejected(monkeypatch, generic_route, consumer):
 
     def duplicating(x):
         vals = exact(x)
-        if len(vals) < 2:  # a block of one eigenvalue has no gap to lose it across
-            return vals
-        i = np.argmax(np.diff(vals))
-        vals[i + 1] = vals[i]  # lost across the widest gap, its neighbour doubled
+        for block in vals.reshape(-1, vals.shape[-1]):  # every block of the batch
+            if len(block) < 2:  # a block of one eigenvalue has no gap to lose it across
+                continue
+            i = np.argmax(np.diff(block))
+            block[i + 1] = block[i]  # lost across the widest gap, its neighbour doubled
         return vals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", duplicating)
@@ -1391,7 +1434,7 @@ def test_lost_zero_eigenvalue_rejected(monkeypatch, structured_calls, consumer):
 
         return losing
 
-    # the sector route: one eigvalsh per block
+    # the sector route: one eigvalsh per batch, which loses one zero of one block
     with monkeypatch.context() as patch:
         patch.setattr(spectra, "_dita_factors", lambda arr: None)
         patch.setattr(np.linalg, "eigvalsh", losing_zero(np.linalg.eigvalsh))
@@ -1504,6 +1547,24 @@ def test_plans_are_read_only_and_bounded():
         dft = plan[2]
         assert dft.shape == (r, r) and not dft.flags.writeable
         assert np.abs(dft - np.fft.ifft(np.eye(r), axis=0)).max() <= 1e-15
+
+
+# The sector plans at the cap, N^r = 4096, as the `spectra` docstring sizes
+# them (under 0.5 MB), batch layout included: every N >= 2 with an integer r,
+# and the symmetry plan of fouriergroup:2x2x2 (|A| = 16).  The bytes are
+# pinned as measured.
+@pytest.mark.parametrize("n, r, spec, nbytes", [
+    pytest.param(n, r, spec, nbytes, id=f"{n}^{r}" + ("-symmetric" if spec else ""))
+    for n, r, spec, nbytes in [
+        (2, 12, None, 465_328), (4, 6, None, 338_096), (8, 4, None, 312_544),
+        (16, 3, None, 270_248), (64, 2, None, 362_064), (8, 4, "fouriergroup:2x2x2", 462_976)]
+])
+def test_sector_plan_bytes_at_the_cap(n, r, spec, nbytes):
+    gens = spectra._column_symmetries(ht.build_matrix(spec).array) if spec else ()
+    plan = spectra._sector_plan(n, r, gens)
+    assert len(plan[2]) == r * (16 if spec else 1)
+    assert sum({id(arr): arr.nbytes for arr in _plan_arrays(plan)}.values()) == nbytes
+    assert nbytes < 0.5e6
 
 
 PLAN_INPUTS = [

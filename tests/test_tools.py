@@ -27,15 +27,22 @@ MODULES = {
              '    """Doc."""\n'
              '    y = "# not a comment"\n'
              "        # an indented comment\n", 2),
+    # a name longer than the 12 columns the table once padded names to
+    "gamma_with_a_long_name": ("x = 1\ny = 2\nz = 3\n", 3),
 }
+
+
+def table(*args):
+    """The lines `tools/code_lines.py` prints, run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), *args],
+                          env=FRESH_ENV, capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
 
 
 def code_lines(*args):
     """The rows of `tools/code_lines.py` run in a fresh interpreter, as
     {name: count}, with the total apart."""
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), *args],
-                          env=FRESH_ENV, capture_output=True, text=True, check=True)
-    rows = [line.split() for line in proc.stdout.splitlines()]
+    rows = [line.split() for line in table(*args)]
     assert [name for name, _ in rows].count("total") == 1 and rows[-1][0] == "total"
     counts = {name: int(count) for name, count in rows[:-1]}
     assert len(counts) == len(rows) - 1 and int(rows[-1][1]) == sum(counts.values())
@@ -51,3 +58,14 @@ def test_code_lines_counts_code_only(tmp_path):
 def test_code_lines_lists_every_package_module_once():
     package = ROOT / "src" / "hadtrunc"
     assert list(code_lines()) == sorted(path.stem for path in package.glob("*.py"))
+
+
+def test_code_lines_aligns_counts(tmp_path):
+    # names padded to the longest, counts right-aligned: every row ends in
+    # one column, the counts' own
+    for name, (text, _) in MODULES.items():
+        (tmp_path / f"{name}.py").write_text(text)
+    lines = table(str(tmp_path))
+    width = max(len(name) for name in MODULES)
+    assert {len(line) for line in lines} == {width + 1 + 5}
+    assert all(line[width] == " " for line in lines)

@@ -35,9 +35,10 @@ def code_lines(path):
 def main(argv):
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "hadtrunc"
     counts = {path.stem: code_lines(path) for path in sorted(package.glob("*.py"))}
-    for name, count in counts.items():
-        print(f"{name:12} {count:5}")
-    print(f"{'total':12} {sum(counts.values()):5}")
+    rows = [*counts.items(), ("total", sum(counts.values()))]
+    width = max(len(name) for name, _ in rows)
+    for name, count in rows:
+        print(f"{name:{width}} {count:5}")
 
 
 if __name__ == "__main__":
