@@ -67,7 +67,7 @@ def _emit_json(data, out_path):
 def _emit_csv(header, rows, out_path):
     """The header line, then one line per row: integers as they are, floats
     to 15 significant digits."""
-    lines = (",".join(str(v) if isinstance(v, int) else f"{_sig15(v):.15g}" for v in row)
+    lines = (",".join(str(v) if isinstance(v, int) else f"{v:.15g}" for v in row)
              for row in rows)
     _emit("\n".join([header, *lines]), out_path)
 

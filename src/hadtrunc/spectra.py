@@ -18,16 +18,19 @@ Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
 moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
 of H^t through one Cesaro core (`_cesaro`), with the grid-product T_p as their
-oracle.  That one dispatch point admits every depth of a call against the cap
-(`_admit_depth`) when it is called, then decides the route once per matrix
-per call, for all its depths.  Each spectrum it hands over is a pair
-(values, zeros): the solved eigenvalues, ascending, and the number of exact
-zeros that no block solves, 0 on the sector route.  The spectra of both
-routes pass one contract, computed from the profile of the input
-(`_certified_spectrum`): len(values) + zeros = N^r, and the values reproduce
-Tr X and ||X||_F^2.  A power sum, the Haar count and the Haar gap
-read the values alone, since 0^j = 0 for j >= 1; only the law adds the zeros
-back, as one value of weight zeros / N^r.
+oracle; so does the self-duality check of `hadtrunc.duality`, with
+recognition turned off.  That one dispatch point admits every depth of a
+call against the cap (`_admit_depth`) when it is called, and decides the
+route once per matrix per call, for all its depths, when the first spectrum
+is drawn, so a caller refuses its other arguments before any route work.
+Each spectrum it hands over is a pair (values, zeros): the solved
+eigenvalues, ascending, and the number of exact zeros that no block solves,
+0 on the sector route.  The spectra of both routes pass one contract,
+computed from the profile of the input (`_certified_spectrum`):
+len(values) + zeros = N^r, and the values reproduce Tr X and ||X||_F^2.  A
+power sum, the Haar count and the Haar gap read the values alone, since
+0^j = 0 for j >= 1; only the law adds the zeros back, as one value of weight
+zeros / N^r.
 
 - Sector blocks (`_sector_spectrum`), for any input.  Rotating a multi-index
   does not change its cyclic word, so X commutes with the cyclic shift P, and
@@ -41,8 +44,9 @@ back, as one value of weight zeros / N^r.
   maps each block to itself, so each is solved as a real symmetric matrix.
   The blocks are built from the profile, from the rows of one orbit in each
   reversed pair (somewhat over half the rows), without forming X, in
-  batches of blocks of one size and layout: one product of the batch's rows
-  of the character table with the gather, and one `eigvalsh` of the stack.
+  batches of blocks of one size and layout, laid out block-major: one
+  product of the batch's rows of the character table with the gather, one
+  index that takes the stack of blocks from it, and one `eigvalsh`.
   They are checked to be Hermitian.  When the gathered entries of X are
   real, the reversal R is a unitary symmetry as well, mapping the blocks of
   k onto those of r - k, so only k = 0..r/2 are built and each k strictly
@@ -73,15 +77,15 @@ Each route is split into a plan and a numeric step.  The plans
 `_recognition_plan(size)`, `_involution_plan(n)`) hold the index work that
 depends only on the shape: the orbits of Z_r x A, the reversal pairing, the
 block selections and phase roots, the R-parity order of the blocks of k = 0
-and r/2, the character table, the batches the blocks are solved in; the
-kappa/mu and coset tables of dita(M, N) at depth r; the factorizations,
-shuffle maps and F_M (x) F_N waves of one size; the involutions of S_N that
-the search tests.  They are keyed on integers alone, gens a tuple of
-permutation tuples, hold nothing computed from a matrix's entries, and are
-memoized in caches of at most _PLAN_CACHE_SIZE shapes each, as read-only
-arrays; every call of the same shape shares them, and so do H and H^t when
-their involutions agree.  At the cap of 4096 a sector plan takes under
-0.5 MB, and the profile (N^4 entries) keeps N small enough that a
+and r/2, the character table, the batches the blocks are solved in, one row
+of an array per block; the kappa/mu and coset tables of dita(M, N) at depth
+r; the factorizations, shuffle maps and F_M (x) F_N waves of one size; the
+involutions of S_N that the search tests.  They are keyed on integers alone,
+gens a tuple of permutation tuples, hold nothing computed from a matrix's
+entries, and are memoized in caches of at most _PLAN_CACHE_SIZE shapes each,
+as read-only arrays; every call of the same shape shares them, and so do H
+and H^t when their involutions agree.  At the cap of 4096 a sector plan takes
+under 0.5 MB, and the profile (N^4 entries) keeps N small enough that a
 recognition plan (d(N) N^2 complex waves) does too.
 
 `gram_matrix` stays the dense oracle; the tests check it, and the spectra of
@@ -397,25 +401,32 @@ def _involution_plan(n):
     return _read_only(np.array(sorted(found)[1:], dtype=np.intp).reshape(-1, n))
 
 
-def _gram_spectra(h, depths, cap=DEFAULT_CAP):
+def _gram_spectra(h, depths, cap=DEFAULT_CAP, *, recognize=True):
     """An iterator of the spectra (values, zeros) of the depth-r Gram matrix X
     of h, one per r in the sequence depths, in order and one at a time, under
     `_certified_spectrum`: values the solved eigenvalues, ascending, and zeros
     the count of exact zeros, 0 on the sector route.  The one dispatch point,
     which decides the route once per matrix.  When it is called, every depth
-    is admitted before any work, each in turn (r >= 1 and N^r within the cap),
-    without copying depths, so that a range of 10^11 depths is refused at its
-    first depth past the cap; then, unless depths is empty, `profile(h)` and
-    `_dita_factors(h.array)` are computed once for all, and each depth is
-    solved as its spectrum is drawn.  A recognized dita goes to
-    `_structured_spectrum`; all else goes to sectors, split by the column
-    involutions that `_column_symmetries(h.array)` finds, once for all."""
+    is admitted, each in turn (r >= 1 and N^r within the cap), without
+    copying depths, so that a range of 10^11 depths is refused at its first
+    depth past the cap, and nothing else is done.  The route is decided when
+    the first spectrum is drawn, so that a caller can refuse a word after the
+    depths and before any route work: `profile(h)` and, unless recognize is
+    false, `_dita_factors(h.array)` are computed once for all, and each depth
+    is solved as its spectrum is drawn.  A recognized dita goes to
+    `_structured_spectrum`; all else, every input when recognize is false,
+    goes to sectors, split by the column involutions that
+    `_column_symmetries(h.array)` finds, once for all."""
     for r in depths:
         _admit_depth(h.n, r, cap)
-    q, factors = (profile(h), _dita_factors(h.array)) if depths else (None, None)
-    gens = _column_symmetries(h.array) if depths and factors is None else ()
-    return (_sector_spectrum(q, r, gens) if factors is None else _structured_spectrum(factors, q, r)
-            for r in depths)
+
+    def solve():  # the route is decided on the first draw
+        q, factors = profile(h), _dita_factors(h.array) if recognize else None
+        gens = _column_symmetries(h.array) if factors is None else ()
+        for r in depths:
+            yield _structured_spectrum(factors, q, r) if factors else _sector_spectrum(q, r, gens)
+
+    return solve() if depths else iter(())
 
 
 def _structured_spectrum(factors, q, r):
@@ -482,8 +493,8 @@ def _sector_spectrum(q, r, gens=()):
     product of the gathered X[g A_alpha, A_beta] with rows chi of the planned
     character table chi(g)/|G|.  The blocks are built and solved in the
     batches of `_sector_plan`, blocks of one size and layout each: one
-    product of the batch's character rows with the gather, from which the
-    blocks' rows and then their columns are taken (`_sector_blocks`), then
+    product of the batch's character rows with the gather, from which one
+    index takes the stack of blocks, block-major (`_sector_blocks`), then
     the Hermiticity terms of the whole stack and one `eigvalsh`.  So the
     number of numpy calls follows the number of batches, not of blocks, and
     the peak is the gather, one batch and the blocks built; a block of more
@@ -528,12 +539,12 @@ def _sector_spectrum(q, r, gens=()):
     R g_alpha = c_alpha g_sigma(alpha) with c_alpha = chi(j_alpha) = +-1
     there, so R u = c_alpha u, R g_alpha = c_alpha g_alpha on a palindromic
     orbit and R v = -c_alpha v: the sign of a row u or g is c_alpha, that of
-    a row v its negative, and with A = 1 at k = 0 every c_alpha is 1.  Taken
-    in the planned order, the R-even rows first, such a block
-    B = [[E, C1], [C2, O]] is two diagonal halves E and O, each solved as a
-    block of its own size and counted once, an empty half not at all; the
-    coupling C1, C2 vanishes for the true X, and ||C1||_F^2 + ||C2||_F^2
-    joins the sum above.  Complex X keeps its r |A| blocks, each solved
+    a row v its negative, and with A = 1 at k = 0 every c_alpha is 1.  Its
+    rows and columns permuted by the planned order of each block, the R-even
+    first, such a block B = [[E, C1], [C2, O]] is sliced into two diagonal
+    halves E and O, each solved as a block of its own size and counted once,
+    an empty half not at all; the coupling C1, C2 vanishes for the true X,
+    and ||C1||_F^2 + ||C2||_F^2 joins the sum above.  Complex X keeps its r |A| blocks, each solved
     whole.
     """
     rows, reps, chars, batches = _sector_plan(q.shape[0], r, gens)
@@ -545,16 +556,14 @@ def _sector_spectrum(q, r, gens=()):
         count = built if real else len(chis)
         if not count:
             continue
-        blocks, dropped = _sector_blocks(gathered, chars[chis[:count]], at[:, :count],
-                                         cols[:, :count], p, c, left[:, :count], right[:, :count])
+        blocks, dropped = _sector_blocks(gathered, chars[chis[:count]], at[:count], cols[:count],
+                                         p, c, left[:count], right[:count])
         times = 1 if halves or not real else 2  # (-k, e) has the spectrum of (k, e)
         skew_sq += times * (dropped + _squared_norm(blocks - blocks.swapaxes(1, 2)))
         parts = [blocks]
         if real and halves:  # k = 0 and r/2, R-even rows first: two halves, uncoupled
-            order_rows, order_cols, split = halves
-            size = c + p
-            blocks = (blocks.transpose(1, 0, 2).reshape(-1, size).take(order_rows, axis=0)
-                      .reshape(size, -1).take(order_cols.T, axis=1).transpose(1, 0, 2))
+            order, split = halves  # every block of k = 0 and r/2 is built
+            blocks = blocks[np.arange(count)[:, None, None], order[:, :, None], order[:, None, :]]
             skew_sq += (_squared_norm(blocks[:, :split, split:])
                         + _squared_norm(blocks[:, split:, :split]))
             parts = [half for half in (blocks[:, :split, :split], blocks[:, split:, split:])
@@ -579,17 +588,17 @@ def _sector_blocks(gathered, waves, at, cols, p, c, left, right):
     that their palindromic rows drop: from the gather, shaped (|G|, rows,
     columns), the batch's rows of the character table, waves[b, g] =
     chi_b(g)/|G|, and the rest of the batch's entry in `_sector_plan`, cut to
-    these blocks.  The product of the waves with the gather lives only until
-    the blocks' rows are taken from it, and those rows until the blocks'
-    columns are."""
+    these blocks.  The product of the waves with the gather, one row per
+    block, lives only until one index of the blocks' rows at and columns
+    cols takes the stack from it."""
     g = ((waves @ gathered.reshape(len(gathered), -1)).reshape(-1, gathered.shape[2])
-         .take(at, axis=0).reshape(c, -1).take(cols.T, axis=1))  # [alpha, block, column]
+         [at[:, :, None], cols[:, None, :]])  # [block, alpha, column]
     g *= left[:, :, None]
-    g *= right.T  # X'_chi[alpha, (classes, sigma(pairs))]
+    g *= right[:, None, :]  # X'_chi[alpha, (classes, sigma(pairs))]
     t = g[..., :p] - g[..., c:]
     g[..., :p] += g[..., c:]
     np.multiply(t, 1j, out=g[..., c:])  # g = [s | i t]
-    return np.concatenate([g.real, g.imag[:p]]).transpose(1, 0, 2), _squared_norm(g.imag[p:])
+    return np.concatenate([g.real, g.imag[:, :p]], axis=1), _squared_norm(g.imag[:, p:])
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -620,15 +629,14 @@ def _sector_plan(n, r, gens=()):
 
     A batch is (at, cols, p, c, left, right, chis, built, halves): chis its
     characters, built the number of leading blocks that real X builds, and
-    each per-block vector a column of one array:
-    at[i, b] = b R + at_b[i], a row of the product of the rows chis of chars
-    with the gather (R per character), cols[j, b] = b C + cols_b[j], a
-    column of those rows side by side (C per block), left[i, b] and
-    right[j, b].  halves is None but at k = 0 and r/2, where it is
-    (order_rows, order_cols, split), order_rows[i, b] = order_b[i] count + b
-    and order_cols[j, b] = b (c + p) + order_b[j], the rows and columns of
-    the R-parity order in the blocks laid out as [row, block, column].  So
-    every take is of whole rows or columns, with O(N^r) indices.
+    each per-block vector one row of an array, block-major: at (count, c)
+    the rows of block b in the product of the rows chis of chars with the
+    gather, taken as (count R, columns) for R gathered rows per character,
+    so at[b] = b R + at_b; cols (count, c + p) its gathered columns; left
+    (count, c) and right (count, c + p) its scales.  halves is None but at
+    k = 0 and r/2, where it is (order, split), order (count, c + p) the
+    R-parity order of each block's rows and columns.  So the plan holds
+    O(N^r) indices.
 
     Each generator doubles the number of blocks, whose calls cost more than
     their smaller eigensolves save once they are small, so only the first k
@@ -693,17 +701,14 @@ def _sector_plan(n, r, gens=()):
             at = np.flatnonzero(kept[chis]).reshape(count, c)  # b R + position in rows
             classes = rows[at % len(rows)]
             cols = np.concatenate([classes, sigma[classes[:, :p]]], axis=1)
-            offsets, halves = np.arange(count), None
+            halves = None
             if split is not None:  # the rows (u, g, v), R-even first, stably
                 flips = odd[chis[:, None], classes]
-                parity = np.argsort(np.concatenate([flips, ~flips[:, :p]], axis=1), axis=1,
-                                    kind="stable").T
-                halves = (_read_only(parity * count + offsets),
-                          _read_only(parity + offsets * size), split)
+                halves = (_read_only(np.argsort(np.concatenate([flips, ~flips[:, :p]], axis=1),
+                                                axis=1, kind="stable")), split)
             built = int((2 * k[chis] <= r).sum())  # real X builds the blocks with k <= r/2
             at, cols, left, right, chis = map(_read_only, (
-                at.T, cols.T + offsets * len(reps), lefts[chis[:, None], classes].T,
-                rights[chis[:, None], cols].T, chis))
+                at, cols, lefts[chis[:, None], classes], rights[chis[:, None], cols], chis))
             batches.append((at, cols, p, c, left, right, chis, built, halves))
     return (_read_only(digits[acts[:, reps[rows]].ravel()]), _read_only(digits[reps]),
             _read_only(chars / len(chars)), tuple(sorted(batches, key=lambda batch: batch[6][0])))

@@ -7,7 +7,7 @@ import pytest
 
 import hadtrunc as ht
 from hadtrunc import spectra
-from hadtrunc.cli import _jsonify, main
+from hadtrunc.cli import _emit_csv, _jsonify, main
 from hadtrunc.errors import ORTHOGONALITY_TOL, PASS_TOL, UNIMODULARITY_TOL
 
 from conftest import FRESH_ENV, STRUCTURED_FAULTS
@@ -303,6 +303,18 @@ def test_cesaro_csv(capsys):
     assert lines[0] == "k,s_k"
     assert len(lines) == 6
     assert float(lines[-1].split(",")[1]) == pytest.approx(4.0, abs=1e-10)
+
+
+def test_csv_floats_are_rounded_once(capsys):
+    # every float field is format(v, ".15g") of the value itself: signed
+    # zeros, the smallest subnormal, the largest powers of ten, integers
+    # stored as floats (Python's and numpy's) and values that 15 digits round
+    floats = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, -4096.0, 1e15, 2.0**53,
+              np.float64(9.0), np.float64(-0.0), 0.1 + 0.2, 1 / 3]
+    _emit_csv("k,v", enumerate(floats, start=1), None)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["k,v", *(f"{k},{format(v, '.15g')}" for k, v in enumerate(floats, start=1))]
+    assert lines[1:3] == ["1,0", "2,-0"] and lines[3] == "3,4.94065645841247e-324"
 
 
 def test_cesaro_single_average_is_strict_json(capsys):

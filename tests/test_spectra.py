@@ -897,14 +897,26 @@ def test_cesaro_length_is_admitted_against_the_cap():
 
 def test_structured_moments_refuses_word_before_solving(monkeypatch, capsys):
     def forbidden(*args):
-        raise AssertionError("a spectrum was solved before the word was refused")
+        raise AssertionError("the route was decided or a spectrum solved before the word "
+                             "was refused")
 
-    monkeypatch.setattr(spectra, "_structured_spectrum", forbidden)
+    # the profile, the recognition and the involution search are route work
+    # too: the dispatch point does them on the first draw, after the word
+    for name in ("_structured_spectrum", "profile", "_dita_factors", "_column_symmetries"):
+        monkeypatch.setattr(spectra, name, forbidden)
+    q = ht.seeded_phase_matrix(2, 3, 7)
     with pytest.raises(ValueError, match=r"^6\^1100 exceeds the float range$"):
-        ht.structured_moments(ht.seeded_phase_matrix(2, 3, 7), 1100, 3)
+        ht.structured_moments(q, 1100, 3)
+    for refused in (lambda: ht.moment_table(ht.fourier(6), 10**6, 1),
+                    lambda: ht.structured_moments(q, 10**6, 1),
+                    lambda: ht.dita_selfduality_residual(2, 3, q, 10**6, 1)):
+        with pytest.raises(ValueError, match=r"^6\^1000000 exceeds the float range$"):
+            refused()
     assert main(["bench", "--m", "2", "--n", "3", "--seed", "7", "--p", "1100",
                  "--r", "3"]) == 2
     assert capsys.readouterr() == ("", "error: 6^1100 exceeds the float range\n")
+    assert main(["moments", "fourier:3", "--p-max", "700", "--r-max", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: 3^700 exceeds the float range\n")
 
 
 def test_moment_table_admits_depths_then_word(monkeypatch):
@@ -1354,8 +1366,9 @@ def test_sector_route_peak_is_gather_and_one_sector():
     r = 4
     rows, reps, _, sectors = spectra._sector_plan(h.n, r)
     sector = len(rows) // r * len(reps) * 16
-    taken = max(len(at) * len(cols) for at, cols, *_ in sectors) * 16
-    solved = sum(len(cols) ** 2 for _, cols, *_ in sectors) * 8
+    # one row of at and of cols per block: c rows of c + p columns
+    taken = max(at.shape[1] * cols.shape[1] for at, cols, *_ in sectors) * 16
+    solved = sum(cols.shape[1] ** 2 for _, cols, *_ in sectors) * 8
     tracemalloc.start()
     try:
         [_] = spectra._gram_spectra(h, [r])
@@ -1556,8 +1569,8 @@ def test_plans_are_read_only_and_bounded():
 @pytest.mark.parametrize("n, r, spec, nbytes", [
     pytest.param(n, r, spec, nbytes, id=f"{n}^{r}" + ("-symmetric" if spec else ""))
     for n, r, spec, nbytes in [
-        (2, 12, None, 465_328), (4, 6, None, 338_096), (8, 4, None, 312_544),
-        (16, 3, None, 270_248), (64, 2, None, 362_064), (8, 4, "fouriergroup:2x2x2", 462_976)]
+        (2, 12, None, 459_728), (4, 6, None, 327_088), (8, 4, None, 295_904),
+        (16, 3, None, 259_240), (64, 2, None, 329_296), (8, 4, "fouriergroup:2x2x2", 446_336)]
 ])
 def test_sector_plan_bytes_at_the_cap(n, r, spec, nbytes):
     gens = spectra._column_symmetries(ht.build_matrix(spec).array) if spec else ()

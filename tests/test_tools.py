@@ -69,3 +69,32 @@ def test_code_lines_aligns_counts(tmp_path):
     width = max(len(name) for name in MODULES)
     assert {len(line) for line in lines} == {width + 1 + 5}
     assert all(line[width] == " " for line in lines)
+
+
+def test_code_lines_against_a_revision(tmp_path):
+    # a module changed, one added and one deleted since the commit: each row
+    # is the lines at the commit, the lines now and the difference, and a
+    # module missing on one side reads 0 there
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "kept.py").write_text("x = 1\n")
+    (package / "changed.py").write_text("x = 1\ny = 2\n")
+    (package / "deleted.py").write_text('"""Doc."""\nx = 1\ny = 2\nz = 3\n')
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       env=FRESH_ENV, capture_output=True, check=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (package / "changed.py").write_text("x = 1\n# a comment\ny = 2\nz = 3\nw = 4\n")
+    (package / "deleted.py").unlink()
+    (package / "added.py").write_text("def f():\n    return 1\n")
+    rows = [line.split() for line in table(str(package), "--against", "HEAD")]
+    assert rows == [["added", "0", "2", "+2"], ["changed", "2", "4", "+2"],
+                    ["deleted", "3", "0", "-3"], ["kept", "1", "1", "+0"],
+                    ["total", "6", "7", "+1"]]
+    # the plain table reads the working tree alone
+    assert code_lines(str(package)) == {"added": 2, "changed": 4, "kept": 1}
