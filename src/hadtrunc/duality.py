@@ -7,6 +7,11 @@ are exact identities, so residuals are expected to sit at roundoff and both
 checks pass below one fixed tolerance with plenty of headroom, PASS_TOL of
 `hadtrunc.errors`.  A report carries every residual, so another threshold can
 be applied to it by the caller.
+
+The self-duality report is a cross-route certificate, not an oracle of
+either route: H is solved from its sector blocks and H^t from its structured
+blocks (`dita_selfduality_residual`), so a fault in either route shows up as
+a mismatch.
 """
 
 from __future__ import annotations
@@ -97,20 +102,24 @@ def dita_selfduality_residual(m, n, q, p_max, r_max, cap=DEFAULT_CAP):
 
     Each (matrix, depth) spectrum is solved once and gives both the moment
     column and the atoms.  Both sides come from the one dispatch point,
-    `spectra._gram_spectra`, with recognition turned off: each is solved
-    from its sector blocks, split by the column involutions read from its
-    own entries, never from the structured blocks that the dispatch point
-    would pick for a dita, so the comparison does not rest on the structure
-    it is about.  The dispatch point admits every depth of both sides before
-    the word, and decides each side's route on its first spectrum.
+    `spectra._gram_spectra`, on two different routes.  H is drawn with
+    recognition turned off, so it is solved from its sector blocks, split by
+    the column involutions read from its own entries, and assumes no dita
+    structure.  H^t is drawn by the default dispatch, which recognizes it from
+    its entries as a shuffled dita(N, M, Q^T) (when M, N >= 2) and solves it
+    from its structured blocks: it uses the structure of H^t, never the
+    equality under test.  So the report is a cross-route certificate, not an
+    oracle of either route, and a fault in either route shows up as a
+    mismatch.  The dispatch point admits every depth of both sides before the
+    word, and decides each side's route on its first spectrum.
     """
     if p_max < 1 or r_max < 1:
         raise ValueError("p_max and r_max must be >= 1")
     start = time.perf_counter()
     h = matrices.dita(m, n, q)
     size, depths = h.n, range(1, r_max + 1)
-    sides = [spectra._gram_spectra(side, depths, cap, recognize=False)
-             for side in (h, matrices.transpose(h))]
+    sides = [spectra._gram_spectra(h, depths, cap, recognize=False),
+             spectra._gram_spectra(matrices.transpose(h), depths, cap)]
     norms = spectra._word_norms(size, p_max)
     grid = np.empty((p_max, r_max))
     atoms_ok = True

@@ -18,11 +18,15 @@ Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
 spectrum, so the law, the moment table, the Cesaro averages and the Haar
 moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
 of H^t through one Cesaro core (`_cesaro`), with the grid-product T_p as their
-oracle; so does the self-duality check of `hadtrunc.duality`, with
-recognition turned off.  That one dispatch point admits every depth of a
-call against the cap (`_admit_depth`) when it is called, and decides the
-route once per matrix per call, for all its depths, when the first spectrum
-is drawn, so a caller refuses its other arguments before any route work.
+oracle; so does the self-duality check of `hadtrunc.duality`, which draws
+H with recognition turned off, so from its sector blocks, and H^t by the
+default dispatch, so from its structured blocks: a cross-route certificate,
+not an oracle of either route, which the tests check against the Gram
+vectors of `tests/gram_oracle.py`.  That one dispatch point admits every
+depth of a call against the cap (`_admit_depth`) when it is called, and
+decides the route once per matrix per call, for all its depths, when the
+first spectrum is drawn, so a caller refuses its other arguments before any
+route work.
 Each spectrum it hands over is a pair (values, zeros): the solved
 eigenvalues, ascending, and the number of exact zeros that no block solves,
 0 on the sector route.  The spectra of both routes pass one contract,
@@ -118,7 +122,9 @@ _PLAN_CACHE_SIZE = 32  # shapes each plan cache keeps, least recently used dropp
 _SYMMETRY_MAX_N = 8  # the largest N whose column involutions are searched
 _SYMMETRY_TOL = 1e-12  # entrywise distance of |H[:, pi] H^*| / N from a permutation
 _MIN_BLOCK = 16  # rows per character of Z_r x A, on average, that a plan keeps
-_CHUNK_ENTRIES = 1 << 16  # output entries `_product_over_cycle` fills per chunk
+_CHUNK_ENTRIES = 1 << 16  # entries per chunk of the gather and of a sector batch
+_TRACE_TILE = 1 << 14  # entries per tile of the half-power contraction in `_trace_power`
+_TRACE_WIDTH = 512  # the widest tile, in columns of the second half power
 
 
 def _read_only(arr):
@@ -195,12 +201,23 @@ def _cyclic_orbits(n, r):
 def _trace_power(a, k):
     """Tr(A^k) for k >= 1, as a contraction of A^{ceil(k/2)} with
     A^{floor(k/2)}, sum_ij A^{ceil(k/2)}_ij A^{floor(k/2)}_ji, so only half
-    powers are multiplied out and no full-size temporary is formed; A need
-    not be Hermitian."""
+    powers are multiplied out; A need not be Hermitian.  The contraction is
+    one `np.dot` per tile of the second half of _TRACE_TILE entries, at most
+    _TRACE_WIDTH columns wide, copied transposed against the matching tile
+    of the first, so no full-size temporary is formed and a strided read
+    spans few rows; a matrix of at most _TRACE_TILE entries is one tile."""
     if k == 1:
         return np.trace(a)
     half = np.linalg.matrix_power(a, k // 2)
-    return np.einsum("ij,ji->", half @ a if k % 2 else half, half)
+    left, n = half @ a if k % 2 else half, len(a)
+    cols = min(n, _TRACE_WIDTH)
+    rows = _TRACE_TILE // cols
+    total = 0
+    for i in range(0, n, cols):
+        for j in range(0, n, rows):
+            total += np.dot(left[i:i + cols, j:j + rows].ravel(),
+                            half[j:j + rows, i:i + cols].T.ravel())
+    return total
 
 
 def _power_sums(vals, k):

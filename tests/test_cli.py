@@ -206,11 +206,19 @@ def test_non_hermitian_gram_exit_one(capsys, monkeypatch, command):
     assert out == "" and err.startswith("error:") and "not Hermitian" in err
 
 
-@pytest.mark.parametrize("fault", STRUCTURED_FAULTS.values(), ids=STRUCTURED_FAULTS.keys())
-def test_structured_route_fault_exit_one(capsys, monkeypatch, fault):
+# measure solves dita(2,2) on the structured route, and dita-check its H^t;
+# the measure cases keep the bare fault names as ids
+@pytest.mark.parametrize("command, fault", [
+    pytest.param(command, fault, id=prefix + name)
+    for prefix, command in [
+        ("", ["measure", "dita(2,2;seed=7)", "--r", "2"]),
+        ("dita-check-", ["dita-check", "--m", "2", "--n", "3", "--seed", "7", "--p-max", "2",
+                         "--r-max", "2"])]
+    for name, fault in STRUCTURED_FAULTS.items()])
+def test_structured_route_fault_exit_one(capsys, monkeypatch, command, fault):
     install, _, match = fault
     install(monkeypatch)
-    code, out, err = run_cli(capsys, "measure", "dita(2,2;seed=7)", "--r", "2")
+    code, out, err = run_cli(capsys, *command)
     assert code == 1
     assert out == "" and err.startswith("error:") and match in err
 

@@ -9,7 +9,7 @@ from hadtrunc.duality import atoms_agree
 from hadtrunc.errors import PASS_TOL
 from hadtrunc.spectra import SpectralMeasure
 
-from conftest import build_input
+from conftest import STRUCTURED_FAULTS, build_input
 
 
 def test_duality_residual_corpus(corpus_matrix):
@@ -51,22 +51,23 @@ def solves(monkeypatch):
 
 
 @pytest.fixture
-def sector_solves(monkeypatch):
-    """(profile bytes, depth) of every sector-route spectrum solved, in order,
-    plus None for every structured factor build."""
+def routes(monkeypatch):
+    """(route, key, depth) of every spectrum solved, in order: key is (profile
+    bytes, column involutions) on the sector route and the (M, N) that the
+    input was recognized as on the structured route."""
     calls = []
-    exact_sector, exact_factors = spectra._sector_spectrum, spectra._structured_factors
+    exact_sector, exact_structured = spectra._sector_spectrum, spectra._structured_spectrum
 
     def sector(q, r, gens=()):
-        calls.append((q.tobytes(), r))
+        calls.append(("sector", (q.tobytes(), gens), r))
         return exact_sector(q, r, gens)
 
-    def factors(q, r):
-        calls.append(None)
-        return exact_factors(q, r)
+    def structured(factors, q, r):
+        calls.append(("structured", factors[:2], r))
+        return exact_structured(factors, q, r)
 
     monkeypatch.setattr(spectra, "_sector_spectrum", sector)
-    monkeypatch.setattr(spectra, "_structured_factors", factors)
+    monkeypatch.setattr(spectra, "_structured_spectrum", structured)
     return calls
 
 
@@ -103,15 +104,17 @@ def test_symmetric_duality_solves_one_table(solves, spec, p_max, r_max):
     pytest.param(seed, symmetric, id=f"{seed}-symmetric" if symmetric else str(seed))
     for symmetric in (False, True) for seed in (5, 17)])
 def test_selfduality_eigensolve_work(monkeypatch, seed, symmetric):
-    # sum of n^3 over the blocks that eigvalsh solves, fixed by the shapes.  X
-    # of dita(2,2) and dita(2,3) is real at these depths, so sector r - k is
-    # not solved apart from sector k and sectors 0 and r/2 are solved in
-    # halves: at N = 4, r = 4 the blocks are 55 + 15, 60 and 21 + 45, not
-    # 70, 60, 66, 60; at N = 6, r = 3 they are 56 + 20 and 70, not 76, 70, 70.
-    # Split by the column involutions of each side as well where the plan
-    # keeps them (|A| = 4 on both sides of dita(2,2) at r = 4, 2 on dita(2,3)
-    # at r = 3, 1 on its transpose and at the lower depths), no block of
-    # dita(2,2) at r = 4 exceeds 22.
+    # sum of n^3 over the blocks that eigvalsh solves, fixed by the shapes.
+    # Only H is solved from its sector blocks: H^t takes the structured
+    # route, whose 2 x 2 blocks (min(M, N) = 2) are solved in closed form,
+    # with no eigvalsh call.  X of dita(2,2) and dita(2,3) is real at these
+    # depths, so sector r - k is not solved apart from sector k and sectors 0
+    # and r/2 are solved in halves: at N = 4, r = 4 the blocks are 55 + 15,
+    # 60 and 21 + 45, not 70, 60, 66, 60; at N = 6, r = 3 they are 56 + 20
+    # and 70, not 76, 70, 70.  Split by the column involutions of H as well
+    # where the plan keeps them (|A| = 4 on dita(2,2) at r = 4, 2 on
+    # dita(2,3) at r = 3, 1 at the lower depths), no block of dita(2,2) at
+    # r = 4 exceeds 22.
     if not symmetric:
         monkeypatch.setattr(spectra, "_column_symmetries", lambda arr: ())
     exact = np.linalg.eigvalsh
@@ -122,40 +125,93 @@ def test_selfduality_eigensolve_work(monkeypatch, seed, symmetric):
         return exact(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    totals = (105_592, 683_974) if symmetric else (1_006_960, 1_078_936)
+    totals = (52_796, 144_506) if symmetric else (503_480, 539_468)
     for (m, n, depth), total in zip(((2, 2, 4), (2, 3, 3)), totals):
         work.clear()
         assert ht.dita_selfduality_residual(m, n, ht.seeded_phase_matrix(m, n, seed),
                                             depth, depth).passed
-        assert sum(work) == total  # 2_187_200 and 2_275_656 with one block per sector
+        assert sum(work) == total  # 1_093_600 and 1_137_828 with one block per sector
 
 
-def test_selfduality_sides_keep_their_involutions(monkeypatch):
-    # each side is split by the column involutions found in its own entries:
-    # one for dita(2,3;seed=7), none for its transpose, which is solved with
-    # A = 1
-    exact = spectra._sector_spectrum
-    solved = []
-
-    def spy(q, r, gens=()):
-        solved.append((r, len(gens)))
-        return exact(q, r, gens)
-
-    monkeypatch.setattr(spectra, "_sector_spectrum", spy)
+def test_selfduality_sides_keep_their_involutions(routes):
+    # H is split by the column involutions found in its own entries, one for
+    # dita(2,3;seed=7); its transpose, which has none, is recognized from its
+    # entries as dita(3,2) shuffled and solved from its structured blocks
     q = ht.seeded_phase_matrix(2, 3, 7)
     assert spectra._column_symmetries(ht.transpose(ht.dita(2, 3, q)).array) == ()
     assert ht.dita_selfduality_residual(2, 3, q, 3, 3).passed
-    assert solved == [(r, gens) for r in (1, 2, 3) for gens in (1, 0)]
+    assert [(r, len(key[1])) for route, key, r in routes if route == "sector"] == [
+        (r, 1) for r in (1, 2, 3)]
+    assert [(key, r) for route, key, r in routes if route == "structured"] == [
+        ((3, 2), r) for r in (1, 2, 3)]
 
 
-def test_selfduality_solves_each_spectrum_once(sector_solves):
-    # moments and atoms both need depths 1..r_max; each pair is solved once,
-    # from the sector blocks: the structured route is never taken
+def test_selfduality_solves_each_spectrum_once(routes):
+    # moments and atoms both need depths 1..r_max; each pair is solved once
     q = ht.seeded_phase_matrix(2, 2, 7)
     report = ht.dita_selfduality_residual(2, 2, q, 3, 3)
     assert report.passed and report.grid.shape == (3, 3)
-    assert None not in sector_solves
-    assert len(sector_solves) == len(set(sector_solves)) == 6  # H and H^t at depths 1..3
+    assert len(routes) == len(set(routes)) == 6  # H and H^t at depths 1..3
+
+
+def _sector_key(h):
+    return spectra.profile(h).tobytes(), spectra._column_symmetries(h.array)
+
+
+@pytest.mark.parametrize("m, n, depth, recognized", [
+    (2, 2, 3, (2, 2)), (2, 3, 3, (3, 2)), (3, 2, 3, (2, 3)), (3, 3, 2, (3, 3)),
+    (2, 4, 2, (4, 2)), (4, 2, 2, (2, 4)),
+    # M or N = 1: dita(1, N, Q) is F_N up to phases, as its transpose is; F_4
+    # is dita(2, 2) up to a row shuffle (Cooley-Tukey), and so is recognized
+    (1, 3, 3, None), (3, 1, 3, None), (1, 2, 3, None), (2, 1, 3, None), (1, 4, 2, (2, 2)),
+])
+def test_selfduality_routes(routes, m, n, depth, recognized):
+    # H on its sector blocks, split by its own involutions; H^t on the
+    # structured route as the dita it is, or, when it is no dita of
+    # M, N >= 2, on sectors too; depth by depth
+    q = ht.seeded_phase_matrix(m, n, 7)
+    h = ht.dita(m, n, q)
+    report = ht.dita_selfduality_residual(m, n, q, depth, depth)
+    assert report.passed and report.atoms_match
+    side_t = (("structured", recognized) if recognized
+              else ("sector", _sector_key(ht.transpose(h))))
+    assert routes == [call for r in range(1, depth + 1)
+                      for call in (("sector", _sector_key(h), r), (*side_t, r))]
+
+
+def _rotated_about_ones(vals, angle=1.0):
+    """vals with its three largest entries rotated about (1, 1, 1) by angle:
+    their sum and their sum of squares are kept, their sum of cubes is not."""
+    axis = np.ones(3) / np.sqrt(3)
+    top = vals[-3:].copy()
+    along = axis * (axis @ top)
+    vals[-3:] = (along + (top - along) * np.cos(angle)
+                 + np.cross(axis, top) * np.sin(angle))
+    return vals
+
+
+@pytest.mark.parametrize("m, n, depth", [(2, 2, 4), (2, 3, 3)])
+def test_selfduality_catches_a_fault_that_keeps_the_contract(monkeypatch, m, n, depth):
+    # a sector route that rotates three eigenvalues about (1, 1, 1) keeps the
+    # count, sum l and sum l^2, so it passes the contract; solved on both
+    # sides, it would act alike on H and H^t and the report would pass
+    exact = spectra._sector_spectrum
+
+    def rotating(q, r, gens=()):
+        vals, zeros = exact(q, r, gens)
+        return spectra._certified_spectrum(_rotated_about_ones(vals), zeros, q, r)
+
+    monkeypatch.setattr(spectra, "_sector_spectrum", rotating)
+    report = ht.dita_selfduality_residual(m, n, ht.seeded_phase_matrix(m, n, 7), depth, depth)
+    assert report.passed is False and report.atoms_match is False
+
+
+@pytest.mark.parametrize("fault", STRUCTURED_FAULTS.values(), ids=STRUCTURED_FAULTS.keys())
+def test_selfduality_structured_faults_rejected(monkeypatch, fault):
+    install, error, match = fault
+    install(monkeypatch)
+    with pytest.raises(error, match=match):
+        ht.dita_selfduality_residual(2, 2, ht.seeded_phase_matrix(2, 2, 7), 3, 3)
 
 
 def test_duality_report_dict():

@@ -804,7 +804,7 @@ def route_work(monkeypatch):
     pytest.param(lambda: ht.moment_table(ht.fourier(6), 4, 4), 1, 1, 0, id="moments-fourier6"),
     pytest.param(lambda: ht.moment_table(tao6_matrix(), 4, 3), 1, 1, 1, id="moments-tao6"),
     pytest.param(lambda: ht.dita_selfduality_residual(2, 3, ht.seeded_phase_matrix(2, 3, 7),
-                                                      3, 3), 2, 0, 2, id="selfduality-dita23"),
+                                                      3, 3), 2, 1, 1, id="selfduality-dita23"),
     pytest.param(lambda: ht.truncated_law(tao6_matrix(), 3), 1, 1, 1, id="law-tao6"),
     pytest.param(lambda: ht.haar_moment_estimate(tao6_matrix(), 3), 1, 1, 1, id="haar-tao6"),
 ])
@@ -812,8 +812,8 @@ def test_route_decided_once_per_matrix(route_work, consumer, profiles, recogniti
     # one profile and one recognition per matrix (H, then H^t, or H alone when
     # H = H^t), not per depth; the involution search runs once per matrix
     # that no recognition claims, and never for a recognized dita; the
-    # self-duality check forces the sector route, recognizes nothing and
-    # searches each side
+    # self-duality check forces the sector route on H, which it searches and
+    # does not recognize, and recognizes H^t
     consumer()
     assert route_work == {"profile": profiles, "_dita_factors": recognitions,
                           "_column_symmetries": searches}
@@ -1531,17 +1531,17 @@ def test_plans_built_once_per_shape(monkeypatch):
     monkeypatch.setattr(spectra, "_cyclic_orbits", spy)
     q = ht.seeded_phase_matrix(2, 3, 7)
     h = ht.dita(2, 3, q)
-    for _ in range(2):  # H, split by its one column involution, and H^t, by none
+    for _ in range(2):  # H on sectors, split by its one column involution, H^t structured
         ht.dita_selfduality_residual(2, 3, q, 3, 3)
         ht.duality_residual(h, 3, 3)
         ht.structured_moments(q, 2, 3)
-    assert orbits == [(6, 1), (6, 1), (6, 2), (6, 2), (6, 3), (6, 3)]
+    assert orbits == [(6, 1), (6, 2), (6, 3)]
     sector = spectra._sector_plan.cache_info()
-    assert (sector.misses, sector.currsize, sector.hits) == (6, 6, 6)
+    assert (sector.misses, sector.currsize, sector.hits) == (3, 3, 3)
     # dita(2, 3) and its transpose, recognized as dita(3, 2) shuffled, at depths 1..3
     structured = spectra._structured_plan.cache_info()
     recognition = spectra._recognition_plan.cache_info()
-    assert (structured.misses, structured.currsize, structured.hits) == (6, 6, 8)
+    assert (structured.misses, structured.currsize, structured.hits) == (6, 6, 14)
     assert (recognition.misses, recognition.currsize) == (1, 1) and recognition.hits > 0
 
 
