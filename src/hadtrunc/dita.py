@@ -42,7 +42,7 @@ def structured_gram_matrix(q, r, cap=DEFAULT_CAP):
     q = matrices._check_phase_matrix(q)
     m, n = q.shape
     check_cap(m * n, r, cap)
-    v = spectra._structured_factors(q, r)
+    v = spectra._structured_factors(q, [r])
     udig = multi_indices(m, r)
     kappa = udig[udig.sum(axis=1) % m == 0]
     chars = np.exp(2j * np.pi * (udig @ kappa.T % m) / m) / m**r  # w_M^{U . kappa} / M^r

@@ -26,12 +26,15 @@ vectors of `tests/gram_oracle.py`.  That one dispatch point admits every
 depth of a call against the cap (`_admit_depth`) when it is called, and
 decides the route once per matrix per call, for all its depths, when the
 first spectrum is drawn, so a caller refuses its other arguments before any
-route work.
+route work.  The structured route solves all the depths of a call together
+at that first draw, the sector route depth by depth as each is drawn; either
+way each spectrum is certified as it is drawn.
 Each spectrum it hands over is a pair (values, zeros): the solved
 eigenvalues, ascending, and the number of exact zeros that no block solves,
 0 on the sector route.  The spectra of both routes pass one contract,
 computed from the profile of the input (`_certified_spectrum`):
-len(values) + zeros = N^r, and the values reproduce Tr X and ||X||_F^2.  A
+len(values) + zeros = N^r, and the values reproduce Tr X and ||X||_F^2,
+which `_gram_norms` takes from one K = |Q|^2 per call.  A
 power sum, the Haar count and the Haar gap read the values alone, since
 0^j = 0 for j >= 1; only the law adds the zeros back, as one value of weight
 zeros / N^r.
@@ -59,7 +62,7 @@ zeros / N^r.
   halves; the coupling between the halves must vanish and is checked with
   the Hermiticity.  With A = 1, the route when no involution is found, the
   blocks are the r cyclic sectors.
-- Structured blocks (`_structured_spectrum`), for a deformed Fourier matrix
+- Structured blocks (`_structured_spectra`), for a deformed Fourier matrix
   dita(M, N, Q) = (Q_ib (F_M)_ij (F_N)_ab), up to the equivalences that keep
   the spectrum of X.  X of dita(M, N, Q) is a convolution over Z_M^r that
   keeps A - B in the diagonal subgroup Z_N (1, ..., 1), and a Fourier
@@ -69,7 +72,9 @@ zeros / N^r.
   the spectrum is that of M^{r-1} N^{r-1} Gram matrices of size min(M, N),
   plus (MN)^r - M^{r-1} N^{r-1} min(M, N) exact zeros, counted from the
   shapes and never stored.  When min(M, N) = 2 the blocks' eigenvalues come
-  in closed form (`_block_eigenvalues`), else from one batched `eigvalsh`.
+  in closed form (`_block_eigenvalues`), else from one batched `eigvalsh`;
+  the factors of every depth of a call share one stack, so one such call
+  solves them all.
   An input takes this route only when `_dita_factors` rebuilds its dephased
   entries, entry by entry, as such a matrix after a digit shuffle of its
   rows, its columns or both.  That covers transpose(dita(M, N, Q)), F_MN and
@@ -95,7 +100,8 @@ recognition plan (d(N) N^2 complex waves) does too.
 `gram_matrix` stays the dense oracle; the tests check it, and the spectra of
 both routes, against the unit vectors V with X = V V^*, which they build with
 numpy alone.  Every sequence of power sums of a spectrum comes from
-`_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
+`_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`, but the
+Tr(K^r) of the contract, which `_gram_norms` steps from depth to depth.
 """
 
 from __future__ import annotations
@@ -232,38 +238,52 @@ def _power_sums(vals, k):
     return sums
 
 
-def _gram_norms(q, r):
-    """Tr X = N^r (unit diagonal) and ||X||_F^2 = Tr(K^r) of the depth-r Gram
-    matrix, K[(a,b),(c,d)] = |Q_{ab,cd}|^2, at a cost independent of r."""
+def _gram_norms(q, depths):
+    """(Tr X, ||X||_F^2) of the depth-r Gram matrix X for each r in depths, in
+    order: Tr X = N^r (unit diagonal) and ||X||_F^2 = Tr(K^r),
+    K[(a,b),(c,d)] = |Q_{ab,cd}|^2, from one K per call, at a cost independent
+    of N^r.  A depth that follows the one before it takes one product of a
+    running power K^{r-1} with K, and Tr(K^{r-1} K) as one dot product, K
+    being symmetric since Q_{cd,ab} = conj(Q_{ab,cd}); any other depth,
+    among them the first, takes `_trace_power`, so one depth costs what it
+    costs alone."""
     n = q.shape[0]
     k = np.abs(q.reshape(n * n, n * n)) ** 2
-    return float(n**r), float(_trace_power(k, r))
+    power, last = None, None  # power = K^{r-1} once r follows last
+    for r in depths:
+        if r - 1 != last:
+            power, frob_sq = None, _trace_power(k, r)
+        else:
+            power = np.linalg.matrix_power(k, last) if power is None else power @ k
+            frob_sq = np.vdot(power, k)
+        last = r
+        yield n**r, float(frob_sq)
 
 
-def _certified_spectrum(vals, zeros, q, r):
-    """The spectrum (vals, zeros) of the depth-r Gram matrix X of the profile
-    q, vals the solved eigenvalues sorted in place and zeros the count of
-    exact zeros, once it passes the contract of both routes, else
-    `EigensolverError`: len(vals) + zeros = N^r (the trace identities miss a
-    lost zero), and vals reproduce `_gram_norms` to 1e-9 relative, which
-    catches a bad, lost or duplicated eigenvalue."""
+def _certified_spectrum(vals, zeros, norms, r):
+    """The spectrum (vals, zeros) of the depth-r Gram matrix X, vals the solved
+    eigenvalues sorted in place and zeros the count of exact zeros, once it
+    passes the contract of both routes against norms = (Tr X, ||X||_F^2) of
+    `_gram_norms`, else `EigensolverError`: len(vals) + zeros = Tr X = N^r
+    (the trace identities miss a lost zero), and vals reproduce both norms to
+    1e-9 relative, which catches a bad, lost or duplicated eigenvalue."""
     vals.sort()
-    dim = q.shape[0] ** r
+    dim = norms[0]
     if len(vals) + zeros != dim:
         raise EigensolverError(f"depth-{r} spectrum has {len(vals) + zeros} eigenvalues, "
                                f"not N^r = {dim}")
-    for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals),
-                               _gram_norms(q, r)):
+    for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals), norms):
         if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
             raise EigensolverError(f"depth-{r} spectrum fails the trace identity "
                                    f"{what} = {want:.12g}: got {got:.12g}")
     return vals, zeros
 
 
-def _structured_factors(q, r):
-    """The unimodular factors V of the depth-r Gram matrix of dita(M, N, Q), one
-    N x M matrix per frequency kappa in Z_M^r with sum kappa = 0 (mod M) and per
-    coset C of the diagonal subgroup Z_N (1, ..., 1) in Z_N^r:
+def _structured_factors(q, depths):
+    """The unimodular factors V of the depth-r Gram matrix of dita(M, N, Q) for
+    each r in depths, one N x M matrix per frequency kappa in Z_M^r with
+    sum kappa = 0 (mod M) and per coset C of the diagonal subgroup
+    Z_N (1, ..., 1) in Z_N^r:
 
         V[t, m0] = prod_s Q[mu_s, a_s] / Q[mu_s, a_{s+1}],   a_{r+1} = a_1,
 
@@ -271,19 +291,28 @@ def _structured_factors(q, r):
     A_C the representative of C whose first digit is 0.  A Fourier transform
     over the M-part of the column multi-indices takes X to blocks, one per
     frequency and coset, and V V^* is the block at (kappa, C); the blocks with
-    sum kappa != 0 (mod M) vanish.  Shape (M^{r-1} N^{r-1}, N, M), kappa major
-    and both in the row-major order of `multi_indices`; the index tables come
-    from `_structured_plan`.  Q is an M x N array that its callers have checked
-    with `matrices._check_phase_matrix`.
+    sum kappa != 0 (mod M) vanish.  One stack of shape
+    (sum_r M^{r-1} N^{r-1}, N, M), preallocated: each depth's factors fill
+    their own rows, in the order of depths, kappa major and both in the
+    row-major order of `multi_indices`, multiplied out in place in the order
+    of the cycle from the tables of `_structured_plan`, so a factor is the
+    same bit for bit whatever other depths share the stack.  Q is an M x N
+    array that its callers have checked with `matrices._check_phase_matrix`.
     """
     m, n = q.shape
-    mu, steps = _structured_plan(m, n, r)
     ratio = (q[:, :, None] / q[:, None, :]).reshape(m, n * n)  # Q[m, a] / Q[m, b] at (m, a n + b)
-    out = np.ones((len(mu), steps.shape[1], n, m), dtype=complex)
-    for s in range(r):
-        # ratio[mu_s, a_s, a_{s+1}] as [kappa, m0, C, t], laid out as out
-        out *= ratio.take(steps[s], axis=1).take(mu[:, s], axis=0).transpose(0, 2, 3, 1)
-    return out.reshape(-1, n, m)
+    out = np.empty((sum((m * n) ** (r - 1) for r in depths), n, m), dtype=complex)
+    lo = 0
+    for r in depths:
+        mu, steps = _structured_plan(m, n, r)
+        rows = len(mu) * steps.shape[1]  # M^{r-1} N^{r-1}
+        part = out[lo:lo + rows].reshape(len(mu), -1, n, m)
+        lo += rows
+        part[...] = 1
+        for s in range(r):
+            # ratio[mu_s, a_s, a_{s+1}] as [kappa, m0, C, t], laid out as part
+            part *= ratio.take(steps[s], axis=1).take(mu[:, s], axis=0).transpose(0, 2, 3, 1)
+    return out
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -429,39 +458,53 @@ def _gram_spectra(h, depths, cap=DEFAULT_CAP, *, recognize=True):
     depth past the cap, and nothing else is done.  The route is decided when
     the first spectrum is drawn, so that a caller can refuse a word after the
     depths and before any route work: `profile(h)` and, unless recognize is
-    false, `_dita_factors(h.array)` are computed once for all, and each depth
-    is solved as its spectrum is drawn.  A recognized dita goes to
-    `_structured_spectrum`; all else, every input when recognize is false,
-    goes to sectors, split by the column involutions that
-    `_column_symmetries(h.array)` finds, once for all."""
+    false, `_dita_factors(h.array)` are computed once for all.  A recognized
+    dita goes to `_structured_spectra`, which solves every depth together at
+    that first draw; all else, every input when recognize is false, goes to
+    sectors, split by the column involutions that `_column_symmetries(h.array)`
+    finds, once for all, and each depth is solved as its spectrum is drawn.
+    Either way each spectrum is certified as it is drawn."""
     for r in depths:
         _admit_depth(h.n, r, cap)
 
     def solve():  # the route is decided on the first draw
         q, factors = profile(h), _dita_factors(h.array) if recognize else None
-        gens = _column_symmetries(h.array) if factors is None else ()
-        for r in depths:
-            yield _structured_spectrum(factors, q, r) if factors else _sector_spectrum(q, r, gens)
+        if factors:
+            yield from _structured_spectra(factors, q, depths)
+        else:
+            gens = _column_symmetries(h.array)
+            yield from (_sector_spectrum(q, r, gens) for r in depths)
 
     return solve() if depths else iter(())
 
 
-def _structured_spectrum(factors, q, r):
-    """The spectrum (values, zeros) of the depth-r Gram matrix X of an input
+def _structured_spectra(factors, q, depths):
+    """The spectra (values, zeros) of the depth-r Gram matrix X of an input
     with profile q that `_dita_factors` rebuilt as dita(M, N, Q), factors =
-    (M, N, Q), under `_certified_spectrum`: values the eigenvalues of the
-    Gram matrices of size min(M, N) of the factors V of `_structured_factors`
-    (`_block_eigenvalues`), and zeros = (MN)^r - M^{r-1} N^{r-1} min(M, N),
-    the exact zeros of the vanishing blocks, counted from the shapes alone,
-    so that a lost eigenvalue fails the count.  Row phases and permutations
-    keep the profile, column phases cancel around each cycle of X and column
+    (M, N, Q), one per r in depths, in order, each under
+    `_certified_spectrum`: values the eigenvalues of the Gram matrices of size
+    min(M, N) of the factors V of `_structured_factors`, and
+    zeros = (MN)^r - M^{r-1} N^{r-1} min(M, N), the exact zeros of the
+    vanishing blocks, counted from the shapes alone, so that a lost
+    eigenvalue fails the count.  Row phases and permutations keep the
+    profile, column phases cancel around each cycle of X and column
     permutations only permute it, so these blocks have the spectrum of X.
     `_dita_factors` checks that Q is unimodular, so V is finite and its Gram
-    matrices Hermitian: the contract, against q, is the check."""
+    matrices Hermitian: the contract, against q, is the check.
+
+    Every depth is solved at the first draw: one stack of the factors of all
+    depths and one `_block_eigenvalues` call, whose rows are split by each
+    depth's block count; each depth is then sorted and certified as it is
+    drawn, against the norms of one `_gram_norms` call, so a fault in one
+    depth's rows raises when that depth is drawn."""
     m, n, phases = factors
-    vals = _block_eigenvalues(_structured_factors(phases, r)).ravel()
-    zeros = (m * n) ** r - (m * n) ** (r - 1) * min(m, n)
-    return _certified_spectrum(vals, zeros, q, r)
+    vals = _block_eigenvalues(_structured_factors(phases, depths))
+    lo = 0
+    for r, norms in zip(depths, _gram_norms(q, depths)):
+        blocks = (m * n) ** (r - 1)
+        lo += blocks
+        yield _certified_spectrum(vals[lo - blocks:lo].ravel(),
+                                  (m * n) ** r - blocks * min(m, n), norms, r)
 
 
 def _block_eigenvalues(v):
@@ -591,7 +634,8 @@ def _sector_spectrum(q, r, gens=()):
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
     vals = np.concatenate([v.ravel() for part, times in solved
                            for v in [np.linalg.eigvalsh(part)] * times])
-    return _certified_spectrum(vals, 0, q, r)
+    [norms] = _gram_norms(q, [r])
+    return _certified_spectrum(vals, 0, norms, r)
 
 
 def _squared_norm(x):

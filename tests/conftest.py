@@ -145,9 +145,9 @@ def small_matrix(request):
 def _skew_factors(monkeypatch):
     exact = spectra._structured_factors
 
-    def skewed(q, r):
-        v = exact(q, r)
-        v[0, 0, 0] *= 1 + 1e-6  # one entry of one factor V
+    def skewed(q, depths):
+        v = exact(q, depths)
+        v[0, 0, 0] *= 1 + 1e-6  # one entry of one factor V, of the first depth
         return v
 
     monkeypatch.setattr(spectra, "_structured_factors", skewed)

@@ -258,7 +258,7 @@ def test_factor_blocks_match_fft_blocks(m, n, seed, r):
     q = ht.seeded_phase_matrix(m, n, seed)
     blocks = fft_blocks(q, r)
     keep = multi_indices(m, r).sum(axis=1) % m == 0
-    v = spectra._structured_factors(q, r)
+    v = spectra._structured_factors(q, [r])
     assert v.shape == ((m * n) ** (r - 1), n, m)
     assert np.abs(np.abs(v) - 1.0).max() <= 1e-14
     factor_blocks = (v @ v.swapaxes(-1, -2).conj()).reshape(-1, n ** (r - 1), n, n)
@@ -298,13 +298,95 @@ def test_factor_spectrum_peak_memory():
         assert len(expanded(spectrum)) == h.n**r
 
 
+# Inputs that take the structured route, as dita(2,3), dita(3,3), dita(3,2),
+# dita(3,2), dita(2,3), dita(2,4) and dita(2,3) again.
+@pytest.mark.parametrize("spec", ["dita(2,3;seed=7)", "dita(3,3;seed=1)", "dita(3,2;seed=5)",
+                                  "transpose(dita(2,3;seed=7))", "fourier:6", "fourier:8",
+                                  "fouriergroup:2x3"])
+def test_multi_depth_spectra_match_single_depth(spec):
+    # the depths of a call share one factor stack and one eigenvalue call;
+    # each spectrum is still bitwise that of a call for its depth alone, for
+    # every depth with N^r <= 4096 in one call, out of order and repeated
+    h = ht.build_matrix(spec)
+    assert spectra._dita_factors(h.array) is not None
+    deepest = max(r for r in range(1, 6) if h.n**r <= 4096)
+    for depths in (range(1, deepest + 1), [3, 1], [2, 2, 4], [4]):
+        got = list(spectra._gram_spectra(h, depths, cap=h.n**4))
+        assert len(got) == len(depths)
+        for r, (vals, zeros) in zip(depths, got):
+            [(want, want_zeros)] = spectra._gram_spectra(h, [r], cap=h.n**4)
+            assert vals.tobytes() == want.tobytes() and zeros == want_zeros, (depths, r)
+
+
+@pytest.mark.parametrize("spec, deepest", [("dita(2,3;seed=7)", 6), ("dita(3,3;seed=1)", 5)])
+def test_multi_depth_peak_memory(spec, deepest):
+    # depths 1..r - 1 add sum (MN)^{s-1} < (MN)^{r-1} / (MN - 1) blocks to the
+    # stack of depth r, under a fifth more at MN = 6 and an eighth at MN = 9:
+    # these read 1.10 and 1.12 times the peak of depth r alone
+    h = ht.build_matrix(spec)
+
+    def peak(depths):
+        for cache in (spectra._structured_plan, spectra._recognition_plan):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            for r, spectrum in zip(depths, spectra._gram_spectra(h, depths, cap=h.n**deepest)):
+                assert len(expanded(spectrum)) == h.n**r
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(range(1, deepest + 1)) <= 1.3 * peak([deepest])
+
+
+def _skew_deepest(exact):
+    def skewed(q, depths):
+        v = exact(q, depths)
+        v[-1, 0, 0] *= 1 + 1e-6  # the last rows are the last depth's
+        return v
+
+    return skewed
+
+
+def _replace_deepest(exact):
+    def faulty(v):
+        vals = exact(v)
+        vals[-1, -1] = 0.0  # the top eigenvalue of the last block, of the last depth
+        return vals
+
+    return faulty
+
+
+# Faults in the deepest depth's rows alone: the seam and a wrapper of it.
+DEEPEST_FAULTS = {"skewed-factor": ("_structured_factors", _skew_deepest),
+                  "replaced-eigenvalue": ("_block_eigenvalues", _replace_deepest)}
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("seam, fault", DEEPEST_FAULTS.values(), ids=DEEPEST_FAULTS.keys())
+def test_fault_in_deepest_depth_names_it(monkeypatch, seam, fault, m, n):
+    # the depths before the faulty one are drawn and pass, and the contract
+    # names the deepest when it is drawn
+    monkeypatch.setattr(spectra, seam, fault(getattr(spectra, seam)))
+    q = ht.seeded_phase_matrix(m, n, 7)
+    named = r"^depth-3 spectrum fails the trace identity sum l"
+    solved = spectra._gram_spectra(ht.dita(m, n, q), [1, 2, 3])
+    next(solved), next(solved)
+    with pytest.raises(EigensolverError, match=named):
+        next(solved)
+    for consumer in (lambda: ht.moment_table(ht.dita(m, n, q), 2, 3),
+                     lambda: ht.dita_selfduality_residual(m, n, q, 2, 3)):
+        with pytest.raises(EigensolverError, match=named):
+            consumer()
+
+
 def test_structured_skewed_kernel_rejected(monkeypatch):
     # V^*V is Hermitian whatever V is, so a wrong factor entry shows in the
     # trace identities
     exact = spectra._structured_factors
 
-    def skewed(q, r):
-        v = exact(q, r)
+    def skewed(q, depths):
+        v = exact(q, depths)
         v[0, 0, 0] *= 1 + 1e-6
         return v
 
@@ -350,7 +432,7 @@ def _two_by_two_factors():
         "c=0": np.stack([x, np.cross(x.conj(), rng.normal(size=(50, 3)))], axis=-1),
     }
     for m, n in [(2, 3), (3, 2), (4, 2)]:
-        cases[f"dita({m},{n})"] = spectra._structured_factors(ht.seeded_phase_matrix(m, n, 7), 3)
+        cases[f"dita({m},{n})"] = spectra._structured_factors(ht.seeded_phase_matrix(m, n, 7), [3])
     return cases
 
 

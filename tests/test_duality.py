@@ -54,20 +54,22 @@ def solves(monkeypatch):
 def routes(monkeypatch):
     """(route, key, depth) of every spectrum solved, in order: key is (profile
     bytes, column involutions) on the sector route and the (M, N) that the
-    input was recognized as on the structured route."""
+    input was recognized as on the structured route, which solves the depths
+    of a call together and has one entry per depth as each is drawn."""
     calls = []
-    exact_sector, exact_structured = spectra._sector_spectrum, spectra._structured_spectrum
+    exact_sector, exact_structured = spectra._sector_spectrum, spectra._structured_spectra
 
     def sector(q, r, gens=()):
         calls.append(("sector", (q.tobytes(), gens), r))
         return exact_sector(q, r, gens)
 
-    def structured(factors, q, r):
-        calls.append(("structured", factors[:2], r))
-        return exact_structured(factors, q, r)
+    def structured(factors, q, depths):
+        for r, spectrum in zip(depths, exact_structured(factors, q, depths)):
+            calls.append(("structured", factors[:2], r))
+            yield spectrum
 
     monkeypatch.setattr(spectra, "_sector_spectrum", sector)
-    monkeypatch.setattr(spectra, "_structured_spectrum", structured)
+    monkeypatch.setattr(spectra, "_structured_spectra", structured)
     return calls
 
 
@@ -199,7 +201,8 @@ def test_selfduality_catches_a_fault_that_keeps_the_contract(monkeypatch, m, n, 
 
     def rotating(q, r, gens=()):
         vals, zeros = exact(q, r, gens)
-        return spectra._certified_spectrum(_rotated_about_ones(vals), zeros, q, r)
+        [norms] = spectra._gram_norms(q, [r])
+        return spectra._certified_spectrum(_rotated_about_ones(vals), zeros, norms, r)
 
     monkeypatch.setattr(spectra, "_sector_spectrum", rotating)
     report = ht.dita_selfduality_residual(m, n, ht.seeded_phase_matrix(m, n, 7), depth, depth)

@@ -1,6 +1,10 @@
+import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from conftest import FRESH_ENV
 
@@ -30,6 +34,14 @@ MODULES = {
     # a name longer than the 12 columns the table once padded names to
     "gamma_with_a_long_name": ("x = 1\ny = 2\nz = 3\n", 3),
 }
+
+
+def commit_all(repo):
+    """Make repo a git repository whose one commit holds every file in it."""
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       env=FRESH_ENV, capture_output=True, check=True)
 
 
 def table(*args):
@@ -81,14 +93,7 @@ def test_code_lines_against_a_revision(tmp_path):
     (package / "changed.py").write_text("x = 1\ny = 2\n")
     (package / "deleted.py").write_text('"""Doc."""\nx = 1\ny = 2\nz = 3\n')
 
-    def git(*args):
-        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
-                        "-c", "commit.gpgsign=false", *args],
-                       env=FRESH_ENV, capture_output=True, check=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "first")
+    commit_all(tmp_path)
     (package / "changed.py").write_text("x = 1\n# a comment\ny = 2\nz = 3\nw = 4\n")
     (package / "deleted.py").unlink()
     (package / "added.py").write_text("def f():\n    return 1\n")
@@ -98,3 +103,59 @@ def test_code_lines_against_a_revision(tmp_path):
                     ["total", "6", "7", "+1"]]
     # the plain table reads the working tree alone
     assert code_lines(str(package)) == {"added": 2, "changed": 4, "kept": 1}
+
+
+def ab(*args):
+    """`tools/ab.py` run in a fresh interpreter: (exit status, stdout lines, stderr)."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *args],
+                          env=FRESH_ENV, capture_output=True, text=True)
+    return proc.returncode, proc.stdout.splitlines(), proc.stderr
+
+
+def test_ab_against_a_revision(tmp_path):
+    # a copy of the package committed in a repository of its own, compared on
+    # the results of one input: the same revision reads bitwise, a changed
+    # constant is flagged, and a bad revision, or a module that imports the
+    # package by name, exits 2 before any result is run
+    package = tmp_path / "hadtrunc"
+    shutil.copytree(ROOT / "src" / "hadtrunc", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    commit_all(tmp_path)
+    which = ["--match", "dita(2,2;seed=1)"]
+    code, out, _ = ab(str(package), "--against", "HEAD", *which)
+    assert code == 0 and out[-1] == "6 of 6 results bitwise equal"
+    assert [line.split("  ")[0].split()[0] for line in out[:-1]] == [
+        "spectra", "moments", "spectra", "moments", "duality", "selfduality"]
+    assert all(line.endswith("  bitwise") for line in out[:-1])
+
+    spectra = package / "spectra.py"
+    spectra.write_text(spectra.read_text().replace("EIGEN_RESIDUAL_TOL = 1e-9",
+                                                   "EIGEN_RESIDUAL_TOL = -1.0"))
+    code, out, _ = ab(str(package), "--against", "HEAD", *which)
+    assert code == 1 and out[-1] == "0 of 6 results bitwise equal"
+    assert all("changed: at REV returns, now raises EigensolverError: depth-1 spectrum"
+               in line for line in out[:-1])
+
+    code, out, err = ab(str(package), "--against", "no-such-rev", *which)
+    assert code == 2 and not out and "no-such-rev" in err
+    (package / "extra.py").write_text("import hadtrunc.spectra\n")
+    code, out, err = ab(str(package), "--against", "HEAD", *which)
+    assert code == 2 and not out and "imports itself by name in extra.py" in err
+
+
+def test_ab_verdicts():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    one = [np.array([1.0, -0.0]), np.array(3)]
+    assert tool.verdict(one, [np.array([1.0, -0.0]), np.array(3)]) == "bitwise"
+    # -0.0 and 0.0 are equal, not the same bytes; a zero on both sides is no difference
+    assert tool.verdict(one, [np.array([1.0, 0.0]), np.array(3)]) == "max rel diff 0.0e+00"
+    assert tool.verdict(one, [np.array([1.0 + 2e-16, -0.0]), np.array(3)]) == (
+        "max rel diff 2.2e-16")
+    assert tool.verdict(one, [np.array([1.0]), np.array(3)]) == (
+        "changed shape: [(2,), ()] at REV, now [(1,), ()]")
+    assert tool.verdict("ValueError: x", "ValueError: x") == "bitwise"
+    assert tool.verdict("ValueError: x", one) == "changed: at REV raises ValueError: x, now returns"
+    assert tool.verdict("ValueError: x", "TypeError: y") == (
+        "changed: at REV raises ValueError: x, now raises TypeError: y")
