@@ -33,8 +33,7 @@ Each spectrum it hands over is a pair (values, zeros): the solved
 eigenvalues, ascending, and the number of exact zeros that no block solves,
 0 on the sector route.  The spectra of both routes pass one contract,
 computed from the profile of the input (`_certified_spectrum`):
-len(values) + zeros = N^r, and the values reproduce Tr X and ||X||_F^2,
-which `_gram_norms` takes from one K = |Q|^2 per call.  A
+len(values) + zeros = N^r, and the values reproduce Tr X and ||X||_F^2.  A
 power sum, the Haar count and the Haar gap read the values alone, since
 0^j = 0 for j >= 1; only the law adds the zeros back, as one value of weight
 zeros / N^r.
@@ -100,8 +99,7 @@ recognition plan (d(N) N^2 complex waves) does too.
 `gram_matrix` stays the dense oracle; the tests check it, and the spectra of
 both routes, against the unit vectors V with X = V V^*, which they build with
 numpy alone.  Every sequence of power sums of a spectrum comes from
-`_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`, but the
-Tr(K^r) of the contract, which `_gram_norms` steps from depth to depth.
+`_power_sums`, every Tr(A^k) of a dense matrix from `_trace_power`.
 """
 
 from __future__ import annotations
@@ -238,41 +236,28 @@ def _power_sums(vals, k):
     return sums
 
 
-def _gram_norms(q, depths):
-    """(Tr X, ||X||_F^2) of the depth-r Gram matrix X for each r in depths, in
-    order: Tr X = N^r (unit diagonal) and ||X||_F^2 = Tr(K^r),
-    K[(a,b),(c,d)] = |Q_{ab,cd}|^2, from one K per call, at a cost independent
-    of N^r.  A depth that follows the one before it takes one product of a
-    running power K^{r-1} with K, and Tr(K^{r-1} K) as one dot product, K
-    being symmetric since Q_{cd,ab} = conj(Q_{ab,cd}); any other depth,
-    among them the first, takes `_trace_power`, so one depth costs what it
-    costs alone."""
+def _gram_norms(q, r):
+    """Tr X = N^r (unit diagonal) and ||X||_F^2 = Tr(K^r) of the depth-r Gram
+    matrix, K[(a,b),(c,d)] = |Q_{ab,cd}|^2, at a cost independent of r."""
     n = q.shape[0]
     k = np.abs(q.reshape(n * n, n * n)) ** 2
-    power, last = None, None  # power = K^{r-1} once r follows last
-    for r in depths:
-        if r - 1 != last:
-            power, frob_sq = None, _trace_power(k, r)
-        else:
-            power = np.linalg.matrix_power(k, last) if power is None else power @ k
-            frob_sq = np.vdot(power, k)
-        last = r
-        yield n**r, float(frob_sq)
+    return float(n**r), float(_trace_power(k, r))
 
 
-def _certified_spectrum(vals, zeros, norms, r):
-    """The spectrum (vals, zeros) of the depth-r Gram matrix X, vals the solved
-    eigenvalues sorted in place and zeros the count of exact zeros, once it
-    passes the contract of both routes against norms = (Tr X, ||X||_F^2) of
-    `_gram_norms`, else `EigensolverError`: len(vals) + zeros = Tr X = N^r
-    (the trace identities miss a lost zero), and vals reproduce both norms to
-    1e-9 relative, which catches a bad, lost or duplicated eigenvalue."""
+def _certified_spectrum(vals, zeros, q, r):
+    """The spectrum (vals, zeros) of the depth-r Gram matrix X of the profile
+    q, vals the solved eigenvalues sorted in place and zeros the count of
+    exact zeros, once it passes the contract of both routes, else
+    `EigensolverError`: len(vals) + zeros = N^r (the trace identities miss a
+    lost zero), and vals reproduce `_gram_norms` to 1e-9 relative, which
+    catches a bad, lost or duplicated eigenvalue."""
     vals.sort()
-    dim = norms[0]
+    dim = q.shape[0] ** r
     if len(vals) + zeros != dim:
         raise EigensolverError(f"depth-{r} spectrum has {len(vals) + zeros} eigenvalues, "
                                f"not N^r = {dim}")
-    for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals), norms):
+    for what, got, want in zip(("sum l", "sum l^2"), (vals.sum(), vals @ vals),
+                               _gram_norms(q, r)):
         if not abs(got - want) <= EIGEN_RESIDUAL_TOL * abs(want):
             raise EigensolverError(f"depth-{r} spectrum fails the trace identity "
                                    f"{what} = {want:.12g}: got {got:.12g}")
@@ -301,7 +286,7 @@ def _structured_factors(q, depths):
     """
     m, n = q.shape
     ratio = (q[:, :, None] / q[:, None, :]).reshape(m, n * n)  # Q[m, a] / Q[m, b] at (m, a n + b)
-    out = np.empty((sum((m * n) ** (r - 1) for r in depths), n, m), dtype=complex)
+    out = np.empty((sum([(m * n) ** (r - 1) for r in depths]), n, m), dtype=complex)
     lo = 0
     for r in depths:
         mu, steps = _structured_plan(m, n, r)
@@ -495,16 +480,15 @@ def _structured_spectra(factors, q, depths):
     Every depth is solved at the first draw: one stack of the factors of all
     depths and one `_block_eigenvalues` call, whose rows are split by each
     depth's block count; each depth is then sorted and certified as it is
-    drawn, against the norms of one `_gram_norms` call, so a fault in one
-    depth's rows raises when that depth is drawn."""
+    drawn, so a fault in one depth's rows raises when that depth is drawn."""
     m, n, phases = factors
     vals = _block_eigenvalues(_structured_factors(phases, depths))
     lo = 0
-    for r, norms in zip(depths, _gram_norms(q, depths)):
+    for r in depths:
         blocks = (m * n) ** (r - 1)
+        yield _certified_spectrum(vals[lo:lo + blocks].ravel(),
+                                  (m * n) ** r - blocks * min(m, n), q, r)
         lo += blocks
-        yield _certified_spectrum(vals[lo - blocks:lo].ravel(),
-                                  (m * n) ** r - blocks * min(m, n), norms, r)
 
 
 def _block_eigenvalues(v):
@@ -634,8 +618,7 @@ def _sector_spectrum(q, r, gens=()):
                               f"||X - X^*||_F = {np.sqrt(skew_sq):.3e} > {tol:.1e}")
     vals = np.concatenate([v.ravel() for part, times in solved
                            for v in [np.linalg.eigvalsh(part)] * times])
-    [norms] = _gram_norms(q, [r])
-    return _certified_spectrum(vals, 0, norms, r)
+    return _certified_spectrum(vals, 0, q, r)
 
 
 def _squared_norm(x):

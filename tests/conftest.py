@@ -42,7 +42,7 @@ FRESH_ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.
 
 
 def tao6_matrix():
-    return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(gram_oracle.TAO6_EXPONENTS)), "tao6")
+    return ht.hadamard(gram_oracle.tao6_array(), "tao6")
 
 
 def _phased(h, cols=True):

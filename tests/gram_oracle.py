@@ -18,6 +18,11 @@ TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0],
                   [0, 2, 1, 2, 1, 0]]
 
 
+def tao6_array():
+    """Tao's matrix w^E as an array, E = TAO6_EXPONENTS."""
+    return np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS))
+
+
 def gram_vectors(arr, r):
     """The N^r unit vectors of the N x N array arr whose Gram matrix is X,
     one per row, multi-indices row-major (first digit most significant)."""

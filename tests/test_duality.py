@@ -201,8 +201,7 @@ def test_selfduality_catches_a_fault_that_keeps_the_contract(monkeypatch, m, n, 
 
     def rotating(q, r, gens=()):
         vals, zeros = exact(q, r, gens)
-        [norms] = spectra._gram_norms(q, [r])
-        return spectra._certified_spectrum(_rotated_about_ones(vals), zeros, norms, r)
+        return spectra._certified_spectrum(_rotated_about_ones(vals), zeros, q, r)
 
     monkeypatch.setattr(spectra, "_sector_spectrum", rotating)
     report = ht.dita_selfduality_residual(m, n, ht.seeded_phase_matrix(m, n, 7), depth, depth)

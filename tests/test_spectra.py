@@ -177,7 +177,7 @@ def test_cap_refuses_a_power_without_forming_it():
 
 def _assert_certificate_matches_dense(h, r):
     x = ht.gram_matrix(h, r)
-    [(trace, frob_sq)] = spectra._gram_norms(ht.profile(h), [r])
+    trace, frob_sq = spectra._gram_norms(ht.profile(h), r)
     assert trace == h.n**r
     assert np.trace(x).real == pytest.approx(trace, rel=1e-12)
     assert np.linalg.norm(x) ** 2 == pytest.approx(frob_sq, rel=1e-12)
@@ -194,16 +194,6 @@ def test_certificate_matches_dense_gram(corpus_matrix, r):
 def test_certificate_matches_dense_gram_complex(h):
     x = _assert_certificate_matches_dense(h, 3)
     assert np.abs(x.imag).max() > 1e-2
-
-
-def test_certificate_steps_through_depths(corpus_matrix):
-    # a depth after the one before takes the running power of K, any other
-    # depth `_trace_power`: the norms of a depth alone either way
-    q = ht.profile(corpus_matrix)
-    depths = [1, 2, 3, 4, 2, 3, 1]
-    for r, (trace, frob_sq) in zip(depths, spectra._gram_norms(q, depths)):
-        [(want_trace, want_frob_sq)] = spectra._gram_norms(q, [r])
-        assert trace == want_trace and frob_sq == pytest.approx(want_frob_sq, rel=1e-12)
 
 
 def test_spectrum_argument_checks():

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import FRESH_ENV
 
@@ -105,24 +106,31 @@ def test_code_lines_against_a_revision(tmp_path):
     assert code_lines(str(package)) == {"added": 2, "changed": 4, "kept": 1}
 
 
-def ab(*args):
-    """`tools/ab.py` run in a fresh interpreter: (exit status, stdout lines, stderr)."""
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *args],
-                          env=FRESH_ENV, capture_output=True, text=True)
-    return proc.returncode, proc.stdout.splitlines(), proc.stderr
+def ab_tool():
+    """`tools/ab.py`, imported as a module."""
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
-def test_ab_against_a_revision(tmp_path):
+def test_ab_against_a_revision(tmp_path, capsys):
     # a copy of the package committed in a repository of its own, compared on
     # the results of one input: the same revision reads bitwise, a changed
     # constant is flagged, and a bad revision, or a module that imports the
     # package by name, exits 2 before any result is run
+    tool = ab_tool()
     package = tmp_path / "hadtrunc"
     shutil.copytree(ROOT / "src" / "hadtrunc", package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     commit_all(tmp_path)
-    which = ["--match", "dita(2,2;seed=1)"]
-    code, out, _ = ab(str(package), "--against", "HEAD", *which)
+    cases = [case for case in tool.CASES if "dita(2,2;seed=1)" in case[0]]
+
+    def compare():
+        code = tool.compare(package, "HEAD", cases)
+        return code, capsys.readouterr().out.splitlines()
+
+    code, out = compare()
     assert code == 0 and out[-1] == "6 of 6 results bitwise equal"
     assert [line.split("  ")[0].split()[0] for line in out[:-1]] == [
         "spectra", "moments", "spectra", "moments", "duality", "selfduality"]
@@ -131,22 +139,25 @@ def test_ab_against_a_revision(tmp_path):
     spectra = package / "spectra.py"
     spectra.write_text(spectra.read_text().replace("EIGEN_RESIDUAL_TOL = 1e-9",
                                                    "EIGEN_RESIDUAL_TOL = -1.0"))
-    code, out, _ = ab(str(package), "--against", "HEAD", *which)
+    code, out = compare()
     assert code == 1 and out[-1] == "0 of 6 results bitwise equal"
     assert all("changed: at REV returns, now raises EigensolverError: depth-1 spectrum"
                in line for line in out[:-1])
 
-    code, out, err = ab(str(package), "--against", "no-such-rev", *which)
-    assert code == 2 and not out and "no-such-rev" in err
+    def refused(rev):
+        with pytest.raises(SystemExit) as stop:
+            tool.main([str(package), "--against", rev])
+        captured = capsys.readouterr()
+        assert stop.value.code == 2 and not captured.out
+        return captured.err
+
+    assert "no-such-rev" in refused("no-such-rev")
     (package / "extra.py").write_text("import hadtrunc.spectra\n")
-    code, out, err = ab(str(package), "--against", "HEAD", *which)
-    assert code == 2 and not out and "imports itself by name in extra.py" in err
+    assert "imports itself by name in extra.py" in refused("HEAD")
 
 
 def test_ab_verdicts():
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = ab_tool()
     one = [np.array([1.0, -0.0]), np.array(3)]
     assert tool.verdict(one, [np.array([1.0, -0.0]), np.array(3)]) == "bitwise"
     # -0.0 and 0.0 are equal, not the same bytes; a zero on both sides is no difference

@@ -1,7 +1,7 @@
 """Compare the results of the package at a git revision with those of the
 working tree, over one committed list of results.
 
-    python tools/ab.py [PACKAGE_DIR] --against REV [--match TEXT]
+    python tools/ab.py [PACKAGE_DIR] --against REV
 
 PACKAGE_DIR defaults to the src/hadtrunc next to this script.  The package
 at REV is read with `git archive` into a temporary directory, so neither the
@@ -18,13 +18,14 @@ reads
     changed ...            a changed shape, or an exception on one side, or
                            a different one on each.
 
-With --match, only the results whose names contain TEXT are run.  The exit
-status is 0 when every result is bitwise equal, 1 when one is not, and 2 on
-a bad REV, a package that imports itself by name, or no result matched.
+The exit status is 0 when every result is bitwise equal, 1 when one is not,
+and 2 on a bad REV or a package that imports itself by name.  Tao's matrix
+comes from `tests/gram_oracle.py` of the repository that holds this script.
 """
 
 import argparse
 import ast
+import functools
 import importlib
 import importlib.util
 import io
@@ -36,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-TAO6_EXPONENTS = [[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 2, 1],
-                  [0, 1, 2, 0, 1, 2], [0, 2, 2, 1, 0, 1], [0, 2, 1, 2, 1, 0]]
+ROOT = Path(__file__).resolve().parent.parent
 # The test corpus, Tao's 6 x 6 matrix, and the inputs that earlier parity
 # checks of the structured and sector routes ran on.
 INPUTS = ["fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "fourier:7",
@@ -49,13 +49,23 @@ DIM = 4096  # the default size cap: every depth with N^r <= DIM is run
 WORD = 4  # p_max of the moment tables, the duality and the self-duality grids
 
 
+@functools.cache
+def _gram_oracle():
+    """tests/gram_oracle.py, which holds the one definition of Tao's matrix."""
+    spec = importlib.util.spec_from_file_location("gram_oracle",
+                                                  ROOT / "tests" / "gram_oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _matrix(ht, spec):
     """The matrix of a spec string, of "tao6", or, for a name ending in ^t,
     the transpose of the matrix before it."""
     if spec.endswith("^t"):
         return ht.transpose(_matrix(ht, spec[:-2]))
     if spec == "tao6":
-        return ht.hadamard(np.exp(2j * np.pi / 3 * np.array(TAO6_EXPONENTS)), "tao6")
+        return ht.hadamard(_gram_oracle().tao6_array(), "tao6")
     return ht.build_matrix(spec)
 
 
@@ -142,6 +152,10 @@ def self_imports(package):
     return found
 
 
+class Refused(Exception):
+    """A revision or a package that cannot be compared."""
+
+
 def load(path, name):
     """The package at path, imported as name, with its submodules under it."""
     spec = importlib.util.spec_from_file_location(name, path / "__init__.py",
@@ -152,44 +166,58 @@ def load(path, name):
     return module
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "src" / "hadtrunc")
-    parser.add_argument("--against", metavar="REV", required=True,
-                        help="the git revision whose package is compared with the working tree")
-    parser.add_argument("--match", metavar="TEXT", default="",
-                        help="run only the results whose names contain TEXT")
-    args = parser.parse_args(argv)
-    cases = [case for case in CASES if args.match in case[0]]
-    if not cases:
-        parser.error(f"no result name contains {args.match!r}")
-    sys.dont_write_bytecode = True  # leave no bytecode in the working tree
-    with tempfile.TemporaryDirectory() as tmp:
-        rev = Path(tmp) / args.package.name
-        proc = subprocess.run(["git", "-C", str(args.package), "archive", args.against],
-                              capture_output=True)
-        if proc.returncode:
-            parser.error(proc.stderr.decode().strip() or f"git archive {args.against} failed")
-        with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
-            tar.extractall(rev, filter="data")
-        if not (rev / "__init__.py").is_file():
-            parser.error(f"{args.against} has no package at {args.package}")
-        for side, path in (("REV", rev), ("the working tree", args.package)):
-            found = self_imports(path)
-            if found:
-                parser.error(f"the package in {side} imports itself by name in "
-                             f"{', '.join(found)}, so its copies would mix")
-        copies = [load(path, f"{args.package.name}_{suffix}")
-                  for suffix, path in (("rev", rev), ("now", args.package))]
-        verdicts = [(name, verdict(*(_outcome(package, run, argument) for package in copies)))
-                    for name, run, argument in cases]
+def compare(package, rev, cases):
+    """Print one verdict per case of cases, (name, run, argument), between the
+    package at rev and the one at package, and a count; return 0 when all are
+    bitwise equal, else 1.  Refused on a bad rev or a package that imports
+    itself by name, before any case is run.  The two copies are dropped from
+    sys.modules afterwards, so a later call loads them afresh."""
+    names = [f"{package.name}_{suffix}" for suffix in ("rev", "now")]
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # none in the working tree
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            then = Path(tmp) / package.name
+            proc = subprocess.run(["git", "-C", str(package), "archive", rev],
+                                  capture_output=True)
+            if proc.returncode:
+                raise Refused(proc.stderr.decode().strip() or f"git archive {rev} failed")
+            with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+                # the "data" filter where it exists: Python 3.12, 3.11.4, 3.10.12
+                tar.extractall(then, **({"filter": "data"} if hasattr(tarfile, "data_filter")
+                                        else {}))
+            if not (then / "__init__.py").is_file():
+                raise Refused(f"{rev} has no package at {package}")
+            for side, path in (("REV", then), ("the working tree", package)):
+                found = self_imports(path)
+                if found:
+                    raise Refused(f"the package in {side} imports itself by name in "
+                                  f"{', '.join(found)}, so its copies would mix")
+            copies = [load(path, name) for path, name in zip((then, package), names)]
+            verdicts = [(name, verdict(*(_outcome(copy, run, argument) for copy in copies)))
+                        for name, run, argument in cases]
+    finally:
+        sys.dont_write_bytecode = writes
+        for name in [key for key in sys.modules if key.split(".")[0] in names]:
+            del sys.modules[name]
     width = max(len(name) for name, _ in verdicts)
     for name, said in verdicts:
         print(f"{name:{width}}  {said}")
     same = sum(said == "bitwise" for _, said in verdicts)
     print(f"{same} of {len(verdicts)} results bitwise equal")
     return 0 if same == len(verdicts) else 1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=ROOT / "src" / "hadtrunc")
+    parser.add_argument("--against", metavar="REV", required=True,
+                        help="the git revision whose package is compared with the working tree")
+    args = parser.parse_args(argv)
+    try:
+        return compare(args.package, args.against, CASES)
+    except Refused as err:
+        parser.error(str(err))
 
 
 if __name__ == "__main__":
