@@ -29,7 +29,7 @@ _HOME = {name: module for module, names in {
               "MagicGridError MomentImagError SpecSyntaxError",
     "magic": "MagicGrid grid_relations_check magic_grid truncated_integral_word "
              "truncation_tensor verify_magic",
-    "matrices": "HadamardMatrix ValidationReport adjoint conjugate dephase dita fourier "
+    "matrices": "HadamardMatrix ValidationReport adjoint conjugate dita fourier "
                 "fourier_group hadamard load_matrix save_matrix seeded_phase_matrix "
                 "tensor transpose validate",
     "spectra": "MomentTable SpectralMeasure cesaro_moments gram_matrix "

@@ -203,14 +203,6 @@ def _dephased(arr):
     return out
 
 
-def dephase(h):
-    """Equivalent matrix with first row and first column all equal to 1
-    (`_dephased`).  Idempotent, and absorbs any row/column phase
-    multiplications of the input.
-    """
-    return _derived(h, _dephased(h.array), "dephase")
-
-
 # -- JSON serialization -------------------------------------------------------
 
 def matrix_to_dict(h):

@@ -83,11 +83,12 @@ zeros / N^r.
 Each route is split into a plan and a numeric step.  The plans
 (`_sector_plan(n, r, gens)`, `_structured_plan(m, n, r)`,
 `_recognition_plan(size)`, `_involution_plan(n)`) hold the index work that
-depends only on the shape: the orbits of Z_r x A, the reversal pairing, the
-block selections and phase roots, the R-parity order of the blocks of k = 0
-and r/2, the character table, the batches the blocks are solved in, one row
-of an array per block; the kappa/mu and coset tables of dita(M, N) at depth
-r; the factorizations, shuffle maps and F_M (x) F_N waves of one size; the
+depends only on the shape: the orbits of Z_r x A, read from one table of
+its action on the flat indices, the reversal pairing, the block selections
+and phase roots, the R-parity order of the blocks of k = 0 and r/2, the
+character table, the batches the blocks are solved in, one row of an array
+per block; the kappa/mu and coset tables of dita(M, N) at depth r; the
+factorizations, shuffle maps and F_M (x) F_N waves of one size; the
 involutions of S_N that the search tests.  They are keyed on integers alone,
 gens a tuple of permutation tuples, hold nothing computed from a matrix's
 entries, and are memoized in caches of at most _PLAN_CACHE_SIZE shapes each,
@@ -185,21 +186,6 @@ def gram_matrix(h, r, cap=DEFAULT_CAP):
     _admit_depth(h.n, r, cap)
     digits = multi_indices(h.n, r)
     return _product_over_cycle(profile(h), digits, digits, r)
-
-
-def _cyclic_orbits(n, r):
-    """Orbits of the cyclic shift P: (a_1, ..., a_r) -> (a_2, ..., a_r, a_1)
-    on the flat depth-r multi-indices.
-
-    Returns (rots, reps): rots[m] is every flat index rotated m places, and
-    reps are the orbit minima (ascending).
-    """
-    dim = n**r
-    rots = np.empty((r, dim), dtype=np.intp)
-    rots[0] = np.arange(dim)
-    for m in range(1, r):
-        rots[m] = rots[m - 1] % n ** (r - 1) * n + rots[m - 1] // n ** (r - 1)
-    return rots, np.flatnonzero(rots.min(axis=0) == rots[0])
 
 
 def _trace_power(a, k):
@@ -649,13 +635,15 @@ def _sector_blocks(gathered, waves, at, cols, p, c, left, right):
 def _sector_plan(n, r, gens=()):
     """The shape-only part of `_sector_spectrum` for N = n at depth r and the
     group A generated by the commuting involutions gens of [0, n), a tuple
-    of permutation tuples: from the shift orbits of `_cyclic_orbits`, merged
-    into the orbits of G = Z_r x A, their stabilizers S_alpha, reversal
-    pairing sigma and group elements j_alpha, (rows, cols, chars, batches):
-    the digits of the gathered rows g A_alpha (g major, alpha among the rows
-    that reversal keeps, the reversed pairs before the palindromic orbits)
-    and columns A_beta, the character table chars[chi, g] = chi(g)/|G|, and
-    the nonempty blocks, one per character chi, in batches.
+    of permutation tuples: from the table acts[g, A] = g A of the action of
+    G = Z_r x A on the flat indices, whose column minima are the orbit
+    minima A_alpha and label every index by its orbit, the stabilizers
+    S_alpha, reversal pairing sigma and group elements j_alpha,
+    (rows, cols, chars, batches): the digits of the gathered rows g A_alpha
+    (g major, alpha among the rows that reversal keeps, the reversed pairs
+    before the palindromic orbits) and columns A_beta, the character table
+    chars[chi, g] = chi(g)/|G|, and the nonempty blocks, one per character
+    chi, in batches.
 
     Block chi has rows u and v per reversed pair it keeps, p of them, and
     a row g per palindromic orbit: c + p rows for c orbit classes, which
@@ -686,7 +674,8 @@ def _sector_plan(n, r, gens=()):
     their smaller eigensolves save once they are small, so only the first k
     of gens with N^r >= _MIN_BLOCK r 2^k are used: at least 16 rows per
     character on average.  Element b of A is the product of the generators j
-    with bit j of b set, g = (m, b) = P^m b sits at m |A| + b, and
+    with bit j of b set, g = (m, b) = P^m b sits at m |A| + b (row block
+    m of acts is row block m - 1 rotated one place), and
     chi = (k, e) at k |A| + e has chi(m, b) = w^{km} (-1)^{|e & b|}, so the
     table is the Kronecker product of the r x r DFT matrix and the Sylvester
     matrix of A; with A = 1 it is the DFT matrix (1/r) w^{km} and each orbit
@@ -698,17 +687,18 @@ def _sector_plan(n, r, gens=()):
     while gens and n**r < _MIN_BLOCK * r * 2 ** len(gens):
         gens = gens[:-1]
     digits = multi_indices(n, r)
-    rots, reps = _cyclic_orbits(n, r)
     elems, signs = np.arange(n)[None], np.ones((1, 1))  # A and its characters
     for gen in gens:
         elems = np.concatenate([elems, np.take(gen, elems)])
         signs = np.kron([[1.0, 1.0], [1.0, -1.0]], signs)
-    moved = elems[:, digits] @ n ** np.arange(r - 1, -1, -1)  # b on the flat indices
-    orbit = np.full(n**r, -1)  # the orbit of each flat index, as a position in reps
-    orbit[rots[:, reps]] = np.arange(len(reps))
-    reps = reps[(reps[orbit[moved[:, reps]]] >= reps).all(axis=0)]  # the G-orbit minima
-    acts = rots[:, moved].reshape(-1, n**r)  # g A for every flat index A
-    orbit[acts[:, reps]] = np.arange(len(reps))
+    acts = np.empty((r, len(elems), n**r), dtype=np.intp)  # g A for every flat index A
+    acts[0] = elems[:, digits] @ n ** np.arange(r - 1, -1, -1)  # b on the flat indices
+    for m in range(1, r):  # P^m b: the images of P^{m-1} b, rotated one place
+        acts[m] = acts[m - 1] % n ** (r - 1) * n + acts[m - 1] // n ** (r - 1)
+    acts = acts.reshape(-1, n**r)
+    least = acts.min(axis=0)
+    reps = np.flatnonzero(least == np.arange(n**r))  # the G-orbit minima
+    orbit = np.searchsorted(reps, least)  # the orbit of each flat index, as a position in reps
     chars = np.kron(matrices.fourier(r).array, signs)
     stab = acts[:, reps] == reps  # g in S_alpha
     order = stab.sum(axis=0)

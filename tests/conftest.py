@@ -115,7 +115,7 @@ assert {spectra._sector_plan, spectra._structured_plan,
 @pytest.fixture(autouse=True)
 def cold_plans():
     """Every test starts and ends with empty plan caches: a patched
-    `_cyclic_orbits` is reached, and a plan built under an injected fault
+    plan builder is reached, and a plan built under an injected fault
     never serves a later test."""
     for cache in PLAN_CACHES:
         cache.cache_clear()

@@ -282,11 +282,10 @@ def test_factor_spectrum_peak_memory():
     # Fourier blocks are built from; the Fourier-block route peaked at 6.9 MB
     # at dita(2,3;seed=7), r = 6.  The zeros are counted, not solved as 1 x 1
     # blocks, and the Gram batch gets no Hermiticity temporary: with both, the
-    # peaks were 2.64 and 4.33 MB at the last two cases.  The 2 x 2 blocks
-    # are solved in closed form, with no Gram batch: with one and eigvalsh,
-    # the peak was 2.06 MB at the second case.
-    for spec, r, bound in [("dita(2,3;seed=7)", 6, 4e6), ("dita(2,3;seed=7)", 6, 1.8e6),
-                           ("dita(3,3;seed=1)", 5, 3.8e6)]:
+    # peaks were 2.64 and 4.33 MB at the two cases.  The 2 x 2 blocks are
+    # solved in closed form, with no Gram batch: with one and eigvalsh, the
+    # peak was 2.06 MB at the first case.  Each case builds its plans cold.
+    for spec, r, bound in [("dita(2,3;seed=7)", 6, 1.8e6), ("dita(3,3;seed=1)", 5, 3.8e6)]:
         h = ht.build_matrix(spec)
         tracemalloc.start()
         try:

@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "HadamardMatrix", "HadamardValidationError", "MagicGrid", "MagicGridError",
     "MomentImagError", "MomentTable", "SpecSyntaxError", "SpectralMeasure",
     "ValidationReport", "adjoint", "bench_structured_vs_dense", "build_matrix",
-    "cesaro_moments", "conjugate", "dephase", "dita", "dita_selfduality_residual",
+    "cesaro_moments", "conjugate", "dita", "dita_selfduality_residual",
     "duality_residual", "fourier", "fourier_group", "gram_matrix",
     "grid_relations_check", "haar_moment_estimate", "hadamard", "load_matrix",
     "magic_grid", "measure_top_mass", "moment_table", "moments_via_T",
@@ -33,7 +33,7 @@ def test_public_names_are_pinned():
     names = {name for name in dir(ht)
              if not name.startswith("_") and not inspect.ismodule(getattr(ht, name))}
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46
     # every module attribute is a submodule of hadtrunc, bound by its import
     modules = {name: getattr(ht, name) for name in dir(ht) if inspect.ismodule(getattr(ht, name))}
     assert modules and all(module.__name__ == f"hadtrunc.{name}"

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from math import gcd
 
@@ -768,17 +769,16 @@ def test_non_hermitian_gram_rejected(monkeypatch, generic_route, consumer, fault
     [(name, (consumer,)) for name, consumer in SPECTRUM_CONSUMERS.items()]),
     indirect=["generic_route"])
 def test_non_cyclic_gram_rejected(monkeypatch, generic_route, consumer):
-    exact = spectra._cyclic_orbits
+    exact = spectra._sector_plan
 
-    def unrotated(n, r):
-        # Every "rotation" is the identity: the sector blocks stay Hermitian,
-        # but only the orbit minima are labelled, so they lose most rows of X
-        # (4 eigenvalues of 256 at depth 4).
-        rots, reps = exact(n, r)
-        rots[:] = rots[0]
-        return rots, reps
+    def lossy(n, r, gens=()):
+        # The first batch, which holds the character (0, 0) and is always
+        # built, is dropped wherever another batch is left: the blocks stay
+        # Hermitian, but their eigenvalues miss the rows of that batch.
+        rows, reps, chars, batches = exact(n, r, gens)
+        return rows, reps, chars, batches[1:] or batches
 
-    monkeypatch.setattr(spectra, "_cyclic_orbits", unrotated)
+    monkeypatch.setattr(spectra, "_sector_plan", lossy)
     with pytest.raises(EigensolverError, match=r"eigenvalues, not N\^r = "):
         consumer(ht.build_matrix("dita(2,2;seed=7)"))
 
@@ -1237,6 +1237,26 @@ def test_dita_factors_recognize_equivalent(structured_calls, spec, m, n):
     assert np.abs(vals - sector_route(h, 2)).max() <= 1e-12 * h.n
 
 
+# dita(M, N, Q) with its columns alone shuffled, j N + b -> b M + j, and
+# again with seeded row and column phases: only the fourth index map of
+# `_recognition_plan` restores it.
+@pytest.mark.parametrize("m, n, seed", [(2, 3, 7), (3, 2, 5), (3, 3, 1)])
+def test_dita_factors_recognize_column_shuffle(structured_calls, m, n, seed):
+    h = ht.dita(m, n, ht.seeded_phase_matrix(m, n, seed))
+    shuffled = h.array[:, _shuffle(m, n)]
+    d1, d2 = np.exp(2j * np.pi * np.random.default_rng(seed).random((2, m * n)))
+    depths = range(1, 4)
+    plain = list(spectra._gram_spectra(h, depths))
+    for arr, phased in ((shuffled, False), (d1[:, None] * shuffled * d2, True)):
+        assert spectra._dita_factors(arr)[:2] == (m, n)
+        for got, want in zip(spectra._gram_spectra(ht.hadamard(arr), depths), plain):
+            if phased:
+                assert np.abs(expanded(got) - expanded(want)).max() <= 1e-12 * h.n
+            else:
+                assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
+    assert structured_calls == [(m, n, r) for r in depths] * 3
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_dita_factors_recognize_large_fourier(n):
     assert spectra._dita_factors(ht.fourier(n).array)[:2] == (2, n // 2)
@@ -1522,14 +1542,15 @@ def _plan_arrays(plan):
 
 
 def test_plans_built_once_per_shape(monkeypatch):
-    exact = spectra._cyclic_orbits
+    exact = spectra._sector_plan.__wrapped__
     orbits = []
 
-    def spy(n, r):
+    @functools.lru_cache(maxsize=spectra._PLAN_CACHE_SIZE)
+    def spy(n, r, gens=()):
         orbits.append((n, r))
-        return exact(n, r)
+        return exact(n, r, gens)
 
-    monkeypatch.setattr(spectra, "_cyclic_orbits", spy)
+    monkeypatch.setattr(spectra, "_sector_plan", spy)
     q = ht.seeded_phase_matrix(2, 3, 7)
     h = ht.dita(2, 3, q)
     for _ in range(2):  # H on sectors, split by its one column involution, H^t structured

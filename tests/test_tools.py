@@ -131,18 +131,21 @@ def test_ab_against_a_revision(tmp_path, capsys):
         return code, capsys.readouterr().out.splitlines()
 
     code, out = compare()
-    assert code == 0 and out[-1] == "6 of 6 results bitwise equal"
+    kinds = ["spectra", "moments", "laws", "haar", "plans"]
+    assert code == 0 and out[-1] == "12 of 12 results bitwise equal"
     assert [line.split("  ")[0].split()[0] for line in out[:-1]] == [
-        "spectra", "moments", "spectra", "moments", "duality", "selfduality"]
+        *kinds, *kinds, "duality", "selfduality"]
     assert all(line.endswith("  bitwise") for line in out[:-1])
 
+    # every result but the sector plans, which hold no tolerance, is refused
     spectra = package / "spectra.py"
     spectra.write_text(spectra.read_text().replace("EIGEN_RESIDUAL_TOL = 1e-9",
                                                    "EIGEN_RESIDUAL_TOL = -1.0"))
     code, out = compare()
-    assert code == 1 and out[-1] == "0 of 6 results bitwise equal"
-    assert all("changed: at REV returns, now raises EigensolverError: depth-1 spectrum"
-               in line for line in out[:-1])
+    assert code == 1 and out[-1] == "2 of 12 results bitwise equal"
+    for line in out[:-1]:
+        assert line.endswith("  bitwise") if line.startswith("plans ") else (
+            "changed: at REV returns, now raises EigensolverError: depth-1 spectrum" in line)
 
     def refused(rev):
         with pytest.raises(SystemExit) as stop:
@@ -164,6 +167,11 @@ def test_ab_verdicts():
     assert tool.verdict(one, [np.array([1.0, 0.0]), np.array(3)]) == "max rel diff 0.0e+00"
     assert tool.verdict(one, [np.array([1.0 + 2e-16, -0.0]), np.array(3)]) == (
         "max rel diff 2.2e-16")
+    # a roundoff change near zero is scaled by the largest entry of its array,
+    # not by its own size (1.3e+00 entrywise); a NaN is a difference
+    assert tool.verdict([np.array([1e-17, 4.0])], [np.array([-3e-17, 4.0])]) == (
+        "max rel diff 1.0e-17")
+    assert tool.verdict(one, [np.array([np.nan, -0.0]), np.array(3)]) == "max rel diff nan"
     assert tool.verdict(one, [np.array([1.0]), np.array(3)]) == (
         "changed shape: [(2,), ()] at REV, now [(1,), ()]")
     assert tool.verdict("ValueError: x", "ValueError: x") == "bitwise"

@@ -7,14 +7,18 @@ PACKAGE_DIR defaults to the src/hadtrunc next to this script.  The package
 at REV is read with `git archive` into a temporary directory, so neither the
 working tree nor the index is touched, and both copies are loaded in one
 process under distinct names; neither may import itself by name, which is
-checked first.  Each result of CASES (the Gram spectra that one
-`spectra._gram_spectra` call hands over for every depth with N^r <= 4096,
-the moment tables over those depths, of H and of H^t, the duality grids and
-the self-duality grids) is computed by both copies, and one line per result
-reads
+checked first.  Each result of CASES is computed by both copies: of H and
+of H^t, the Gram spectra that one `spectra._gram_spectra` call hands over
+for every depth with N^r <= 4096, the moment tables over those depths, the
+atoms of `truncated_law` at each of them, the Haar estimates at each p with
+N^p <= 4096, and the sector plans with the column involutions found at
+every depth (the plans of every input and depth that takes the sector
+route, and of some that do not); then the duality grids and the
+self-duality grids.  One line per result reads
 
     bitwise                the same bytes in both, or the same exception;
-    max rel diff 2.2e-16   the largest entrywise |a - b| / max(|a|, |b|);
+    max rel diff 2.2e-16   the largest |a - b| of two arrays over the largest
+                           |entry| of either, the worst over the arrays;
     changed ...            a changed shape, or an exception on one side, or
                            a different one on each.
 
@@ -86,6 +90,32 @@ def _moments(ht, spec):
     return [table.c, table.gamma]
 
 
+def _laws(ht, spec):
+    h = _matrix(ht, spec)
+    return [np.array(ht.truncated_law(h, r).atoms) for r in range(1, _deepest(h.n) + 1)]
+
+
+def _haar(ht, spec):
+    h = _matrix(ht, spec)
+    return [np.array(ht.haar_moment_estimate(h, p)) for p in range(1, _deepest(h.n) + 1)]
+
+
+def _arrays(plan):
+    """The arrays and integers of a nested plan tuple, in order, None as an
+    empty array."""
+    if isinstance(plan, tuple):
+        return [arr for part in plan for arr in _arrays(part)]
+    return [np.array([]) if plan is None else np.asarray(plan)]
+
+
+def _plans(ht, spec):
+    h = _matrix(ht, spec)
+    spectra = importlib.import_module(f"{ht.__name__}.spectra")
+    gens = spectra._column_symmetries(h.array)
+    return [arr for r in range(1, _deepest(h.n) + 1)
+            for arr in _arrays(spectra._sector_plan(h.n, r, gens))]
+
+
 def _duality(ht, spec):
     h = _matrix(ht, spec)
     return [ht.duality_residual(h, WORD, _deepest(h.n)).grid]
@@ -101,7 +131,8 @@ def _selfduality(ht, dita):
 # (name, run, argument): run(package, argument) returns a list of arrays
 CASES = ([(f"{kind} {spec}{side}", run, spec + side)
           for spec in INPUTS for side in ("", "^t")
-          for kind, run in (("spectra", _spectra), ("moments", _moments))]
+          for kind, run in (("spectra", _spectra), ("moments", _moments), ("laws", _laws),
+                            ("haar", _haar), ("plans", _plans))]
          + [(f"duality {spec}", _duality, spec) for spec in INPUTS]
          + [(f"selfduality dita({m},{n};seed={seed})", _selfduality, (m, n, seed))
             for m, n, seed in DITAS])
@@ -127,14 +158,13 @@ def verdict(then, now):
         return f"changed shape: {shapes[0]} at REV, now {shapes[1]}"
     if all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(then, now)):
         return "bitwise"
-    worst = 0.0
+    ratios = []
     for a, b in zip(then, now):
         a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-        diff = np.abs(a - b)
-        rel = np.divide(diff, np.maximum(np.abs(a), np.abs(b)), out=np.zeros_like(diff),
-                        where=diff != 0)  # two zeros differ by nothing
-        worst = max(worst, float(np.max(rel, initial=0.0)))
-    return f"max rel diff {worst:.1e}"
+        diff = np.max(np.abs(a - b), initial=0.0)
+        if diff:  # two zeros differ by nothing
+            ratios.append(diff / max(np.max(np.abs(a)), np.max(np.abs(b))))
+    return f"max rel diff {np.max(ratios, initial=0.0):.1e}"
 
 
 def self_imports(package):
