@@ -1,12 +1,15 @@
 """Numerical certification of the duality identities.
 
 The moment/truncation duality states gamma_p^r(H) = gamma_r^p(H^t), where
-gamma_p^r = c_p^r / N^p; for deformed Fourier matrices the stronger
-self-duality c_p^r(H) = c_p^r(H^t) holds for every parameter matrix.  Both
-are exact identities, so residuals are expected to sit at roundoff and both
-checks pass below one fixed tolerance with plenty of headroom, PASS_TOL of
-`hadtrunc.errors`.  A report carries every residual, so another threshold can
-be applied to it by the caller.
+gamma_p^r = c_p^r / N^p.  In the package's definitions the stronger
+self-duality c_p^r(H) = c_p^r(H^t) holds for every square H, since X_r(H^t)
+has the spectrum of X_r(H) at every depth (proved in `spectra._cesaro`):
+that is derived here, not claimed by the paper, whose abstract proves mu = nu
+for deformed Fourier matrices only.  Both are exact identities, so
+residuals are expected to sit at roundoff and both checks pass below one
+fixed tolerance with plenty of headroom, PASS_TOL of `hadtrunc.errors`.  A
+report carries every residual, so another threshold can be applied to it by
+the caller.
 
 The self-duality report is a cross-route certificate, not an oracle of
 either route: H is solved from its sector blocks and H^t from its structured

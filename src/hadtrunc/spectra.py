@@ -14,13 +14,13 @@ normalized trace is the depth-r truncated measure, an atomic probability
 measure on [0, N].  The same moments are available through the truncation
 tensors of the magic grid, which gives a fully independent cross-check.
 
-Entrywise T_p(H) = X_p(H^*) / N, whose conjugate X_p(H^t) has the same
-spectrum, so the law, the moment table, the Cesaro averages and the Haar
-moments all reduce checked Gram spectra (`_gram_spectra`), the last two those
-of H^t through one Cesaro core (`_cesaro`), with the grid-product T_p as their
-oracle; so does the self-duality check of `hadtrunc.duality`, which draws
-H with recognition turned off, so from its sector blocks, and H^t by the
-default dispatch, so from its structured blocks: a cross-route certificate,
+The law, the moment table, the Cesaro averages and the Haar moments all
+reduce to checked Gram spectra of H (`_gram_spectra`), the last two through
+one Cesaro core (`_cesaro`), which shows why the truncation tensor T_p has
+the spectrum of X_p(H) / N, with the grid-product T_p as their oracle; so
+does the self-duality check of `hadtrunc.duality`, which draws H with
+recognition turned off, so from its sector blocks, and H^t by the default
+dispatch, so from its structured blocks: a cross-route certificate,
 not an oracle of either route, which the tests check against the Gram
 vectors of `tests/gram_oracle.py`.  That one dispatch point admits every
 depth of a call against the cap (`_admit_depth`) when it is called, and
@@ -926,11 +926,21 @@ def _cesaro(h, p, k_max, cap):
     sums (`_power_sums`), so memory is O(N^p + k_max) for any k_max.
 
     k_max >= 1 is admitted against the cap, as the length k_max^1 of the
-    output, before p >= 1 and before any spectrum is solved.  T_p(H) =
-    X_p(H^*) / N entrywise, so T_p is never built.  The profile of conj(H)
-    is the conjugate of that of H, so X_p(H^t) = conj X_p(H^*) has the same
-    spectrum, and T_p is solved as the depth-p Gram spectrum of H^t over N:
-    `_dita_factors` recognizes the transpose of every dita, not its adjoint.
+    output, before p >= 1 and before any spectrum is solved.  T_p is never
+    built: it has the spectrum of X_p(H) / N, for every square H, so lam is
+    the depth-p Gram spectrum of H itself over N.  Proof.  T_p(H) =
+    X_p(H^*) / N entrywise, and the profile of conj(H) is the conjugate of
+    that of H, so X_p(H^*) = conj X_p(H^t), which has the spectrum of
+    X_p(H^t).  Let V(H) be the square N^p x N^p matrix of the Gram vectors
+    of `tests/gram_oracle.py`, X_p(H) = V V^*, with
+
+        V(H)_{a,i} = N^{-p/2} prod_s H_{i_s a_s} conj(H_{i_s a_{s+1}}),
+
+    indices cyclic.  Then V(H^t)_{a,i} = N^{-p/2} prod_s H_{a_s i_s}
+    conj(H_{a_s i_{s-1}}), which is V(H)_{Ri,Ra}, R the reversal of a
+    multi-index: V(H^t) = P_R V(H)^T P_R with P_R its permutation matrix.
+    So X_p(H^t) = P_R conj(V^* V) P_R, which has the spectrum of V^* V, and
+    V is square, so that of X_p(H) = V V^*.
     lam leaves out the exact zeros of the structured route: a power sum, the
     count of eigenvalues at 1 and the gap below 1 are the same without them.
     """
@@ -939,7 +949,7 @@ def _cesaro(h, p, k_max, cap):
     check_cap(k_max, 1, cap)
     if p < 1:
         raise ValueError("word length p must be >= 1")
-    [(vals, _)] = _gram_spectra(matrices.transpose(h), [p], cap)
+    [(vals, _)] = _gram_spectra(h, [p], cap)
     lam = vals / h.n
     averages = np.cumsum(_power_sums(lam, k_max)) / np.arange(1, k_max + 1)
     increment = float(abs(averages[-1] - averages[-2])) if k_max > 1 else float("nan")
@@ -949,12 +959,11 @@ def _cesaro(h, p, k_max, cap):
 def cesaro_moments(h, p, k_max, cap=DEFAULT_CAP):
     """Cesaro averages of the depth-r moments c_p^r for r = 1..k_max.
 
-    c_p^r = Tr(T_p^r) = sum_lambda lambda^r over the spectrum of T_p, which is
-    that of X_p(H^t) / N (`_cesaro`); one spectrum of size N^p serves every
-    depth, so deep truncations cost O(N^p) each.  The k_max-long output is
-    admitted against the cap, as the length k_max^1, before any spectrum is
-    solved.  No convergence claim is made here; the last increment is
-    reported as a diagnostic only.
+    c_p^r = Tr(T_p^r) = sum_lambda lambda^r over the spectrum of T_p, that of
+    X_p(H) / N (`_cesaro`), so one spectrum of size N^p serves every depth.
+    The k_max-long output is admitted against the cap, as the length k_max^1,
+    before any spectrum is solved.  No convergence claim is made here; the
+    last increment is reported as a diagnostic only.
     """
     return _cesaro(h, p, k_max, cap)[1]
 
@@ -972,8 +981,8 @@ class HaarMomentEstimate(NamedTuple):
 def haar_moment_estimate(h, p, k_max=32, cap=DEFAULT_CAP):
     """Exact p-th Haar moment plus its Cesaro estimate.
 
-    T_p is PSD with spectrum in [0, 1], that of X_p(H^t) / N (`_cesaro`),
-    so the Cesaro limit of Tr(T_p^r) is the multiplicity of the eigenvalue
+    T_p is PSD with spectrum in [0, 1], that of X_p(H) / N (`_cesaro`), so
+    the Cesaro limit of Tr(T_p^r) is the multiplicity of the eigenvalue
     1: `rounded` counts the eigenvalues within HAAR_TOL of 1.  `estimate` is
     the Cesaro average s_{k_max} of `cesaro_moments`, and `converged` is set
     when the last two averages agree within HAAR_TOL and the estimate sits

@@ -81,6 +81,8 @@ NAMED_INPUTS = {
     "moved-fourier:8": lambda: _moved(ht.fourier(8)),
     "moved-phased": lambda: _moved(NAMED_INPUTS["phased"]()),
     "dephased-off-circle": _dephased_off_circle,
+    # neither symmetric nor a dita, and with no column involution
+    "phased-tao6": lambda: _phased(ht.hadamard(gram_oracle.tao6_array()[:, [0, 2, 4, 1, 5, 3]])),
 }
 
 
@@ -103,6 +105,21 @@ def expanded(spectrum):
 def gram_vector_oracle(spec, r):
     """The ascending spectrum of X, from the vectors of `gram_oracle`."""
     return gram_oracle.gram_spectrum(build_input(spec).array, r)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(matrix provenance, depth) of every Gram spectrum solved, in order."""
+    exact = spectra._gram_spectra
+    calls = []
+
+    def spy(h, depths, cap):
+        for r, spectrum in zip(depths, exact(h, depths, cap)):
+            calls.append((h.provenance, r))
+            yield spectrum
+
+    monkeypatch.setattr(spectra, "_gram_spectra", spy)
+    return calls
 
 
 # every memoized function of `spectra`, so that no cache, present or later,

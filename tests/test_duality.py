@@ -9,7 +9,7 @@ from hadtrunc.duality import atoms_agree
 from hadtrunc.errors import PASS_TOL
 from hadtrunc.spectra import SpectralMeasure
 
-from conftest import STRUCTURED_FAULTS, build_input
+from conftest import CORPUS_SPECS, STRUCTURED_FAULTS, build_input, expanded
 
 
 def test_duality_residual_corpus(corpus_matrix):
@@ -33,21 +33,6 @@ def test_duality_rectangular_grid():
     report = ht.duality_residual(ht.fourier(3), 2, 4)
     assert report.grid.shape == (2, 4)
     assert report.passed
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """(matrix provenance, depth) of every Gram spectrum solved, in order."""
-    exact = spectra._gram_spectra
-    calls = []
-
-    def spy(h, depths, cap):
-        for r, spectrum in zip(depths, exact(h, depths, cap)):
-            calls.append((h.provenance, r))
-            yield spectrum
-
-    monkeypatch.setattr(spectra, "_gram_spectra", spy)
-    return calls
 
 
 @pytest.fixture
@@ -242,13 +227,38 @@ def test_dita_selfduality_23():
 
 
 def test_dita_selfduality_is_not_generic():
-    # the per-(p, r) equality c_p^r(H) = c_p^r(H^t) is a feature of the
-    # deformed Fourier family, not a consequence of plain duality; check
-    # the machinery can in principle fail by feeding it a broken comparison
+    # the per-(p, r) equality c_p^r(H) = c_p^r(H^t), here on a deformed
+    # Fourier matrix through the grid oracle; it holds for every H, since
+    # X_r(H^t) has the spectrum of X_r(H) (`spectra._cesaro`), as
+    # test_selfduality_through_the_grid_needs_no_structure checks
     h = ht.build_matrix("dita(2,2;seed=7)")
     c = ht.moments_via_T(h, 2, 2)
     ct = ht.moments_via_T(ht.transpose(h), 2, 2)
     assert c == pytest.approx(ct, abs=1e-10)
+
+
+def test_selfduality_through_the_grid_needs_no_structure():
+    # the Tao variant is neither symmetric nor a dita, and has no column
+    # involution; its magic grid and that of H^t give the same c_p^r
+    h = build_input("phased-tao6")
+    for p in (1, 2, 3):
+        for r in (1, 2, 3):
+            c = ht.moments_via_T(h, p, r)
+            assert ht.moments_via_T(ht.transpose(h), p, r) == pytest.approx(c, rel=1e-14)
+
+
+# The corpus, tao6, a dita with a complex X_3, and the Tao variant
+@pytest.mark.parametrize("spec", [*CORPUS_SPECS, "tao6", "dita(3,3;seed=1)", "phased-tao6"])
+def test_transpose_keeps_spectra_and_table_is_symmetric(spec):
+    # identity B: X_r(H^t) has the spectrum of X_r(H) at every depth, on
+    # whatever routes the two sides take; identity A: gamma_p^r = gamma_r^p
+    h = build_input(spec)
+    depths = [r for r in range(1, 12) if h.n**r <= 1296]
+    sides = [spectra._gram_spectra(side, depths) for side in (h, ht.transpose(h))]
+    for spec_h, spec_t in zip(*sides):
+        assert np.abs(expanded(spec_h) - expanded(spec_t)).max() <= 1e-12 * h.n
+    gamma = ht.moment_table(h, depths[-1], depths[-1]).gamma[:, 1:]
+    assert np.abs(gamma - gamma.T).max() <= 1e-12
 
 
 def test_atoms_agree():

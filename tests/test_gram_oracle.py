@@ -20,6 +20,19 @@ def test_gram_vectors_check_depth():
         gram_oracle.gram_vectors(np.array([[1, 1], [1, -1]]), 0)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_transpose_reverses_gram_vectors(n, r):
+    # V(H^t) = P_R V(H)^T P_R for any square H, not only a Hadamard one,
+    # with P_R the reversal of every multi-index: the step of
+    # `spectra._cesaro`'s proof that X_r(H^t) has the spectrum of X_r(H)
+    rng = np.random.default_rng(10 * n + r)
+    arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    reverse = np.arange(n**r).reshape((n,) * r).transpose().ravel()
+    v = gram_oracle.gram_vectors(arr, r)
+    assert np.abs(gram_oracle.gram_vectors(arr.T, r) - v.T[np.ix_(reverse, reverse)]).max() < 1e-13
+
+
 def test_oracle_loads_no_hadtrunc_module():
     # hadtrunc is importable in the fresh interpreter, so only the oracle's
     # own imports keep it out

@@ -626,7 +626,7 @@ def test_truncation_tensor_is_adjoint_gram_tao6(tao6):
         t = ht.truncation_tensor(ht.magic_grid(tao6), p)
         x = ht.gram_matrix(ht.adjoint(tao6), p)
         assert np.abs(t - x / 6).max() < 1e-14
-        # X_p(H^t) = conj X_p(H^*): the matrix whose spectrum T_p is given
+        # X_p(H^t) = conj X_p(H^*), the first step of `spectra._cesaro`'s proof
         xt = ht.gram_matrix(ht.transpose(tao6), p)
         assert np.abs(t - xt.conj() / 6).max() < 1e-14
     assert np.abs(x.imag).max() > 1e-2
@@ -650,6 +650,29 @@ def test_cesaro_matches_grid_route_tao6(tao6):
     seq = ht.cesaro_moments(tao6, 3, 5)
     np.testing.assert_allclose(seq.partial_averages, _grid_cesaro(tao6, 3, 5),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("consumer", [
+    pytest.param(lambda h: ht.cesaro_moments(h, 3, 5), id="cesaro"),
+    pytest.param(lambda h: ht.haar_moment_estimate(h, 3), id="haar"),
+])
+def test_cesaro_solves_h_itself(solves, consumer):
+    # T_p has the spectrum of X_p(H) / N (`spectra._cesaro`): the one spectrum
+    # solved is that of H at depth p, and no transpose of H is built
+    h = ht.build_matrix("dita(2,3;seed=7)")
+    consumer(h)
+    assert solves == [(h.provenance, 3)]
+
+
+# Identity A across the two depth axes: c_p^r of the Cesaro core, from the
+# spectrum of X_p, is c_p^r of the moment table, from those of X_1..X_k
+@pytest.mark.parametrize("spec, p, k_max", [
+    ("tao6", 2, 4), ("dita(2,3;seed=7)", 3, 4), ("fourier:5", 3, 5)])
+def test_cesaro_averages_moment_table_row(spec, p, k_max):
+    h = build_input(spec)
+    row = ht.moment_table(h, p, k_max).c[p - 1, 1:]
+    np.testing.assert_allclose(ht.cesaro_moments(h, p, k_max).partial_averages,
+                               np.cumsum(row) / np.arange(1, k_max + 1), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("spec, expected", [

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hadtrunc
+
 from conftest import FRESH_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,8 +133,8 @@ def test_ab_against_a_revision(tmp_path, capsys):
         return code, capsys.readouterr().out.splitlines()
 
     code, out = compare()
-    kinds = ["spectra", "moments", "laws", "haar", "plans"]
-    assert code == 0 and out[-1] == "12 of 12 results bitwise equal"
+    kinds = ["spectra", "moments", "laws", "haar", "cesaro", "plans"]
+    assert code == 0 and out[-1] == "14 of 14 results bitwise equal"
     assert [line.split("  ")[0].split()[0] for line in out[:-1]] == [
         *kinds, *kinds, "duality", "selfduality"]
     assert all(line.endswith("  bitwise") for line in out[:-1])
@@ -142,7 +144,7 @@ def test_ab_against_a_revision(tmp_path, capsys):
     spectra.write_text(spectra.read_text().replace("EIGEN_RESIDUAL_TOL = 1e-9",
                                                    "EIGEN_RESIDUAL_TOL = -1.0"))
     code, out = compare()
-    assert code == 1 and out[-1] == "2 of 12 results bitwise equal"
+    assert code == 1 and out[-1] == "2 of 14 results bitwise equal"
     for line in out[:-1]:
         assert line.endswith("  bitwise") if line.startswith("plans ") else (
             "changed: at REV returns, now raises EigensolverError: depth-1 spectrum" in line)
@@ -157,6 +159,13 @@ def test_ab_against_a_revision(tmp_path, capsys):
     assert "no-such-rev" in refused("no-such-rev")
     (package / "extra.py").write_text("import hadtrunc.spectra\n")
     assert "imports itself by name in extra.py" in refused("HEAD")
+
+
+def test_ab_duality_words_stop_at_the_deepest_depth():
+    # at N = 9 the table of H^t is solved to depth 3, not to the 4 words of
+    # the moment tables, since 9^4 > 4096
+    [grid] = ab_tool()._duality(hadtrunc, "dita(3,3;seed=1)")
+    assert grid.shape == (3, 3) and grid.max() < 1e-10
 
 
 def test_ab_verdicts():

@@ -10,11 +10,13 @@ process under distinct names; neither may import itself by name, which is
 checked first.  Each result of CASES is computed by both copies: of H and
 of H^t, the Gram spectra that one `spectra._gram_spectra` call hands over
 for every depth with N^r <= 4096, the moment tables over those depths, the
-atoms of `truncated_law` at each of them, the Haar estimates at each p with
-N^p <= 4096, and the sector plans with the column involutions found at
-every depth (the plans of every input and depth that takes the sector
-route, and of some that do not); then the duality grids and the
-self-duality grids.  One line per result reads
+atoms of `truncated_law` at each of them, the Haar estimates and the Cesaro
+averages to k_max = 32 at each p with N^p <= 4096, and the sector plans
+with the column involutions found at every depth (the plans of every input
+and depth that takes the sector route, and of some that do not); then the
+duality grids, whose words stop where the depths do, since the table of H^t
+is solved to the depth of the longest word, and the self-duality grids.
+One line per result reads
 
     bitwise                the same bytes in both, or the same exception;
     max rel diff 2.2e-16   the largest |a - b| of two arrays over the largest
@@ -50,7 +52,7 @@ INPUTS = ["fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "four
           "dita(3,2;seed=5)", "dita(3,3;seed=1)", "transpose(dita(2,3;seed=7))", "tao6"]
 DITAS = [(2, 2, 1), (2, 2, 7), (2, 2, 13), (2, 3, 7), (3, 2, 5), (3, 3, 1)]  # (M, N, seed)
 DIM = 4096  # the default size cap: every depth with N^r <= DIM is run
-WORD = 4  # p_max of the moment tables, the duality and the self-duality grids
+WORD = 4  # p_max of the moment tables and the self-duality grids, and at most of the duality
 
 
 @functools.cache
@@ -100,6 +102,11 @@ def _haar(ht, spec):
     return [np.array(ht.haar_moment_estimate(h, p)) for p in range(1, _deepest(h.n) + 1)]
 
 
+def _cesaro(ht, spec):
+    h = _matrix(ht, spec)
+    return [ht.cesaro_moments(h, p, 32).partial_averages for p in range(1, _deepest(h.n) + 1)]
+
+
 def _arrays(plan):
     """The arrays and integers of a nested plan tuple, in order, None as an
     empty array."""
@@ -118,7 +125,8 @@ def _plans(ht, spec):
 
 def _duality(ht, spec):
     h = _matrix(ht, spec)
-    return [ht.duality_residual(h, WORD, _deepest(h.n)).grid]
+    depth = _deepest(h.n)
+    return [ht.duality_residual(h, min(WORD, depth), depth).grid]
 
 
 def _selfduality(ht, dita):
@@ -132,7 +140,7 @@ def _selfduality(ht, dita):
 CASES = ([(f"{kind} {spec}{side}", run, spec + side)
           for spec in INPUTS for side in ("", "^t")
           for kind, run in (("spectra", _spectra), ("moments", _moments), ("laws", _laws),
-                            ("haar", _haar), ("plans", _plans))]
+                            ("haar", _haar), ("cesaro", _cesaro), ("plans", _plans))]
          + [(f"duality {spec}", _duality, spec) for spec in INPUTS]
          + [(f"selfduality dita({m},{n};seed={seed})", _selfduality, (m, n, seed))
             for m, n, seed in DITAS])
